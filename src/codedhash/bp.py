@@ -1,14 +1,17 @@
 """Tanner graphs and flooding sum-product decoding.
 
 Edges are indexed in (variable, check) lexicographic order, so the edges of
-one variable node occupy a contiguous index range.  All message updates are
-vectorized over a batch of LLR vectors:
+one variable node occupy a contiguous index range.  Messages are
+(num_edges, batch) arrays in edge order.  The padded tables var_pad_edge /
+var_pad_mask (n_var, dv_max) and check_pad_edge / check_pad_mask
+(n_check, dc_max) list each node's edges, ascending and left-aligned; as
+edges are variable-major, `pad[var_pad_mask] = values` fills per-variable
+blocks in edge order.  All message updates are vectorized over a batch:
 
-  variable -> check:  m_vc = llr(v) + sum of incoming check messages,
-                      excluding the target edge
   check -> variable:  m_cv = 2 atanh( prod tanh(m_vc / 2) ),
                       excluding the target edge
   posterior:          llr(v) + sum of all incoming check messages
+  variable -> check:  m_vc = posterior(v) - m_cv of the same edge
 
 A positive LLR (and posterior) means bit 0; hard decisions use
 posterior >= 0 -> 0.  Products fed to atanh are clamped away from +-1 by
@@ -26,6 +29,16 @@ from .gf2 import as_gf2
 DEFAULT_CLAMP = 1e-12
 
 
+def _padded_table(node_of_edge: np.ndarray, n_nodes: int):
+    """(edge ids, mask), both (n_nodes, max degree): row i lists the edges
+    of node i ascending and left-aligned; padding holds edge 0."""
+    deg = np.bincount(node_of_edge, minlength=n_nodes)
+    mask = np.arange(deg.max()) < deg[:, None]
+    edge = np.zeros(mask.shape, dtype=np.int64)
+    edge[mask] = np.argsort(node_of_edge, kind="stable")
+    return edge, mask
+
+
 class TannerGraph:
     """Bipartite factor graph of a parity-check matrix.
 
@@ -33,7 +46,9 @@ class TannerGraph:
         h: the (n_check, n_var) parity-check matrix.
         n_var, n_check, num_edges: sizes.
         edge_var, edge_check: endpoint arrays, one entry per edge.
-        var_checks, check_vars: per-node adjacency lists, sorted ascending.
+        var_offsets: v owns edges var_offsets[v] to var_offsets[v + 1] - 1.
+        var_pad_edge, var_pad_mask, check_pad_edge, check_pad_mask: the
+            padded per-node edge tables (see the module docstring).
     """
 
     def __init__(self, parity_check):
@@ -54,49 +69,8 @@ class TannerGraph:
 
         var_deg = h.sum(axis=0).astype(np.int64)
         self.var_offsets = np.concatenate([[0], np.cumsum(var_deg)])
-        self.var_checks = [self.edge_check[self.var_offsets[v]:self.var_offsets[v + 1]]
-                           for v in range(self.n_var)]
-        self.check_vars = [np.nonzero(h[c])[0] for c in range(self.n_check)]
-
-        self._edge_id = {(int(v), int(c)): e
-                        for e, (v, c) in enumerate(zip(vs, cs))}
-
-        # padded per-check edge table for product-except-self updates
-        check_deg = h.sum(axis=1).astype(np.int64)
-        dmax = int(check_deg.max())
-        self.check_pad_edge = np.zeros((self.n_check, dmax), dtype=np.int64)
-        self.check_pad_mask = np.zeros((self.n_check, dmax), dtype=bool)
-        fill = np.zeros(self.n_check, dtype=np.int64)
-        for e in range(self.num_edges):
-            c = self.edge_check[e]
-            self.check_pad_edge[c, fill[c]] = e
-            self.check_pad_mask[c, fill[c]] = True
-            fill[c] += 1
-
-        # (target, source) edge pairs sharing a variable, target-major order
-        pair_src = []
-        counts = np.empty(self.num_edges, dtype=np.int64)
-        for e in range(self.num_edges):
-            v = self.edge_var[e]
-            lo, hi = self.var_offsets[v], self.var_offsets[v + 1]
-            sibs = [f for f in range(lo, hi) if f != e]
-            pair_src.extend(sibs)
-            counts[e] = len(sibs)
-        self.pair_src = np.asarray(pair_src, dtype=np.int64)
-        self.pair_offsets = np.concatenate([[0], np.cumsum(counts)])
-        self.pair_dst = np.repeat(np.arange(self.num_edges), counts)
-        # the same pairs sorted source-major, for reverse-mode accumulation;
-        # each edge is a source for its deg(v) - 1 siblings, so the segment
-        # counts coincide with `counts`
-        self.pair_by_src = np.argsort(self.pair_src, kind="stable")
-        self.src_offsets = self.pair_offsets
-
-    @classmethod
-    def from_parity_check(cls, parity_check) -> "TannerGraph":
-        return cls(parity_check)
-
-    def edge_id(self, v: int, c: int) -> int:
-        return self._edge_id[(v, c)]
+        self.var_pad_edge, self.var_pad_mask = _padded_table(vs, self.n_var)
+        self.check_pad_edge, self.check_pad_mask = _padded_table(cs, self.n_check)
 
     def syndrome_ok(self, hard_bits) -> np.ndarray:
         """True per column of an (n_var, batch) bit array iff all checks pass."""
@@ -106,13 +80,25 @@ class TannerGraph:
 def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Sum contiguous row segments of `values`; empty segments give zero."""
     starts = offsets[:-1]
-    counts = np.diff(offsets)
-    if values.shape[0] == 0:
-        return np.zeros((len(starts),) + values.shape[1:], dtype=values.dtype)
-    idx = np.minimum(starts, values.shape[0] - 1)
-    out = np.add.reduceat(values, idx, axis=0)
-    out[counts == 0] = 0
+    nonempty = np.diff(offsets) > 0
+    out = np.zeros((len(starts),) + values.shape[1:], dtype=values.dtype)
+    if nonempty.any():
+        out[nonempty] = np.add.reduceat(values, starts[nonempty], axis=0)
     return out
+
+
+def _check_prefix_suffix(values: np.ndarray, graph: TannerGraph):
+    """Edge values in the padded per-check table (padding 1) with their
+    exclusive prefix and suffix products: (pad, pre, suf), where pre[c, i]
+    is the product of pad[c, :i] and suf[c, i] that of pad[c, i + 1:]."""
+    mask = graph.check_pad_mask
+    pad = np.ones(mask.shape + values.shape[1:], dtype=values.dtype)
+    pad[mask] = values[graph.check_pad_edge[mask]]
+    pre = np.ones_like(pad)
+    np.cumprod(pad[:, :-1], axis=1, out=pre[:, 1:])
+    suf = np.ones_like(pad)
+    np.cumprod(pad[:, :0:-1], axis=1, out=suf[:, -2::-1])
+    return pad, pre, suf
 
 
 def check_products_except_self(values: np.ndarray, graph: TannerGraph) -> np.ndarray:
@@ -120,15 +106,34 @@ def check_products_except_self(values: np.ndarray, graph: TannerGraph) -> np.nda
 
     `values` is (num_edges, batch) in edge order; so is the result.
     """
-    pad = np.ones(graph.check_pad_mask.shape + values.shape[1:], dtype=values.dtype)
-    pad[graph.check_pad_mask] = values[graph.check_pad_edge[graph.check_pad_mask]]
-    pre = np.ones_like(pad)
-    np.cumprod(pad[:, :-1], axis=1, out=pre[:, 1:])
-    suf = np.ones_like(pad)
-    np.cumprod(pad[:, :0:-1], axis=1, out=suf[:, -2::-1])
-    prod = pre * suf
+    _, pre, suf = _check_prefix_suffix(values, graph)
+    mask = graph.check_pad_mask
     out = np.empty_like(values)
-    out[graph.check_pad_edge[graph.check_pad_mask]] = prod[graph.check_pad_mask]
+    out[graph.check_pad_edge[mask]] = (pre * suf)[mask]
+    return out
+
+
+def check_products_except_self_backward(values: np.ndarray, grads: np.ndarray,
+                                        graph: TannerGraph) -> np.ndarray:
+    """Reverse-mode step for check_products_except_self.
+
+    Given d(loss)/d(output) per edge, returns d(loss)/d(values) per edge
+    without dividing by any factor (stable at zeros).
+    """
+    a, pre, suf = _check_prefix_suffix(values, graph)
+    mask = graph.check_pad_mask
+    gathered = graph.check_pad_edge[mask]
+    gpad = np.zeros_like(a)
+    gpad[mask] = grads[gathered]
+    dmax = a.shape[1]
+    acc_lo = np.zeros_like(a)
+    for i in range(dmax - 1):
+        acc_lo[:, i + 1] = acc_lo[:, i] * a[:, i] + gpad[:, i] * pre[:, i]
+    acc_hi = np.zeros_like(a)
+    for i in range(dmax - 2, -1, -1):
+        acc_hi[:, i] = acc_hi[:, i + 1] * a[:, i + 1] + gpad[:, i + 1] * suf[:, i + 1]
+    out = np.empty_like(values)
+    out[gathered] = (acc_lo * suf + acc_hi * pre)[mask]
     return out
 
 
@@ -170,8 +175,7 @@ def bp_decode_batch(llrs, graph: TannerGraph, iterations: int,
         return out_hard.T, out_soft.T, out_conv
 
     llr_t = llrs.T.copy()
-    l_edge = llr_t[graph.edge_var]
-    m_vc = l_edge.copy()
+    m_vc = llr_t[graph.edge_var]
     cols = np.arange(batch)
 
     for it in range(iterations):
@@ -197,10 +201,9 @@ def bp_decode_batch(llrs, graph: TannerGraph, iterations: int,
             keep = ~freeze
             cols = cols[keep]
             llr_t = llr_t[:, keep]
-            l_edge = l_edge[:, keep]
+            post = post[:, keep]
             m_cv = m_cv[:, keep]
-        src = m_cv[graph.pair_src]
-        m_vc = l_edge + segment_sum(src, graph.pair_offsets)
+        m_vc = post[graph.edge_var] - m_cv
 
     return out_hard.T, out_soft.T, out_conv
 

@@ -9,6 +9,12 @@ and applies a sigmoid, yielding the probability that the bit is 1 under
 the positive-LLR-means-0 convention.  With every weight at 1.0 the hard
 decisions coincide exactly with plain sum-product decoding.
 
+Sibling weights form per-variable blocks: w_in[j, v, a, b] weighs edge
+slot b of v (a var_pad_edge slot) into slot a, so a layer's sibling sum is
+one batched matmul of the (L, n_var, dv_max, dv_max) blocks with padded
+(n_var, dv_max, batch) messages.  The diagonal and padding entries are not
+weights: they stay 0, the forward pass masks them out, their gradient is 0.
+
 Weights, in the order used by the serialized format and weight_vector():
 for each layer, per edge, one channel weight then one weight per incoming
 sibling edge (ascending); then per variable one output channel weight and
@@ -22,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import TannerGraph, check_products_except_self, segment_sum
-from .channel import noise_sigma
+from .bp import (TannerGraph, check_products_except_self,
+                 check_products_except_self_backward, segment_sum)
+from .channel import awgn, bpsk_modulate, llr_from_channel, noise_sigma
 from .gf2 import LinearCode
 from .optim import Adam
 
@@ -32,6 +39,7 @@ _PRESIGMOID_LIMIT = 36.0
 
 _MAGIC = b"NBPW"
 _VERSION = 1
+_HEADER = "<BIIIIQ"
 
 
 class TrainingDivergedError(RuntimeError):
@@ -61,12 +69,27 @@ class NeuralBpDecoder:
         self.graph = graph
         self.iterations = iterations
         self.atanh_clamp = atanh_clamp
-        E = graph.num_edges
-        M = len(graph.pair_src)
-        self.w_chan = np.ones((iterations, E))
-        self.w_in = np.ones((iterations, M))
+        vmask, vedge = graph.var_pad_mask, graph.var_pad_edge
+        # (n_var, dv_max, dv_max): True where slot b of v feeds slot a
+        self._sib_mask = vmask[:, :, None] & vmask[:, None, :] & \
+            ~np.eye(vmask.shape[1], dtype=bool)
+        self.w_chan = np.ones((iterations, graph.num_edges))
+        self.w_in = np.broadcast_to(self._sib_mask, (iterations,) + self._sib_mask.shape
+                                    ).astype(np.float64)
         self.w_out_chan = np.ones(graph.n_var)
-        self.w_out_edge = np.ones(E)
+        self.w_out_edge = np.ones(graph.num_edges)
+        # positions in the raveled parameters(), in serialization order; -1
+        # marks a padding or diagonal slot
+        base = np.cumsum([0] + [p.size for p in self.parameters()])
+        chan = np.where(vmask, graph.num_edges * np.arange(iterations)[:, None, None]
+                        + vedge, -1)
+        sib = np.where(self._sib_mask, base[1] + np.arange(self.w_in.size).reshape(
+            self.w_in.shape), -1)
+        out = np.where(np.c_[np.ones(graph.n_var, dtype=bool), vmask],
+                       np.c_[base[2] + np.arange(graph.n_var), base[3] + vedge], -1)
+        order = np.concatenate([np.concatenate([chan[..., None], sib], axis=-1).ravel(),
+                                out.ravel()])
+        self._order = order[order >= 0]
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -79,42 +102,24 @@ class NeuralBpDecoder:
 
     @property
     def num_weights(self) -> int:
-        return sum(p.size for p in self.parameters())
+        """Length of weight_vector(): the diagonal and padding of w_in are
+        not weights."""
+        return self._order.size
 
     def weight_vector(self) -> np.ndarray:
         """All weights in serialization order (see module docstring)."""
-        g = self.graph
-        parts = []
-        for j in range(self.iterations):
-            for e in range(g.num_edges):
-                parts.append(self.w_chan[j, e:e + 1])
-                parts.append(self.w_in[j, g.pair_offsets[e]:g.pair_offsets[e + 1]])
-        for v in range(g.n_var):
-            parts.append(self.w_out_chan[v:v + 1])
-            parts.append(self.w_out_edge[g.var_offsets[v]:g.var_offsets[v + 1]])
-        return np.concatenate(parts)
+        return np.concatenate([p.ravel() for p in self.parameters()])[self._order]
 
     def set_weight_vector(self, vec) -> None:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.num_weights,):
             raise ValueError(f"expected {self.num_weights} weights, got {vec.shape}")
-        g = self.graph
-        pos = 0
-        for j in range(self.iterations):
-            for e in range(g.num_edges):
-                self.w_chan[j, e] = vec[pos]
-                pos += 1
-                width = g.pair_offsets[e + 1] - g.pair_offsets[e]
-                self.w_in[j, g.pair_offsets[e]:g.pair_offsets[e + 1]] = \
-                    vec[pos:pos + width]
-                pos += width
-        for v in range(g.n_var):
-            self.w_out_chan[v] = vec[pos]
-            pos += 1
-            width = g.var_offsets[v + 1] - g.var_offsets[v]
-            self.w_out_edge[g.var_offsets[v]:g.var_offsets[v + 1]] = \
-                vec[pos:pos + width]
-            pos += width
+        params = self.parameters()
+        flat = np.zeros(sum(p.size for p in params))
+        flat[self._order] = vec
+        ends = np.cumsum([p.size for p in params])[:-1]
+        for p, part in zip(params, np.split(flat, ends)):
+            p[...] = part.reshape(p.shape)
 
     def copy(self) -> "NeuralBpDecoder":
         dup = NeuralBpDecoder(self.graph, self.iterations, self.atanh_clamp)
@@ -129,16 +134,17 @@ class NeuralBpDecoder:
     def _forward_t(self, llr_t, keep_cache: bool):
         """Core forward pass on an (n_var, batch) LLR array."""
         g = self.graph
+        vmask = g.var_pad_mask
         lo = 1.0 - self.atanh_clamp
         l_edge = llr_t[g.edge_var]
+        w_in = self.w_in * self._sib_mask
         x = np.zeros((g.num_edges, llr_t.shape[1]))
+        x_pad = np.zeros(vmask.shape + (llr_t.shape[1],))
         layers = []
         for j in range(self.iterations):
             x_prev = x
-            src = x_prev[g.pair_src]
-            contrib = self.w_in[j][:, None] * src
-            pre = self.w_chan[j][:, None] * l_edge + \
-                segment_sum(contrib, g.pair_offsets)
+            x_pad[vmask] = x_prev
+            pre = self.w_chan[j][:, None] * l_edge + np.matmul(w_in[j], x_pad)[vmask]
             x_odd = np.tanh(0.5 * pre)
             prod = check_products_except_self(x_odd, g)
             p_clip = np.clip(prod, -lo, lo)
@@ -151,7 +157,7 @@ class NeuralBpDecoder:
         z = np.clip(-s, -_PRESIGMOID_LIMIT, _PRESIGMOID_LIMIT)
         z_mask = np.abs(s) < _PRESIGMOID_LIMIT
         o = _sigmoid(z)
-        cache = (llr_t, l_edge, layers, x, z, z_mask) if keep_cache else None
+        cache = (llr_t, l_edge, w_in, layers, x, z, z_mask) if keep_cache else None
         return o, cache
 
     def forward(self, llr):
@@ -196,7 +202,7 @@ class NeuralBpDecoder:
         if llrs.shape != y.shape or llrs.ndim != 2:
             raise ValueError("llrs and targets must share a (batch, n) shape")
         o, cache = self._forward_t(llrs.T.copy(), keep_cache=True)
-        llr_t, l_edge, layers, x_final, z, z_mask = cache
+        llr_t, l_edge, w_in, layers, x_final, z, z_mask = cache
         y_t = y.T
         count = y_t.size
         loss = float(np.mean(np.logaddexp(0.0, z) - y_t * z))
@@ -210,47 +216,21 @@ class NeuralBpDecoder:
 
         d_chan = np.zeros_like(self.w_chan)
         d_in = np.zeros_like(self.w_in)
+        vmask = g.var_pad_mask
+        x_pad = np.zeros(vmask.shape + (llr_t.shape[1],))
+        dpre_pad = np.zeros_like(x_pad)
         for j in reversed(range(self.iterations)):
             x_prev, x_odd, p_clip, clip_mask = layers[j]
             dp = dx * (2.0 / (1.0 - p_clip * p_clip)) * clip_mask
-            dx_odd = _product_except_self_backward(x_odd, dp, g)
+            dx_odd = check_products_except_self_backward(x_odd, dp, g)
             dpre = dx_odd * 0.5 * (1.0 - x_odd * x_odd)
             d_chan[j] = (dpre * l_edge).sum(axis=1)
-            flat = dpre[g.pair_dst] * x_prev[g.pair_src]
-            d_in[j] = flat.sum(axis=1)
+            dpre_pad[vmask] = dpre
+            x_pad[vmask] = x_prev
+            d_in[j] = np.matmul(dpre_pad, x_pad.transpose(0, 2, 1)) * self._sib_mask
             if j > 0:
-                back = self.w_in[j][:, None] * dpre[g.pair_dst]
-                dx = segment_sum(back[g.pair_by_src], g.src_offsets)
+                dx = np.matmul(w_in[j].transpose(0, 2, 1), dpre_pad)[vmask]
         return loss, [d_chan, d_in, d_out_chan, d_out_edge]
-
-
-def _product_except_self_backward(values, grads, graph: TannerGraph):
-    """Reverse-mode step for check_products_except_self.
-
-    Given d(loss)/d(output) per edge, returns d(loss)/d(values) per edge
-    without dividing by any factor (stable at zeros).
-    """
-    mask = graph.check_pad_mask
-    gathered = graph.check_pad_edge[mask]
-    a = np.ones(mask.shape + values.shape[1:], dtype=values.dtype)
-    a[mask] = values[gathered]
-    gpad = np.zeros_like(a)
-    gpad[mask] = grads[gathered]
-    pre = np.ones_like(a)
-    np.cumprod(a[:, :-1], axis=1, out=pre[:, 1:])
-    suf = np.ones_like(a)
-    np.cumprod(a[:, :0:-1], axis=1, out=suf[:, -2::-1])
-    dmax = a.shape[1]
-    acc_lo = np.zeros_like(a)
-    for i in range(dmax - 1):
-        acc_lo[:, i + 1] = acc_lo[:, i] * a[:, i] + gpad[:, i] * pre[:, i]
-    acc_hi = np.zeros_like(a)
-    for i in range(dmax - 2, -1, -1):
-        acc_hi[:, i] = acc_hi[:, i + 1] * a[:, i + 1] + gpad[:, i + 1] * suf[:, i + 1]
-    r = acc_lo * suf + acc_hi * pre
-    out = np.zeros_like(values)
-    out[gathered] = r[mask]
-    return out
 
 
 @dataclass
@@ -313,7 +293,6 @@ def evaluate_error_rates(decoder, code: LinearCode, snr_db: float, frames: int,
         raise ValueError("frames must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
-    sigma = noise_sigma(snr_db, code.rate)
     bit_errors = 0
     frame_errors = 0
     done = 0
@@ -325,9 +304,8 @@ def evaluate_error_rates(decoder, code: LinearCode, snr_db: float, frames: int,
         else:
             msgs = rng.integers(0, 2, size=(b, code.k))
             words = (msgs @ gen % 2).astype(np.uint8)
-        symbols = 1.0 - 2.0 * words
-        received = symbols + sigma * rng.standard_normal((b, code.n))
-        llrs = 2.0 * received / (sigma * sigma)
+        received, sigma = awgn(bpsk_modulate(words), snr_db, rng, rate=code.rate)
+        llrs = llr_from_channel(received, sigma)
         hard = decoder.decode_batch(llrs)
         errs = hard != words
         bit_errors += int(errs.sum())
@@ -346,7 +324,7 @@ def save_decoder(net: NeuralBpDecoder, code: LinearCode, path) -> None:
     vec = net.weight_vector()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<BIIIIQ", _VERSION, code.n, code.k, code.t,
+        fh.write(struct.pack(_HEADER, _VERSION, code.n, code.k, code.t,
                              net.iterations, vec.size))
         fh.write(vec.astype("<f8").tobytes())
 
@@ -354,18 +332,28 @@ def save_decoder(net: NeuralBpDecoder, code: LinearCode, path) -> None:
 def load_decoder(path, code: LinearCode) -> NeuralBpDecoder:
     """Rebuild a decoder over the graph of `code` from a saved weight file."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a decoder weight file")
-        version, n, k, t, iterations, count = struct.unpack(
-            "<BIIIIQ", fh.read(struct.calcsize("<BIIIIQ")))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        if (n, k, t) != (code.n, code.k, code.t):
-            raise ValueError(f"{path}: weights are for an ({n}, {k}) t={t} code, "
-                             f"not ({code.n}, {code.k}) t={code.t}")
-        raw = fh.read(count * 8)
-    vec = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    net = NeuralBpDecoder(TannerGraph(code.parity_check), iterations)
-    net.set_weight_vector(vec)
+        data = fh.read()
+    if data[:len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: not a decoder weight file")
+    body = len(_MAGIC) + struct.calcsize(_HEADER)
+    if len(data) < body:
+        raise ValueError(f"{path}: truncated header ({len(data)} of {body} bytes)")
+    version, n, k, t, iterations, count = struct.unpack_from(_HEADER, data, len(_MAGIC))
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    if (n, k, t) != (code.n, code.k, code.t):
+        raise ValueError(f"{path}: weights are for an ({n}, {k}) t={t} code, "
+                         f"not ({code.n}, {code.k}) t={code.t}")
+    if len(data) - body != 8 * count:
+        raise ValueError(f"{path}: header announces {count} weights "
+                         f"({8 * count} bytes) but {len(data) - body} bytes follow")
+    # checked before any array is sized by the header's iteration count
+    graph = TannerGraph(code.parity_check)
+    deg = np.diff(graph.var_offsets)
+    per_layer = graph.num_edges + int((deg * (deg - 1)).sum())
+    if iterations < 1 or count != iterations * per_layer + graph.n_var + graph.num_edges:
+        raise ValueError(f"{path}: {count} weights do not fit an L={iterations} "
+                         f"decoder of this code")
+    net = NeuralBpDecoder(graph, iterations)
+    net.set_weight_vector(np.frombuffer(data, dtype="<f8", offset=body))
     return net

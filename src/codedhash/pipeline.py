@@ -226,7 +226,7 @@ def stage1b(config: TrainConfig, seed=None, decoder_epochs: int = 150,
             frames_per_epoch: int = 128):
     """Select the margin-covering code and train the decoder on it."""
     code = select_code(config.margin, config.c)
-    graph = TannerGraph.from_parity_check(code.parity_check)
+    graph = TannerGraph(code.parity_check)
     net = NeuralBpDecoder(graph, iterations=config.bp_iterations)
     train_decoder(net, code, DecoderTrainConfig(
         snr_db_list=tuple(config.snr_db_list),

@@ -98,7 +98,7 @@ def test_criterion_1_bch_ladder_and_exhaustive_correction():
 
 def test_criterion_2_unit_network_matches_classic_bp():
     code = build_bch(4, 2)
-    graph = TannerGraph.from_parity_check(code.parity_check)
+    graph = TannerGraph(code.parity_check)
     net = NeuralBpDecoder(graph, iterations=5)
     rng = np.random.default_rng(20)
     llrs = rng.normal(0.0, 2.5, size=(1000, code.n))
@@ -122,7 +122,7 @@ def test_criterion_2_unit_network_matches_classic_bp():
 def test_criterion_3_trained_decoder_beats_unit_bp():
     start = time.monotonic()
     code = build_bch(4, 2)
-    graph = TannerGraph.from_parity_check(code.parity_check)
+    graph = TannerGraph(code.parity_check)
     net = NeuralBpDecoder(graph, iterations=5)
     train_decoder(net, code, DecoderTrainConfig(epochs=800,
                                                 frames_per_epoch=512,
@@ -188,7 +188,7 @@ def test_criterion_4_hashing_gradients_match_finite_differences():
 
 def test_criterion_4_decoder_gradients_match_finite_differences():
     code = build_bch(3, 1)
-    graph = TannerGraph.from_parity_check(code.parity_check)
+    graph = TannerGraph(code.parity_check)
     for trial in range(20):
         rng = np.random.default_rng(200 + trial)
         net = NeuralBpDecoder(graph, iterations=2)
@@ -247,7 +247,7 @@ def brute_force_posteriors(llrs, codewords):
 
 def test_criterion_6_tree_bp_matches_brute_force():
     h = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
-    graph = TannerGraph.from_parity_check(h)
+    graph = TannerGraph(h)
     codewords = np.array([[0, 0, 0], [1, 1, 1]], dtype=np.uint8)
     rng = np.random.default_rng(31)
     llrs = rng.normal(0.0, 2.0, size=(1000, 3))

@@ -1,14 +1,15 @@
 """Tanner graph construction and sum-product decoding.
 
 The cycle-free exactness check compares BP posteriors against a test-local
-exhaustive marginalization over all codewords.
+exhaustive marginalization over all codewords; the loopy-graph check
+compares them against a test-local per-edge flooding loop.
 """
 
 import numpy as np
 import pytest
 
-from codedhash import channel, gf2
-from codedhash.bp import (TannerGraph, bp_decode, bp_decode_batch,
+from codedhash import channel, gf2, pipeline
+from codedhash.bp import (DEFAULT_CLAMP, TannerGraph, bp_decode, bp_decode_batch,
                           check_products_except_self, segment_sum)
 
 H_APPENDIX = np.array(
@@ -40,35 +41,80 @@ def brute_force_posteriors(llr, h):
     return post
 
 
+def naive_flooding_posteriors(llrs, h, iterations, clamp):
+    """Oracle: flooding sum-product with one Python step per edge message.
+
+    Edges and their neighbours come from h alone.  Returns the posteriors
+    after the last check update, (batch, n).
+    """
+    n_check, n = h.shape
+    checks_of = [np.nonzero(h[:, v])[0] for v in range(n)]
+    vars_of = [np.nonzero(h[c])[0] for c in range(n_check)]
+    edges = [(v, c) for v in range(n) for c in checks_of[v]]
+    llr = llrs.T
+    m_vc = {(v, c): llr[v] for v, c in edges}
+    for _ in range(iterations):
+        t = {e: np.tanh(0.5 * m) for e, m in m_vc.items()}
+        m_cv = {}
+        for v, c in edges:
+            prod = np.ones(llrs.shape[0])
+            for u in vars_of[c]:
+                if u != v:
+                    prod = prod * t[(u, c)]
+            m_cv[(v, c)] = 2.0 * np.arctanh(np.clip(prod, -1.0 + clamp, 1.0 - clamp))
+        post = np.array([llr[v] + sum(m_cv[(v, c)] for c in checks_of[v])
+                         for v in range(n)])
+        m_vc = {(v, c): llr[v] + sum(m_cv[(v, d)] for d in checks_of[v] if d != c)
+                for v, c in edges}
+    return post.T
+
+
+def pipeline_code():
+    """The BCH(63,30) code the default training configuration selects."""
+    config = pipeline.TrainConfig()
+    return pipeline.select_code(config.margin, config.c)
+
+
 class TestTannerGraph:
     def test_appendix_edge_count(self):
-        graph = TannerGraph.from_parity_check(H_APPENDIX)
+        graph = TannerGraph(H_APPENDIX)
         assert graph.num_edges == 16
         assert (graph.n_var, graph.n_check) == (8, 4)
 
     def test_appendix_check_zero_neighbors(self):
-        graph = TannerGraph.from_parity_check(H_APPENDIX)
-        np.testing.assert_array_equal(graph.check_vars[0], [1, 3, 4, 7])
+        graph = TannerGraph(H_APPENDIX)
+        row = graph.check_pad_edge[0][graph.check_pad_mask[0]]
+        np.testing.assert_array_equal(graph.edge_var[row], [1, 3, 4, 7])
 
     def test_adjacency_sorted_and_consistent(self):
-        graph = TannerGraph.from_parity_check(H_APPENDIX)
+        graph = TannerGraph(H_APPENDIX)
         for v in range(graph.n_var):
-            adj = graph.var_checks[v]
-            assert (np.diff(adj) > 0).all()
-            for c in adj:
-                assert v in graph.check_vars[c]
+            row = graph.var_pad_edge[v][graph.var_pad_mask[v]]
+            assert (np.diff(row) > 0).all()
+            np.testing.assert_array_equal(graph.edge_var[row], v)
+            np.testing.assert_array_equal(graph.edge_check[row],
+                                          np.nonzero(graph.h[:, v])[0])
+        for c in range(graph.n_check):
+            row = graph.check_pad_edge[c][graph.check_pad_mask[c]]
+            assert (np.diff(row) > 0).all()
+            np.testing.assert_array_equal(graph.edge_check[row], c)
+            np.testing.assert_array_equal(graph.edge_var[row],
+                                          np.nonzero(graph.h[c])[0])
 
     def test_edge_index_is_a_bijection(self):
-        graph = TannerGraph.from_parity_check(H_APPENDIX)
-        seen = set()
-        for e in range(graph.num_edges):
-            v, c = int(graph.edge_var[e]), int(graph.edge_check[e])
-            assert graph.edge_id(v, c) == e
-            seen.add((v, c))
-        assert len(seen) == graph.num_edges
+        graph = TannerGraph(H_APPENDIX)
+        # (variable, check) lexicographic order, derived from h alone
+        edges = sorted(zip(*np.nonzero(graph.h.T)))
+        assert graph.num_edges == len(edges)
+        for e, (v, c) in enumerate(edges):
+            assert (graph.edge_var[e], graph.edge_check[e]) == (v, c)
+        for pad, mask in ((graph.var_pad_edge, graph.var_pad_mask),
+                          (graph.check_pad_edge, graph.check_pad_mask)):
+            np.testing.assert_array_equal(np.sort(pad[mask]),
+                                          np.arange(graph.num_edges))
 
     def test_identity_h_has_one_edge_per_check(self):
-        graph = TannerGraph.from_parity_check(np.eye(5, dtype=np.uint8))
+        graph = TannerGraph(np.eye(5, dtype=np.uint8))
         assert graph.num_edges == 5
 
     def test_degenerate_rows_and_columns_rejected(self):
@@ -86,6 +132,9 @@ class TestKernels:
         np.testing.assert_array_equal(out[0], values[0] + values[1])
         np.testing.assert_array_equal(out[1], 0.0)
         np.testing.assert_array_equal(out[2], values[2] + values[3] + values[4])
+        # trailing empty segments must not truncate the last non-empty one
+        out = segment_sum(np.array([[1.0], [2.0], [3.0]]), np.array([0, 3, 3]))
+        np.testing.assert_array_equal(out, [[6.0], [0.0]])
 
     def test_check_products_match_naive_loop(self):
         graph = TannerGraph(H_APPENDIX)
@@ -158,6 +207,22 @@ class TestBpDecode:
         hard, soft, _ = bp_decode_batch(llrs, graph, iterations=5)
         assert np.isfinite(soft).all()
         assert set(np.unique(hard)) <= {0, 1}
+
+    @pytest.mark.parametrize("code", [gf2.build_bch(4, 2), pipeline_code()],
+                             ids=["bch15_7", "bch63_30"])
+    def test_flooding_matches_naive_per_edge_loop(self, code):
+        """Loopy systematic BCH graphs, whose last variables have degree 1."""
+        graph = TannerGraph(code.parity_check)
+        rng = np.random.default_rng(6)
+        llrs = rng.normal(0.0, 2.5, size=(200, code.n))
+        hard, post, _ = bp_decode_batch(llrs, graph, iterations=5,
+                                        early_stop=False)
+        want = naive_flooding_posteriors(llrs, code.parity_check, 5,
+                                         DEFAULT_CLAMP)
+        np.testing.assert_array_equal(hard, (want < 0).astype(np.uint8))
+        np.testing.assert_allclose(post, want, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(1.0 / (1.0 + np.exp(post)),
+                                   1.0 / (1.0 + np.exp(want)), rtol=0, atol=1e-9)
 
     def test_bad_inputs_rejected(self):
         graph = TannerGraph(H_REPETITION)

@@ -1,11 +1,13 @@
 """Unrolled weighted decoder: structure, equivalence to plain sum-product
-decoding at unit weights, exact gradients, training behavior, and the
-weight-file round trip."""
+decoding at unit weights, agreement with a per-edge weighted loop, exact
+gradients, training behavior, and the weight-file round trip."""
+
+import re
 
 import numpy as np
 import pytest
 
-from codedhash import channel, gf2
+from codedhash import channel, gf2, pipeline
 from codedhash.bp import TannerGraph, bp_decode_batch
 from codedhash.neural_bp import (DecoderTrainConfig, NeuralBpDecoder,
                                  evaluate_error_rates, load_decoder,
@@ -24,6 +26,57 @@ H_APPENDIX = np.array(
 
 def appendix_net(iterations=2):
     return NeuralBpDecoder(TannerGraph(H_APPENDIX), iterations)
+
+
+def pipeline_code():
+    """The BCH(63,30) code the default training configuration selects."""
+    config = pipeline.TrainConfig()
+    return pipeline.select_code(config.margin, config.c)
+
+
+def naive_weighted_bp(llrs, h, vec, iterations, clamp):
+    """Oracle: the weighted unrolled decoder with one Python step per edge
+    message, edges from h alone and weights read from `vec` in the
+    documented serialization order.  Returns the pre-sigmoid output
+    (posterior) per bit, (batch, n).
+    """
+    n_check, n = h.shape
+    checks_of = [np.nonzero(h[:, v])[0] for v in range(n)]
+    vars_of = [np.nonzero(h[c])[0] for c in range(n_check)]
+    edges = [(v, c) for v in range(n) for c in checks_of[v]]
+    weights = iter(vec)
+    w_chan = [{} for _ in range(iterations)]
+    w_sib = [{} for _ in range(iterations)]
+    for j in range(iterations):
+        for v, c in edges:
+            w_chan[j][(v, c)] = next(weights)
+            for d in checks_of[v]:
+                if d != c:
+                    w_sib[j][(v, c, d)] = next(weights)
+    w_out_chan, w_out_edge = {}, {}
+    for v in range(n):
+        w_out_chan[v] = next(weights)
+        for c in checks_of[v]:
+            w_out_edge[(v, c)] = next(weights)
+    assert next(weights, None) is None
+
+    llr = llrs.T
+    x = {e: np.zeros(llrs.shape[0]) for e in edges}
+    for j in range(iterations):
+        odd = {(v, c): np.tanh(0.5 * (w_chan[j][(v, c)] * llr[v] + sum(
+                   w_sib[j][(v, c, d)] * x[(v, d)] for d in checks_of[v] if d != c)))
+               for v, c in edges}
+        x = {}
+        for v, c in edges:
+            prod = np.ones(llrs.shape[0])
+            for u in vars_of[c]:
+                if u != v:
+                    prod = prod * odd[(u, c)]
+            x[(v, c)] = 2.0 * np.arctanh(np.clip(prod, -1.0 + clamp, 1.0 - clamp))
+    post = np.array([w_out_chan[v] * llr[v] + sum(w_out_edge[(v, c)] * x[(v, c)]
+                                                  for c in checks_of[v])
+                     for v in range(n)])
+    return post.T
 
 
 class TestStructure:
@@ -90,6 +143,31 @@ class TestUnitWeightEquivalence:
         assert (outputs > 0.0).all() and (outputs < 1.0).all()
 
 
+class TestWeightedForward:
+    """Non-unit weights against a per-edge loop that reads them in the
+    decoder.bin v1 order."""
+
+    @pytest.mark.parametrize("code", [gf2.build_bch(4, 2), pipeline_code()],
+                             ids=["bch15_7", "bch63_30"])
+    def test_weighted_forward_matches_naive_per_edge_loop(self, code):
+        net = NeuralBpDecoder(TannerGraph(code.parity_check), iterations=5)
+        rng = np.random.default_rng(13)
+        net.set_weight_vector(rng.normal(1.0, 0.2, size=net.num_weights))
+        llrs = rng.normal(0.0, 2.5, size=(200, code.n))
+        outputs, hard = net.forward(llrs)
+        post = naive_weighted_bp(llrs, code.parity_check, net.weight_vector(),
+                                 5, net.atanh_clamp)
+        want = 1.0 / (1.0 + np.exp(np.clip(post, -36.0, 36.0)))
+        np.testing.assert_array_equal(hard, (want > 0.5).astype(np.uint8))
+        np.testing.assert_allclose(outputs, want, rtol=0, atol=1e-9)
+        # the posterior read back from the output, where its logit is
+        # well conditioned
+        ok = np.minimum(outputs, 1.0 - outputs) > 1e-6
+        assert ok.mean() > 0.5
+        logit = np.log1p(-outputs[ok]) - np.log(outputs[ok])
+        np.testing.assert_allclose(logit, post[ok], rtol=0, atol=1e-9)
+
+
 class TestGradients:
     def finite_difference(self, net, llrs, targets, param_idx, flat_idx,
                           h=1e-6):
@@ -103,19 +181,27 @@ class TestGradients:
         return (hi - lo) / (2.0 * h)
 
     def test_gradients_match_finite_differences(self):
-        net = appendix_net(iterations=2)
+        """Six sampled entries per array on the appendix graph; every entry
+        of every array on BCH(15,7), whose last variables have degree 1."""
         rng = np.random.default_rng(20)
-        net.set_weight_vector(rng.normal(1.0, 0.1, size=net.num_weights))
-        llrs = rng.normal(0.0, 2.0, size=(8, 8))
-        targets = rng.integers(0, 2, size=(8, 8))
-        _, grads = net.loss_and_grads(llrs, targets)
-        for param_idx, p in enumerate(net.parameters()):
-            for flat_idx in rng.choice(p.size, size=min(6, p.size), replace=False):
-                want = self.finite_difference(net, llrs, targets,
-                                              param_idx, int(flat_idx))
-                got = grads[param_idx].flat[flat_idx]
-                err = abs(got - want) / max(abs(got), abs(want), 1e-8)
-                assert err < 1e-5, (param_idx, flat_idx, got, want)
+        cases = ((appendix_net(iterations=2), 6),
+                 (NeuralBpDecoder(TannerGraph(gf2.build_bch(4, 2).parity_check),
+                                  iterations=2), None))
+        for net, sample in cases:
+            n = net.graph.n_var
+            net.set_weight_vector(rng.normal(1.0, 0.1, size=net.num_weights))
+            llrs = rng.normal(0.0, 2.0, size=(8, n))
+            targets = rng.integers(0, 2, size=(8, n))
+            _, grads = net.loss_and_grads(llrs, targets)
+            for param_idx, p in enumerate(net.parameters()):
+                entries = range(p.size) if sample is None else \
+                    rng.choice(p.size, size=min(sample, p.size), replace=False)
+                for flat_idx in entries:
+                    want = self.finite_difference(net, llrs, targets,
+                                                  param_idx, int(flat_idx))
+                    got = grads[param_idx].flat[flat_idx]
+                    err = abs(got - want) / max(abs(got), abs(want), 1e-8)
+                    assert err < 1e-5, (n, param_idx, flat_idx, got, want)
 
     def test_zero_target_loss_decreases_along_gradient(self):
         net = appendix_net(iterations=2)
@@ -219,3 +305,33 @@ class TestSerialization:
         path.write_bytes(b"not a decoder")
         with pytest.raises(ValueError):
             load_decoder(path, gf2.build_bch(3, 1))
+
+    def test_truncated_header_rejected(self, tmp_path):
+        code = gf2.build_bch(3, 1)
+        path = tmp_path / "decoder.bin"
+        save_decoder(NeuralBpDecoder(TannerGraph(code.parity_check), 2), code, path)
+        path.write_bytes(path.read_bytes()[:12])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_decoder(path, code)
+
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_iteration_count_must_match_weights(self, tmp_path, iterations):
+        code = gf2.build_bch(3, 1)
+        path = tmp_path / "decoder.bin"
+        save_decoder(NeuralBpDecoder(TannerGraph(code.parity_check), 2), code, path)
+        raw = bytearray(path.read_bytes())
+        raw[17:21] = iterations.to_bytes(4, "little")  # after magic, version, n, k, t
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_decoder(path, code)
+
+    @pytest.mark.parametrize("cut", [-8, 8])
+    def test_weight_bytes_must_match_header(self, tmp_path, cut):
+        """Missing (cut < 0) or trailing (cut > 0) weight bytes."""
+        code = gf2.build_bch(3, 1)
+        path = tmp_path / "decoder.bin"
+        save_decoder(NeuralBpDecoder(TannerGraph(code.parity_check), 2), code, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_decoder(path, code)

@@ -188,7 +188,7 @@ class TestActivationToLlr:
 
 class TestDecodeTargets:
     def _decoder(self, code, iterations=5):
-        return NeuralBpDecoder(TannerGraph.from_parity_check(code.parity_check),
+        return NeuralBpDecoder(TannerGraph(code.parity_check),
                                iterations=iterations)
 
     def test_codeword_pattern_decodes_to_itself(self):
@@ -378,7 +378,7 @@ class TestStage2:
         ds, cfg, enc, _ = self._setup()
         code = build_bch(4, 2)
         wrong = NeuralBpDecoder(
-            TannerGraph.from_parity_check(code.parity_check), iterations=2)
+            TannerGraph(code.parity_check), iterations=2)
         with pytest.raises(ValueError):
             stage2_refine(enc, wrong, ds, cfg)
 
