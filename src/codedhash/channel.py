@@ -10,12 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def bpsk_modulate(bits) -> np.ndarray:
     """Map bits to antipodal symbols: 0 -> +1.0, 1 -> -1.0."""
     b = np.asarray(bits)
@@ -39,12 +33,12 @@ def awgn(symbols, snr_db: float, seed, rate: float = 1.0):
     """
     s = np.asarray(symbols, dtype=np.float64)
     sigma = noise_sigma(snr_db, rate)
-    rng = _rng(seed)
-    return s + sigma * rng.standard_normal(s.shape), sigma
+    return s + sigma * np.random.default_rng(seed).standard_normal(s.shape), sigma
 
 
-def llr_from_channel(received, sigma: float) -> np.ndarray:
-    """Exact AWGN bit LLRs: 2 y / sigma^2 under the 0 -> +1 mapping."""
-    if sigma <= 0:
+def llr_from_channel(received, sigma) -> np.ndarray:
+    """Exact AWGN bit LLRs: 2 y / sigma^2 under the 0 -> +1 mapping.
+    sigma may also broadcast against received, e.g. as a per-frame column."""
+    if np.any(np.asarray(sigma) <= 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     return 2.0 * np.asarray(received, dtype=np.float64) / (sigma * sigma)

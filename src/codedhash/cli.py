@@ -25,11 +25,10 @@ from .pipeline import (
 from .retrieval import (
     build_index,
     graded_relevance,
-    mean_average_precision,
-    ndcg_at_k,
     rank,
     read_rankings,
     check_query_mask,
+    score_rankings,
     write_metric_report,
     write_rankings,
 )
@@ -73,11 +72,11 @@ def read_codes(path) -> np.ndarray:
     return np.array(rows, dtype=np.int8)
 
 
-def _parse_mask(text: str) -> np.ndarray:
+def _parse_mask(text: str, d_attr: int) -> np.ndarray:
     if set(text) - {"0", "1"}:
         raise ValueError(f"query mask must be a 0/1 string, got {text!r}")
     return check_query_mask(np.frombuffer(text.encode(), dtype=np.uint8)
-                            - ord("0"))
+                            - ord("0"), d_attr)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +157,7 @@ def _cmd_retrieve(args) -> int:
     index = build_index(codes, dataset.subject_ids, dataset.attributes)
     blocks = []
     for text in args.query:
-        mask = _parse_mask(text)
-        if mask.size != dataset.d_attr:
-            raise ValueError(f"query mask length {mask.size} does not match "
-                             f"attribute dimension {dataset.d_attr}")
+        mask = _parse_mask(text, dataset.d_attr)
         code = sign_hash(encoders.encode_attributes(mask.astype(np.float64)))
         ids, dists = rank(code, index)
         grades = graded_relevance(mask, dataset.attributes)[ids]
@@ -176,30 +172,20 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"{args.rankings}: no query blocks")
     by_arity = {}
     for mask, ids, dists, rels in blocks:
-        by_arity.setdefault(int(mask.sum()), []).append((mask, rels))
+        by_arity.setdefault(int(mask.sum()), []).append(rels)
     arities = [args.arity] if args.arity else sorted(by_arity)
     rows = []
     for arity in arities:
-        group = by_arity.get(arity, [])
-        if not group:
+        grade_lists = by_arity.get(arity, [])
+        if not grade_lists:
             raise ValueError(f"no arity-{arity} queries in {args.rankings}")
-        binary_lists = [(rels == arity).astype(np.uint8)
-                        for _, rels in group]
-        rows.append(("map", arity, mean_average_precision(binary_lists)))
-        ndcgs = []
-        skipped_ndcg = 0
-        for _, rels in group:
-            k = args.k if args.k else len(rels)
-            if rels.any():
-                ndcgs.append(ndcg_at_k(rels, k))
-            else:
-                skipped_ndcg += 1
-        if ndcgs:
-            rows.append(("ndcg", arity, float(np.mean(ndcgs))))
-        skipped_map = sum(1 for b in binary_lists if not b.any())
-        rows.append(("queries", arity, len(group)))
-        rows.append(("skipped_map", arity, skipped_map))
-        rows.append(("skipped_ndcg", arity, skipped_ndcg))
+        result = score_rankings([rels == arity for rels in grade_lists],
+                                grade_lists, args.k or None)
+        rows += [("map", arity, result.mean_average_precision),
+                 ("ndcg", arity, result.ndcg),
+                 ("queries", arity, result.queries),
+                 ("skipped_map", arity, result.skipped_map),
+                 ("skipped_ndcg", arity, result.skipped_ndcg)]
     write_metric_report(args.out, rows)
     return 0
 

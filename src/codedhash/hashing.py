@@ -121,8 +121,7 @@ class Encoders:
     @classmethod
     def build(cls, d_img: int, d_attr: int, code_length: int,
               hidden=(512, 512), init_std: float = 0.01, seed=0) -> "Encoders":
-        rng = seed if isinstance(seed, np.random.Generator) \
-            else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)  # a Generator is used as is
         image = Mlp((d_img, *hidden, code_length), rng, init_std)
         attribute = Mlp((d_attr, *hidden, code_length), rng, init_std)
         return cls(image, attribute)
@@ -195,19 +194,26 @@ def _check_batch(p, q, s):
     return p, q, s
 
 
+def _evaluate(p, q, s, margin, theta, lam):
+    """Checked inputs, distance mask, match probabilities and the value of
+    J with its parts, shared by the objective and its gradient."""
+    p, q, s = _check_batch(p, q, s)
+    c = p.shape[1]
+    d, d_mask = _pair_distances(p, q)
+    r = match_probability(d, margin)
+    dll = float(np.sum(dll_loss(r, s)))
+    quant = -(theta / c) * float(np.sum(p * p) + np.sum(q * q))
+    balance = lam * float(np.sum(p.sum(axis=0) ** 2) + np.sum(q.sum(axis=0) ** 2))
+    return p, q, s, d_mask, r, dll + quant + balance, (dll, quant, balance)
+
+
 def objective(p, q, s, margin: float, theta: float, lam: float):
     """Value of J and its three parts (pair loss, norm reward, balance).
 
     The norm-reward part carries its negative sign, so the parts always sum
     to J.
     """
-    p, q, s = _check_batch(p, q, s)
-    c = p.shape[1]
-    d, _ = _pair_distances(p, q)
-    dll = float(np.sum(dll_loss(match_probability(d, margin), s)))
-    quant = -(theta / c) * float(np.sum(p * p) + np.sum(q * q))
-    balance = lam * float(np.sum(p.sum(axis=0) ** 2) + np.sum(q.sum(axis=0) ** 2))
-    return dll + quant + balance, (dll, quant, balance)
+    return _evaluate(p, q, s, margin, theta, lam)[-2:]
 
 
 def objective_grads(p, q, s, margin: float, theta: float, lam: float):
@@ -217,12 +223,9 @@ def objective_grads(p, q, s, margin: float, theta: float, lam: float):
     through the same clamps the value uses, so clamped pairs contribute
     zero gradient.
     """
-    p, q, s = _check_batch(p, q, s)
-    n_p, c = p.shape
-    d, d_mask = _pair_distances(p, q)
+    p, q, s, d_mask, r, j, parts = _evaluate(p, q, s, margin, theta, lam)
+    c = p.shape[1]
     a_const = 1.0 + np.exp(-margin)
-    r = a_const / (1.0 + np.exp(np.minimum(d - margin, 700.0)))
-    j, parts = objective(p, q, s, margin, theta, lam)
 
     interior = (r > PROB_CLAMP) & (r < 1.0 - PROB_CLAMP)
     ratio = r / np.maximum(1.0 - r, PROB_CLAMP)
@@ -282,23 +285,31 @@ def save_encoders(encoders: Encoders, path) -> None:
 
 def load_encoders(path) -> Encoders:
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not an encoder weight file")
-        version, d_img, d_attr, c = struct.unpack("<BIII", fh.read(13))
+        data = fh.read()
+    if data[:len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: not an encoder weight file")
+    try:
+        version, d_img, d_attr, c = struct.unpack_from("<BIII", data, len(_MAGIC))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        sizes = []
-        for _ in range(2):
-            (n_hidden,) = struct.unpack("<B", fh.read(1))
-            sizes.append([struct.unpack("<I", fh.read(4))[0]
-                          for _ in range(n_hidden)])
-        rng = np.random.default_rng(0)
-        image = Mlp((d_img, *sizes[0], c), rng)
-        attribute = Mlp((d_attr, *sizes[1], c), rng)
-        for net in (image, attribute):
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                net.weights[i] = np.frombuffer(
-                    fh.read(w.size * 8), dtype="<f8").reshape(w.shape).copy()
-                net.biases[i] = np.frombuffer(
-                    fh.read(b.size * 8), dtype="<f8").copy()
-    return Encoders(image, attribute)
+        offset = len(_MAGIC) + 13
+        layers = []
+        for d_in in (d_img, d_attr):
+            (n_hidden,) = struct.unpack_from("<B", data, offset)
+            hidden = struct.unpack_from(f"<{n_hidden}I", data, offset + 1)
+            offset += 1 + 4 * n_hidden
+            layers.append((d_in, *hidden, c))
+    except struct.error:
+        raise ValueError(f"{path}: truncated header ({len(data)} bytes)") from None
+    # checked before any array is sized by the header
+    count = sum(a * b + b for dims in layers for a, b in zip(dims, dims[1:]))
+    if len(data) - offset != 8 * count:
+        raise ValueError(f"{path}: layer sizes need {count} weights ({8 * count} "
+                         f"bytes) but {len(data) - offset} bytes follow")
+    flat = np.frombuffer(data, dtype="<f8", offset=offset)
+    encoders = Encoders(*(Mlp(dims, np.random.default_rng(0)) for dims in layers))
+    start = 0
+    for param in encoders.image.parameters() + encoders.attribute.parameters():
+        param[...] = flat[start:start + param.size].reshape(param.shape)
+        start += param.size
+    return encoders

@@ -268,11 +268,12 @@ def train_decoder(net: NeuralBpDecoder, code: LinearCode,
     adam = Adam(net.parameters(), lr=config.learning_rate)
     sigmas = np.array([noise_sigma(s, code.rate) for s in config.snr_db_list])
     targets = np.zeros((config.frames_per_epoch, code.n))
+    symbols = bpsk_modulate(targets)
     for epoch in range(config.epochs):
         pick = rng.integers(0, len(sigmas), size=config.frames_per_epoch)
         sig = sigmas[pick][:, None]
-        received = 1.0 + sig * rng.standard_normal((config.frames_per_epoch, code.n))
-        llrs = 2.0 * received / (sig * sig)
+        received = symbols + sig * rng.standard_normal(targets.shape)
+        llrs = llr_from_channel(received, sig)
         loss, grads = net.loss_and_grads(llrs, targets)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
@@ -291,8 +292,7 @@ def evaluate_error_rates(decoder, code: LinearCode, snr_db: float, frames: int,
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is used as is
     bit_errors = 0
     frame_errors = 0
     done = 0

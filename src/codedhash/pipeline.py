@@ -190,36 +190,41 @@ def _batch_slices(n_items: int, batch_size: int, order):
         yield order[start:start + batch_size]
 
 
+def _branches(encoders: Encoders, lr: float):
+    """(modality, network, fresh Adam) per branch, image first: the order
+    in which gradients() returns their grads."""
+    return [(modality, net, Adam(net.parameters(), lr=lr)) for modality, net
+            in (("image", encoders.image), ("attribute", encoders.attribute))]
+
+
 def stage1a(encoders: Encoders, dataset: Dataset, config: TrainConfig,
             seed=0) -> None:
     """Alternating-minimization training of the two encoder branches.
 
     Each epoch runs one pass updating the image branch with the attribute
     branch frozen, then one pass the other way around, over the same
-    shuffled mini-batches.  Encoders are updated in place.
+    shuffled mini-batches and their similarity matrices.  Encoders are
+    updated in place.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(seed)
-    opt_image = Adam(encoders.image.parameters(), lr=config.lr)
-    opt_attr = Adam(encoders.attribute.parameters(), lr=config.lr)
+    branches = _branches(encoders, config.lr)
     features = dataset.features
     attrs = dataset.attributes.astype(np.float64)
     args = (config.distance_margin, config.theta, config.lam)
     for _ in range(config.epochs_stage1a):
         order = rng.permutation(len(dataset))
-        for modality in ("image", "attribute"):
-            for batch in _batch_slices(len(dataset), config.batch_size, order):
-                s = similarity_matrix(dataset.attributes[batch])
-                img_grads, attr_grads, j, _ = gradients(
+        batches = [(batch, similarity_matrix(dataset.attributes[batch]))
+                   for batch in _batch_slices(len(dataset), config.batch_size, order)]
+        for which, (modality, net, opt) in enumerate(branches):
+            for batch, s in batches:
+                *grads, j, _ = gradients(
                     encoders, features[batch], attrs[batch], s, *args)
                 if not np.isfinite(j):
                     raise TrainingFailureError(
                         f"non-finite objective in stage 1a ({modality} pass)")
-                if modality == "image":
-                    opt_image.step(encoders.image.parameters(), img_grads)
-                else:
-                    opt_attr.step(encoders.attribute.parameters(), attr_grads)
+                opt.step(net.parameters(), grads[which])
 
 
 def stage1b(config: TrainConfig, seed=None, decoder_epochs: int = 150,
@@ -265,18 +270,14 @@ def stage2_refine(encoders: Encoders, decoder: NeuralBpDecoder,
     """
     if encoders.code_length != decoder.graph.n_var:
         raise ValueError("encoder code length does not match the decoder")
-    opt_image = Adam(encoders.image.parameters(), lr=config.lr)
-    opt_attr = Adam(encoders.attribute.parameters(), lr=config.lr)
-    inputs = {
-        "image": (encoders.image, opt_image, dataset.features),
-        "attribute": (encoders.attribute, opt_attr,
-                      dataset.attributes.astype(np.float64)),
-    }
+    branches = _branches(encoders, config.lr)
+    inputs = {"image": dataset.features,
+              "attribute": dataset.attributes.astype(np.float64)}
     totals = {"image": 0.0, "attribute": 0.0}
     order = np.arange(len(dataset))
     for batch in _batch_slices(len(dataset), config.batch_size, order):
-        for modality, (net, opt, values) in inputs.items():
-            acts, cache = net.forward_cache(values[batch])
+        for modality, net, opt in branches:
+            acts, cache = net.forward_cache(inputs[modality][batch])
             targets = decode_targets(decoder, acts, config.kappa)
             loss, da = _code_loss_and_grad(acts, targets, config.gamma)
             if not np.isfinite(loss):

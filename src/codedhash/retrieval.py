@@ -181,41 +181,38 @@ class QueryEvaluation:
     skipped_ndcg: int
 
 
+def score_rankings(binary_lists, grade_lists, k=None) -> QueryEvaluation:
+    """MAP, NDCG@k and both skip counts over per-query relevance lists in
+    rank order; k=None scores each NDCG over its whole list.  Queries with
+    no relevant item are skipped for MAP and all-zero grade lists for NDCG;
+    MAP is scored first, so its UndefinedMetricError is raised first."""
+    mean_ap = mean_average_precision(binary_lists)
+    ndcgs = [ndcg_at_k(grades, len(grades) if k is None else k)
+             for grades in grade_lists if np.asarray(grades).any()]
+    if not ndcgs:
+        raise UndefinedMetricError("no query with a nonzero relevance grade")
+    skipped_map = sum(1 for rels in binary_lists if not np.asarray(rels).any())
+    return QueryEvaluation(mean_ap, float(np.mean(ndcgs)), len(grade_lists),
+                           skipped_map, len(grade_lists) - len(ndcgs))
+
+
 def evaluate_queries(encode_attributes, index: RetrievalIndex, masks,
                      k=None) -> QueryEvaluation:
     """Run attribute-mask queries through an encoder and the index.
 
     encode_attributes maps a float attribute vector to a real activation
-    (it is sign-hashed here).  Queries with no binary-relevant item are
-    skipped for MAP, and queries with all-zero grades are skipped for NDCG;
-    both skip counts are reported.
+    (it is sign-hashed here).  The rankings are scored by score_rankings;
+    k=None scores NDCG over the whole gallery.
     """
     masks = np.atleast_2d(np.asarray(masks))
-    if k is None:
-        k = max(len(index), 1)
-    aps = []
-    ndcgs = []
-    skipped_map = 0
-    skipped_ndcg = 0
+    binary_lists = []
+    grade_lists = []
     for mask in masks:
         code = sign_hash(encode_attributes(mask.astype(np.float64)))
         ids, _ = rank(code, index)
-        binary = relevance(mask, index.attributes)[ids]
-        grades = graded_relevance(mask, index.attributes)[ids]
-        if binary.any():
-            aps.append(average_precision(binary))
-        else:
-            skipped_map += 1
-        if grades.any():
-            ndcgs.append(ndcg_at_k(grades, k))
-        else:
-            skipped_ndcg += 1
-    if not aps:
-        raise UndefinedMetricError("no query with a relevant item")
-    if not ndcgs:
-        raise UndefinedMetricError("no query with a nonzero relevance grade")
-    return QueryEvaluation(float(np.mean(aps)), float(np.mean(ndcgs)),
-                           len(masks), skipped_map, skipped_ndcg)
+        binary_lists.append(relevance(mask, index.attributes)[ids])
+        grade_lists.append(graded_relevance(mask, index.attributes)[ids])
+    return score_rankings(binary_lists, grade_lists, k)
 
 
 # ---------------------------------------------------------------------------

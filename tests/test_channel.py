@@ -55,3 +55,17 @@ def test_llr_scale():
 def test_llr_rejects_nonpositive_sigma():
     with pytest.raises(ValueError):
         channel.llr_from_channel(np.ones(3), 0.0)
+
+
+def test_llr_sigma_column_matches_scalar_rows():
+    rng = np.random.default_rng(5)
+    received = rng.normal(size=(4, 7))
+    sigmas = np.array([0.3, 0.7, 1.1, 0.7])
+    llr = channel.llr_from_channel(received, sigmas[:, None])
+    rows = [channel.llr_from_channel(r, s) for r, s in zip(received, sigmas)]
+    np.testing.assert_array_equal(llr, np.array(rows))
+
+
+def test_llr_rejects_zero_in_sigma_column():
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        channel.llr_from_channel(np.ones((3, 2)), np.array([[0.5], [0.0], [1.0]]))

@@ -12,7 +12,9 @@ import codedhash
 from codedhash.cli import main, read_codes, write_codes
 from codedhash.data import load_dataset
 from codedhash.gf2 import load_code
-from codedhash.retrieval import read_rankings
+from codedhash.hashing import load_encoders
+from codedhash.retrieval import (build_index, enumerate_query_masks,
+                                 evaluate_queries, read_rankings)
 
 TINY_CONFIG = (
     "c = 31\n"
@@ -262,6 +264,57 @@ class TestEval:
         text = out.read_text()
         assert "map, 1, 1.0" in text
         assert "map, 2, 1.0" in text
+
+
+    def test_group_without_relevant_item_fails(self, tmp_path, capsys):
+        rankings = tmp_path / "hand.txt"
+        rankings.write_text("# query 11\n1, 0, 0, 1\n2, 1, 1, 0\n")
+        rc = main(["eval", "--rankings", str(rankings),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        assert "no query with a relevant item" in capsys.readouterr().err
+
+    def test_rows_equal_library_evaluation(self, tmp_path):
+        data = tmp_path / "data.txt"
+        gen_tiny_data(data, seed=4)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_CONFIG)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out-dir", str(out), "--stage", "1a",
+                     "--hidden", "16"]) == 0
+        codes = tmp_path / "codes.txt"
+        assert main(["encode", "--encoders", str(out / "encoders.bin"),
+                     "--data", str(data), "--modality", "image",
+                     "--out", str(codes)]) == 0
+        masks = {arity: enumerate_query_masks(8, arity, max_queries=6, seed=1)
+                 for arity in (1, 2)}
+        queries = ["".join(map(str, m)) for a in masks for m in masks[a]]
+        rankings = tmp_path / "rankings.txt"
+        assert main(["retrieve", "--encoders", str(out / "encoders.bin"),
+                     "--data", str(data), "--codes", str(codes),
+                     "--out", str(rankings)]
+                    + [arg for q in queries for arg in ("--query", q)]) == 0
+        metrics = tmp_path / "metrics.csv"
+        assert main(["eval", "--rankings", str(rankings),
+                     "--out", str(metrics)]) == 0
+        rows = {}
+        for line in metrics.read_text().splitlines()[1:]:
+            name, arity, value = (v.strip() for v in line.split(","))
+            rows[name, int(arity)] = value
+
+        encoders = load_encoders(out / "encoders.bin")
+        dataset = load_dataset(data)
+        index = build_index(read_codes(codes), dataset.subject_ids,
+                            dataset.attributes)
+        assert len(rows) == 5 * len(masks)
+        for arity, group in masks.items():
+            ev = evaluate_queries(encoders.encode_attributes, index, group)
+            assert float(rows["map", arity]) == ev.mean_average_precision
+            assert float(rows["ndcg", arity]) == ev.ndcg
+            assert int(rows["queries", arity]) == ev.queries
+            assert int(rows["skipped_map", arity]) == ev.skipped_map
+            assert int(rows["skipped_ndcg", arity]) == ev.skipped_ndcg
 
 
 class TestBer:

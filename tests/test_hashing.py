@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ class TestObjectiveGrads:
         s = rng.integers(0, 2, size=(3, 4))
         args = (4.0, 0.7, 0.3)
         dp, dq, j, _ = objective_grads(p, q, s, *args)
-        assert j == pytest.approx(objective(p, q, s, *args)[0])
+        assert j == objective(p, q, s, *args)[0]
         fd_p = finite_difference(lambda: objective(p, q, s, *args)[0], p)
         fd_q = finite_difference(lambda: objective(p, q, s, *args)[0], q)
         assert relative_error(dp, fd_p) < 1e-7
@@ -329,4 +330,23 @@ class TestSerialization:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not an encoder file at all")
         with pytest.raises(ValueError):
+            load_encoders(path)
+
+    @pytest.mark.parametrize("size", [10, 20])
+    def test_truncated_header_rejected(self, tmp_path, size):
+        """Cut inside the fixed header (10) or the hidden-size list (20)."""
+        path = tmp_path / "enc.bin"
+        save_encoders(Encoders.build(5, 4, 8, hidden=(6,)), path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_encoders(path)
+
+    @pytest.mark.parametrize("cut", [-8, 8])
+    def test_weight_bytes_must_match_layer_sizes(self, tmp_path, cut):
+        """Missing (cut < 0) or trailing (cut > 0) weight bytes."""
+        path = tmp_path / "enc.bin"
+        save_encoders(Encoders.build(5, 4, 8, hidden=(6,)), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_encoders(path)

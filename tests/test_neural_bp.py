@@ -12,6 +12,7 @@ from codedhash.bp import TannerGraph, bp_decode_batch
 from codedhash.neural_bp import (DecoderTrainConfig, NeuralBpDecoder,
                                  evaluate_error_rates, load_decoder,
                                  save_decoder, train_decoder)
+from codedhash.optim import Adam
 
 H_APPENDIX = np.array(
     [
@@ -247,6 +248,28 @@ class TestTraining:
         b = train_decoder(
             NeuralBpDecoder(TannerGraph(code.parity_check), 2), code, cfg)
         np.testing.assert_array_equal(a.weight_vector(), b.weight_vector())
+
+    def test_matches_inline_channel_reference_loop(self):
+        """Same draws, frames and LLRs as a loop writing the AWGN math out."""
+        code = gf2.build_bch(4, 2)
+        cfg = DecoderTrainConfig(snr_db_list=(1.0, 3.0, 5.0),
+                                 frames_per_epoch=32, epochs=4, seed=11)
+        net = train_decoder(
+            NeuralBpDecoder(TannerGraph(code.parity_check), 2), code, cfg)
+
+        ref = NeuralBpDecoder(TannerGraph(code.parity_check), 2)
+        adam = Adam(ref.parameters(), lr=cfg.learning_rate)
+        rng = np.random.default_rng(cfg.seed)
+        sigmas = np.array([channel.noise_sigma(s, code.rate)
+                           for s in cfg.snr_db_list])
+        targets = np.zeros((cfg.frames_per_epoch, code.n))
+        for _ in range(cfg.epochs):
+            pick = rng.integers(0, len(sigmas), size=cfg.frames_per_epoch)
+            sig = sigmas[pick][:, None]
+            received = 1.0 + sig * rng.standard_normal(targets.shape)
+            _, grads = ref.loss_and_grads(2.0 * received / (sig * sig), targets)
+            adam.step(ref.parameters(), grads)
+        np.testing.assert_array_equal(net.weight_vector(), ref.weight_vector())
 
     def test_mismatched_code_rejected(self):
         code = gf2.build_bch(3, 1)

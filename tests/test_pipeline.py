@@ -4,8 +4,10 @@ import pytest
 from codedhash.bp import TannerGraph
 from codedhash.data import SyntheticSpec, generate_synthetic, similarity_matrix
 from codedhash.gf2 import build_bch, encode
-from codedhash.hashing import Encoders, match_probability, squared_distance
+from codedhash.hashing import (Encoders, gradients, match_probability,
+                               squared_distance)
 from codedhash.neural_bp import NeuralBpDecoder
+from codedhash.optim import Adam
 from codedhash.pipeline import (
     REPORT_HEADER,
     TrainConfig,
@@ -310,6 +312,39 @@ class TestStage1a:
         enc = Encoders.build(16, 8, 31, hidden=(16,), seed=0)
         with pytest.raises(ValueError):
             stage1a(enc, ds, small_config(), seed=0)
+
+    def test_matches_two_pass_reference_loop(self):
+        """Bit-identical to a plain loop: per epoch, one image pass and one
+        attribute pass over the same shuffled batches, each recomputing
+        the batch similarity and using the two-branch gradients."""
+        ds = small_dataset(seed=2)
+        cfg = small_config(epochs_stage1a=2)
+        enc = Encoders.build(ds.d_img, ds.d_attr, 31, hidden=(16,),
+                             init_std=0.3, seed=8)
+        ref = Encoders.build(ds.d_img, ds.d_attr, 31, hidden=(16,),
+                             init_std=0.3, seed=8)
+        stage1a(enc, ds, cfg, seed=4)
+
+        rng = np.random.default_rng(4)
+        opt_image = Adam(ref.image.parameters(), lr=cfg.lr)
+        opt_attr = Adam(ref.attribute.parameters(), lr=cfg.lr)
+        attrs = ds.attributes.astype(np.float64)
+        args = (cfg.distance_margin, cfg.theta, cfg.lam)
+        for _ in range(cfg.epochs_stage1a):
+            order = rng.permutation(len(ds))
+            for modality in ("image", "attribute"):
+                for start in range(0, len(ds), cfg.batch_size):
+                    batch = order[start:start + cfg.batch_size]
+                    s = similarity_matrix(ds.attributes[batch])
+                    img_grads, attr_grads, _, _ = gradients(
+                        ref, ds.features[batch], attrs[batch], s, *args)
+                    if modality == "image":
+                        opt_image.step(ref.image.parameters(), img_grads)
+                    else:
+                        opt_attr.step(ref.attribute.parameters(), attr_grads)
+        got, want = encoder_params(enc), encoder_params(ref)
+        assert len(got) == len(want)
+        assert params_equal(got, want)
 
 
 class TestStage1b:

@@ -14,6 +14,7 @@ from codedhash.retrieval import (
     rank,
     read_rankings,
     relevance,
+    score_rankings,
     write_metric_report,
     write_rankings,
 )
@@ -314,6 +315,35 @@ class TestEvaluateQueries:
         assert a.mean_average_precision == pytest.approx(
             b.mean_average_precision, abs=1e-15)
         assert a.ndcg == pytest.approx(b.ndcg, abs=1e-15)
+
+
+class TestScoreRankings:
+    # query 0 is scored by both metrics, query 1 is skipped for MAP only,
+    # query 2 for both
+    BINARY = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    GRADES = [[1, 2, 0], [0, 1, 0], [0, 0, 0]]
+
+    def test_hand_built_lists(self):
+        result = score_rankings(self.BINARY, self.GRADES)
+        assert result == QueryEvaluation(
+            0.5, float(np.mean([ndcg_at_k([1, 2, 0], 3),
+                                ndcg_at_k([0, 1, 0], 3)])), 3, 2, 1)
+        assert result.ndcg == pytest.approx(
+            (0.7967075809905066 + 0.6309297535714575) / 2, abs=1e-12)
+
+    def test_truncation_depth(self):
+        result = score_rankings(self.BINARY, self.GRADES, k=1)
+        # top gain 1 of an ideal 3, then 0 of an ideal 1
+        assert result.ndcg == pytest.approx((1 / 3 + 0.0) / 2, abs=1e-15)
+        assert result.mean_average_precision == 0.5
+
+    def test_map_error_is_raised_first(self):
+        with pytest.raises(UndefinedMetricError,
+                           match="no query with a relevant item"):
+            score_rankings([[0, 0], [0, 0]], [[0, 0], [0, 0]])
+        with pytest.raises(UndefinedMetricError,
+                           match="no query with a nonzero relevance grade"):
+            score_rankings([[1, 0]], [[0, 0]])
 
 
 class TestRankingFiles:
