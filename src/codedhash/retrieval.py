@@ -5,7 +5,8 @@ binary attribute vector).  Queries are attribute masks: an item is a binary
 match when it possesses every queried attribute, and its graded relevance is
 the number of queried attributes it possesses.  Rankings sort the whole
 gallery by Hamming distance ascending, breaking ties by ascending item id so
-results are reproducible.
+results are reproducible.  The index packs each code into uint64 words once,
+so a query's distances are XOR + popcount over those words.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ class RetrievalIndex:
     codes: np.ndarray        # (n_items, c) int8 entries in {-1, +1}
     subject_ids: np.ndarray  # (n_items,)
     attributes: np.ndarray   # (n_items, d_attr) entries in {0, 1}
+    words: np.ndarray        # (n_items, ceil(c / 64)) uint64, bit set where +1
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -40,6 +42,16 @@ class RetrievalIndex:
         return self.attributes.shape[1]
 
 
+def _pack_words(codes) -> np.ndarray:
+    """Pack each row of a (n, c) +/-1 array into ceil(c / 64) uint64 words
+    with one bit per entry, set where the entry is +1; padding bits are 0."""
+    n, c = codes.shape
+    packed = np.packbits(codes == 1, axis=1, bitorder="little")
+    words = np.zeros((n, -(-c // 64) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view(np.uint64)
+
+
 def build_index(values, subject_ids, attributes) -> RetrievalIndex:
     """Index a gallery; real-valued activations are sign-hashed first."""
     values = np.asarray(values)
@@ -48,9 +60,9 @@ def build_index(values, subject_ids, attributes) -> RetrievalIndex:
     if np.issubdtype(values.dtype, np.floating):
         codes = sign_hash(values)
     else:
-        codes = values.astype(np.int8)
-        if codes.size and not np.isin(codes, (-1, 1)).all():
+        if values.size and not np.isin(values, (-1, 1)).all():
             raise ValueError("integer codes must have entries in {-1, +1}")
+        codes = values.astype(np.int8)
     subject_ids = np.asarray(subject_ids, dtype=np.int64)
     attributes = np.asarray(attributes)
     if attributes.ndim != 2:
@@ -60,22 +72,28 @@ def build_index(values, subject_ids, attributes) -> RetrievalIndex:
     n = codes.shape[0]
     if subject_ids.shape != (n,) or attributes.shape[0] != n:
         raise ValueError(f"metadata count must match gallery size {n}")
-    return RetrievalIndex(codes, subject_ids, attributes.astype(np.uint8))
+    return RetrievalIndex(codes, subject_ids, attributes.astype(np.uint8),
+                          _pack_words(codes))
 
 
 def rank(query_code, index: RetrievalIndex):
     """Full-gallery ranking: (item ids, Hamming distances), distance
-    ascending with ties broken by ascending id."""
+    ascending with ties broken by ascending id.
+
+    Distances are summed in the smallest unsigned dtype that holds the
+    code length, so the stable sort takes numpy's radix path for small keys.
+    """
     q = np.asarray(query_code)
     if q.shape != (index.code_length,):
         raise ValueError(f"query length {q.shape} does not match "
                          f"code length {index.code_length}")
     if not np.isin(q, (-1, 1)).all():
         raise ValueError("query code entries must be in {-1, +1}")
-    dots = index.codes.astype(np.int64) @ q.astype(np.int64)
-    distances = (index.code_length - dots) // 2
+    differing = np.bitwise_count(index.words ^ _pack_words(q[None, :]))
+    distances = differing.sum(axis=1,
+                              dtype=np.min_scalar_type(index.code_length))
     order = np.argsort(distances, kind="stable")
-    return order.astype(np.int64), distances[order]
+    return order.astype(np.int64), distances[order].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,14 @@ def naive_rank(codes, query):
         rows.append((dist, i))
     rows.sort()
     return [i for _, i in rows], [d for d, _ in rows]
+
+
+def int64_dot_rank(query_code, index):
+    """The int64 dot-product ranking that the packed-word scan replaced."""
+    dots = index.codes.astype(np.int64) @ np.asarray(query_code, np.int64)
+    distances = (index.code_length - dots) // 2
+    order = np.argsort(distances, kind="stable")
+    return order.astype(np.int64), distances[order]
 
 
 def tiny_index(codes, attributes=None):
@@ -69,6 +79,16 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index(np.ones((1, 3), dtype=np.int8), [0],
                         np.array([[0, 2]], dtype=np.uint8))
+
+    @pytest.mark.parametrize("codes", [
+        [[255, 1], [1, 257]],  # both wrap to +/-1 when cast to int8
+        [[255, 1], [1, 1]],
+        [[1, 1], [1, 257]],
+        [[-255, 1], [1, -1]],
+    ])
+    def test_rejects_out_of_range_integer_codes(self, codes):
+        with pytest.raises(ValueError, match="must have entries in"):
+            build_index(np.array(codes), [0, 1], np.ones((2, 2), np.uint8))
 
 
 class TestRank:
@@ -112,6 +132,69 @@ class TestRank:
             exp_ids, exp_dists = naive_rank(codes, query)
             assert ids.tolist() == exp_ids
             assert dists.tolist() == exp_dists
+
+    @pytest.mark.parametrize("c", [1, 15, 63, 64, 65, 127, 128, 300])
+    def test_matches_naive_scan_past_one_word(self, c):
+        rng = np.random.default_rng(c)
+        for _ in range(10):
+            query = rng.choice([-1, 1], size=c).astype(np.int8)
+            # the query itself, its complement (distance c, which overflows
+            # a uint8 sum at c = 300) and random codes; rows are drawn with
+            # replacement from these, so duplicate codes tie
+            unique = np.vstack([query, -query,
+                                rng.choice([-1, 1], size=(8, c))])
+            codes = unique[rng.integers(0, len(unique), size=30)]
+            codes[0] = -query
+            ids, dists = rank(query, tiny_index(codes))
+            exp_ids, exp_dists = naive_rank(codes, query)
+            assert ids.tolist() == exp_ids
+            assert dists.tolist() == exp_dists
+            assert dists[-1] == c
+            assert ids.dtype == np.int64 and dists.dtype == np.int64
+
+    @pytest.mark.parametrize("c", [1, 64, 65, 300])
+    def test_empty_gallery_any_length(self, c):
+        index = build_index(np.ones((0, c), dtype=np.int8),
+                            np.zeros(0, dtype=np.int64),
+                            np.zeros((0, 2), dtype=np.uint8))
+        ids, dists = rank(np.ones(c, dtype=np.int8), index)
+        assert ids.shape == (0,) and dists.shape == (0,)
+        assert ids.dtype == np.int64 and dists.dtype == np.int64
+
+    def test_memory_bounded_at_1e5_items(self):
+        # the int64 copy of a 10^5 x 63 gallery alone is 50 MB
+        rng = np.random.default_rng(17)
+        n = 100_000
+        codes = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, 63))
+        index = build_index(codes, np.arange(n), np.zeros((n, 1), np.uint8))
+        query = rng.choice(np.array([-1, 1], dtype=np.int8), size=63)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            rank(query, index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 8 * 2 ** 20
+
+    def test_rankings_bytes_match_int64_dot_ranking(self, tmp_path):
+        rng = np.random.default_rng(2000)
+        n, c, d_attr = 2000, 63, 6
+        unique = rng.choice(np.array([-1, 1], dtype=np.int8), size=(1500, c))
+        codes = unique[rng.integers(0, len(unique), size=n)]
+        attributes = rng.integers(0, 2, size=(n, d_attr)).astype(np.uint8)
+        index = build_index(codes, np.arange(n), attributes)
+        masks = enumerate_query_masks(d_attr, 2, max_queries=10, seed=5)
+        queries = rng.choice(np.array([-1, 1], dtype=np.int8), size=(10, c))
+        for name, rank_fn in (("packed", rank), ("int64", int64_dot_rank)):
+            blocks = []
+            for mask, query in zip(masks, queries):
+                ids, dists = rank_fn(query, index)
+                blocks.append((mask, ids, dists,
+                               graded_relevance(mask, attributes)[ids]))
+            write_rankings(tmp_path / f"{name}.txt", blocks)
+        assert ((tmp_path / "packed.txt").read_bytes()
+                == (tmp_path / "int64.txt").read_bytes())
 
     def test_output_is_permutation_with_sorted_distances(self):
         rng = np.random.default_rng(5)
