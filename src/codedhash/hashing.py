@@ -93,7 +93,8 @@ class Mlp:
         return out, acts
 
     def backward(self, acts, dout):
-        """Parameter gradients and the input gradient for a cached forward."""
+        """Parameter gradients, parallel to parameters(), for a cached
+        forward.  The input gradient is not formed: inputs are data."""
         grads = [None] * (2 * len(self.weights))
         da = np.atleast_2d(dout)
         last = len(self.weights) - 1
@@ -105,8 +106,9 @@ class Mlp:
                 dz = da * (a > 0.0)
             grads[2 * i] = acts[i].T @ dz
             grads[2 * i + 1] = dz.sum(axis=0)
-            da = dz @ self.weights[i].T
-        return grads, da
+            if i > 0:
+                da = dz @ self.weights[i].T
+        return grads
 
 
 class Encoders:
@@ -255,8 +257,8 @@ def gradients(encoders: Encoders, x, y, s, margin: float, theta: float,
     p, img_cache = encoders.image.forward_cache(x)
     q, attr_cache = encoders.attribute.forward_cache(y)
     dp, dq, j, parts = objective_grads(p, q, s, margin, theta, lam)
-    img_grads, _ = encoders.image.backward(img_cache, dp)
-    attr_grads, _ = encoders.attribute.backward(attr_cache, dq)
+    img_grads = encoders.image.backward(img_cache, dp)
+    attr_grads = encoders.attribute.backward(attr_cache, dq)
     return img_grads, attr_grads, j, parts
 
 

@@ -3,11 +3,12 @@
 The flow is: train the coupled encoders on pairwise similarity (stage 1a),
 pick a BCH code whose correction capability covers the margin and train the
 neural decoder on it (stage 1b), then alternate encoder training with a
-refinement stage (stage 2) that decodes each sample's real-valued activation
-into a nearby codeword and pulls the activation toward that codeword's sign
-pattern with a bitwise cross-entropy.  After every outer round the
-training-set retrieval quality (arity-1 MAP) is measured; the loop stops
-when it stops improving and the best-scoring encoder state is returned.
+refinement stage (stage 2) that runs each sample's real-valued activation
+through the decoder and pulls the activation toward the decoder's hard
+decision with a bitwise cross-entropy; that hard decision is usually not a
+codeword.  After every outer round the training-set retrieval quality
+(arity-1 MAP) is measured; the loop stops when it stops improving and the
+best-scoring encoder state is returned.
 
 The margin in the pairwise objective is expressed in Hamming units; squared
 Euclidean distance between sign codes is four times Hamming distance, so the
@@ -29,8 +30,8 @@ from .hashing import (
     HAMMING_MARGIN_SCALE,
     PROB_CLAMP,
     Encoders,
-    gradients,
     objective,
+    objective_grads,
 )
 from .neural_bp import DecoderTrainConfig, NeuralBpDecoder, train_decoder
 from .optim import Adam
@@ -176,7 +177,11 @@ def activation_to_llr(activations, kappa: float) -> np.ndarray:
 
 def decode_targets(decoder: NeuralBpDecoder, activations,
                    kappa: float) -> np.ndarray:
-    """Hard-decision codeword bits the decoder assigns to activations."""
+    """The decoder's hard-decision bits for activations.
+
+    These are the bits the decoder's output posterior favours, which are
+    usually not a codeword of its code.
+    """
     llrs = activation_to_llr(np.atleast_2d(activations), kappa)
     return decoder.decode_batch(llrs)
 
@@ -190,11 +195,14 @@ def _batch_slices(n_items: int, batch_size: int, order):
         yield order[start:start + batch_size]
 
 
-def _branches(encoders: Encoders, lr: float):
-    """(modality, network, fresh Adam) per branch, image first: the order
-    in which gradients() returns their grads."""
-    return [(modality, net, Adam(net.parameters(), lr=lr)) for modality, net
-            in (("image", encoders.image), ("attribute", encoders.attribute))]
+def _branches(encoders: Encoders, dataset: Dataset, lr: float):
+    """(modality, network, its inputs, fresh Adam) per branch, image first:
+    the order of objective_grads' (dP, dQ)."""
+    return [(modality, net, x, Adam(net.parameters(), lr=lr))
+            for modality, net, x in (
+                ("image", encoders.image, dataset.features),
+                ("attribute", encoders.attribute,
+                 dataset.attributes.astype(np.float64)))]
 
 
 def stage1a(encoders: Encoders, dataset: Dataset, config: TrainConfig,
@@ -203,28 +211,30 @@ def stage1a(encoders: Encoders, dataset: Dataset, config: TrainConfig,
 
     Each epoch runs one pass updating the image branch with the attribute
     branch frozen, then one pass the other way around, over the same
-    shuffled mini-batches and their similarity matrices.  Encoders are
-    updated in place.
+    shuffled mini-batches and their similarity matrices.  A pass
+    backpropagates only the branch it updates; the frozen branch is run
+    forward without a cache.  Encoders are updated in place.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(seed)
-    branches = _branches(encoders, config.lr)
-    features = dataset.features
-    attrs = dataset.attributes.astype(np.float64)
+    branches = _branches(encoders, dataset, config.lr)
     args = (config.distance_margin, config.theta, config.lam)
     for _ in range(config.epochs_stage1a):
         order = rng.permutation(len(dataset))
         batches = [(batch, similarity_matrix(dataset.attributes[batch]))
                    for batch in _batch_slices(len(dataset), config.batch_size, order)]
-        for which, (modality, net, opt) in enumerate(branches):
+        for which, (modality, net, x, opt) in enumerate(branches):
+            _, frozen, x_frozen, _ = branches[1 - which]
             for batch, s in batches:
-                *grads, j, _ = gradients(
-                    encoders, features[batch], attrs[batch], s, *args)
+                acts, cache = net.forward_cache(x[batch])
+                held = frozen.forward(x_frozen[batch])
+                p, q = (acts, held) if which == 0 else (held, acts)
+                *douts, j, _ = objective_grads(p, q, s, *args)
                 if not np.isfinite(j):
                     raise TrainingFailureError(
                         f"non-finite objective in stage 1a ({modality} pass)")
-                opt.step(net.parameters(), grads[which])
+                opt.step(net.parameters(), net.backward(cache, douts[which]))
 
 
 def stage1b(config: TrainConfig, seed=None, decoder_epochs: int = 150,
@@ -243,8 +253,8 @@ def stage1b(config: TrainConfig, seed=None, decoder_epochs: int = 150,
 
 
 def _code_loss_and_grad(activations, target_bits, gamma):
-    """gamma-scaled bitwise cross-entropy pulling activations toward a
-    codeword's sign pattern, with its gradient in the activations."""
+    """gamma-scaled bitwise cross-entropy pulling activations toward the
+    sign pattern of target bits, with its gradient in the activations."""
     a = activations
     n = a.shape[0]
     p_one = (1.0 - a) / 2.0
@@ -260,32 +270,29 @@ def _code_loss_and_grad(activations, target_bits, gamma):
 
 def stage2_refine(encoders: Encoders, decoder: NeuralBpDecoder,
                   dataset: Dataset, config: TrainConfig):
-    """One refinement pass pulling activations toward decoded codewords.
+    """One refinement pass pulling activations toward the decoder's output.
 
     For each mini-batch and each modality: decode the current activations
-    into target codeword bits, then update that modality's encoder on the
-    cross-entropy between its activations and the frozen targets.  The
-    decoder is never modified.  Returns the mean per-sample loss for each
-    modality.
+    into the decoder's hard-decision bits (usually not a codeword), then
+    update that modality's encoder on the cross-entropy between its
+    activations and the frozen targets.  The decoder is never modified.
+    Returns the mean per-sample loss for each modality.
     """
     if encoders.code_length != decoder.graph.n_var:
         raise ValueError("encoder code length does not match the decoder")
-    branches = _branches(encoders, config.lr)
-    inputs = {"image": dataset.features,
-              "attribute": dataset.attributes.astype(np.float64)}
+    branches = _branches(encoders, dataset, config.lr)
     totals = {"image": 0.0, "attribute": 0.0}
     order = np.arange(len(dataset))
     for batch in _batch_slices(len(dataset), config.batch_size, order):
-        for modality, net, opt in branches:
-            acts, cache = net.forward_cache(inputs[modality][batch])
+        for modality, net, x, opt in branches:
+            acts, cache = net.forward_cache(x[batch])
             targets = decode_targets(decoder, acts, config.kappa)
             loss, da = _code_loss_and_grad(acts, targets, config.gamma)
             if not np.isfinite(loss):
                 raise TrainingFailureError(
                     f"non-finite refinement loss ({modality} branch)")
             totals[modality] += loss * len(batch)
-            grads, _ = net.backward(cache, da)
-            opt.step(net.parameters(), grads)
+            opt.step(net.parameters(), net.backward(cache, da))
     n = len(dataset)
     return totals["image"] / n, totals["attribute"] / n
 

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 # imported before the tracer installs, so every binding gets wrapped
-from codedhash import cli, hashing, pipeline  # noqa: F401
+from codedhash import cli, neural_bp, pipeline  # noqa: F401
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -19,12 +19,12 @@ def test_tracer_finds_every_target(monkeypatch):
     monkeypatch.delitem(sys.modules, "tracer", raising=False)
     from tracer import Tracer
 
-    original = pipeline.gradients
+    original = pipeline.train_decoder
     tracer = Tracer()
     with tracer.recording(0):
         assert tracer.absent == []
-        assert pipeline.gradients is hashing.gradients
-        assert pipeline.gradients is not original
-    assert pipeline.gradients is original
-    assert hashing.gradients is original
+        assert pipeline.train_decoder is neural_bp.train_decoder
+        assert pipeline.train_decoder is not original
+    assert pipeline.train_decoder is original
+    assert neural_bp.train_decoder is original
     assert tracer.spans == []

@@ -1,0 +1,115 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from codedhash.hashing import Encoders
+from codedhash.optim import Adam
+
+
+def reference_step(params, grads, m, v, t, lr=1e-3, b1=0.9, b2=0.999,
+                   eps=1e-8):
+    """Adam written as one expression per moment and one per update."""
+    b1c = 1.0 - b1 ** t
+    b2c = 1.0 - b2 ** t
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= b1
+        mi += (1.0 - b1) * g
+        vi *= b2
+        vi += (1.0 - b2) * g * g
+        p -= lr * (mi / b1c) / (np.sqrt(vi / b2c) + eps)
+
+
+class TestOracle:
+    def test_bit_equal_to_one_line_update_over_mixed_shapes(self):
+        rng = np.random.default_rng(0)
+        shapes = [(512, 512), (512,), (40, 512), (512, 63), (63,), (), (3, 4, 5)]
+        params = [rng.normal(0.0, 0.1, size=s) for s in shapes]
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        opt = Adam(params, lr=3e-3)
+        for t in range(1, 6):
+            # gradient scales spanning many orders, so eps and the
+            # bias corrections all matter to the last bit
+            grads = [rng.normal(0.0, 10.0 ** rng.integers(-9, 3), size=s)
+                     for s in shapes]
+            opt.step(params, grads)
+            reference_step(ref, grads, m, v, t, lr=3e-3)
+        for got, want in zip(params, ref):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(opt.m + opt.v, m + v):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestMemory:
+    def test_one_step_needs_two_scratch_arrays(self):
+        enc = Encoders.build(128, 40, 63, hidden=(512, 512), seed=0)
+        params = enc.image.parameters()
+        rng = np.random.default_rng(1)
+        grads = [rng.standard_normal(p.shape) for p in params]
+        opt = Adam(params)
+        opt.step(params, grads)  # first step outside the trace
+        largest = max(p.nbytes for p in params)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            opt.step(params, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2 * largest + 64 * 2 ** 10
+
+
+class TestValidation:
+    def _params(self):
+        return [np.ones((3, 4)), np.ones(4)]
+
+    def test_short_gradient_list_rejected(self):
+        p = self._params()
+        opt = Adam(p)
+        with pytest.raises(ValueError, match="2 parameters and gradients"):
+            opt.step(p, [np.ones(4)])
+        assert all((x == 1.0).all() for x in p)
+        assert opt.t == 0
+
+    def test_long_gradient_list_rejected(self):
+        p = self._params()
+        with pytest.raises(ValueError, match="got 2 and 3"):
+            Adam(p).step(p, [np.ones((3, 4)), np.ones(4), np.ones(4)])
+
+    def test_parameter_list_must_match_moments(self):
+        p = self._params()
+        with pytest.raises(ValueError, match="got 1 and 1"):
+            Adam(p).step(p[:1], [np.ones((3, 4))])
+
+    def test_gradient_shape_mismatch_rejected(self):
+        p = self._params()
+        opt = Adam(p)
+        # (4,) broadcasts into (3, 4), so only a shape check catches it
+        with pytest.raises(ValueError, match=r"entry 0: expected shape \(3, 4\)"):
+            opt.step(p, [np.ones(4), np.ones(4)])
+        assert all((x == 1.0).all() for x in p)
+
+    def test_parameter_shape_mismatch_rejected(self):
+        p = self._params()
+        with pytest.raises(ValueError, match="entry 1"):
+            Adam(p).step([p[0], np.ones(5)], [np.ones((3, 4)), np.ones(5)])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(beta1=1.0), "beta1"),
+        (dict(beta1=-0.1), "beta1"),
+        (dict(beta2=1.0), "beta2"),
+        (dict(beta2=1.5), "beta2"),
+        (dict(eps=0.0), "eps"),
+        (dict(eps=-1e-8), "eps"),
+        (dict(lr=0.0), "learning rate"),
+    ])
+    def test_degenerate_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Adam(self._params(), **kwargs)
+
+    def test_zero_beta_accepted(self):
+        p = self._params()
+        Adam(p, beta1=0.0, beta2=0.0).step(p, [np.ones((3, 4)), np.ones(4)])
+        assert all(np.isfinite(x).all() for x in p)

@@ -213,6 +213,16 @@ class TestDecodeTargets:
         assert np.array_equal(decode_targets(dec, acts, 4.0),
                               decode_targets(dec, flipped, 4.0))
 
+    def test_pipeline_code_targets_are_hard_decisions_not_codewords(self):
+        cfg = TrainConfig()
+        code = select_code(cfg.margin, cfg.c)
+        assert (code.n, code.k, code.t) == (63, 30, 6)
+        dec = self._decoder(code, iterations=cfg.bp_iterations)
+        acts = np.random.default_rng(5).uniform(-1, 1, size=(64, code.n))
+        targets = decode_targets(dec, acts, cfg.kappa)
+        assert np.array_equal(targets, dec.decode_batch(cfg.kappa * acts))
+        assert not dec.graph.syndrome_ok(targets.T).all()
+
     def test_identical_inputs_identical_targets(self):
         code = build_bch(4, 2)
         dec = self._decoder(code)
@@ -345,6 +355,46 @@ class TestStage1a:
         got, want = encoder_params(enc), encoder_params(ref)
         assert len(got) == len(want)
         assert params_equal(got, want)
+
+    def test_matches_two_branch_loop_at_pipeline_sizes(self):
+        """The criterion-7 shapes, with a short last batch: bit-identical to
+        two-branch gradients stepped by a one-line Adam update."""
+        ds = generate_synthetic(SyntheticSpec(
+            n_subjects=50, images_per_subject=8, d_attr=40, d_img=128, seed=3))
+        cfg = TrainConfig(c=63, epochs_stage1a=1, batch_size=128)
+        assert len(ds) % cfg.batch_size == 16
+        enc = Encoders.build(ds.d_img, ds.d_attr, 63, hidden=(512, 512),
+                             init_std=0.1, seed=11)
+        ref = Encoders.build(ds.d_img, ds.d_attr, 63, hidden=(512, 512),
+                             init_std=0.1, seed=11)
+        stage1a(enc, ds, cfg, seed=4)
+
+        def adam_step(params, grads, m, v, t, lr=cfg.lr, b1=0.9, b2=0.999):
+            for p, g, mi, vi in zip(params, grads, m, v):
+                mi *= b1
+                mi += (1.0 - b1) * g
+                vi *= b2
+                vi += (1.0 - b2) * g * g
+                p -= lr * (mi / (1.0 - b1 ** t)) / (
+                    np.sqrt(vi / (1.0 - b2 ** t)) + 1e-8)
+
+        rng = np.random.default_rng(4)
+        order = rng.permutation(len(ds))
+        attrs = ds.attributes.astype(np.float64)
+        args = (cfg.distance_margin, cfg.theta, cfg.lam)
+        for which, net in enumerate((ref.image, ref.attribute)):
+            m = [np.zeros_like(p) for p in net.parameters()]
+            v = [np.zeros_like(p) for p in net.parameters()]
+            for t, start in enumerate(range(0, len(ds), cfg.batch_size), 1):
+                batch = order[start:start + cfg.batch_size]
+                s = similarity_matrix(ds.attributes[batch])
+                grads = gradients(ref, ds.features[batch], attrs[batch], s,
+                                  *args)[which]
+                adam_step(net.parameters(), grads, m, v, t)
+        got, want = encoder_params(enc), encoder_params(ref)
+        assert len(got) == 12
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
 
 
 class TestStage1b:
