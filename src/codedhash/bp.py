@@ -3,10 +3,21 @@
 Edges are indexed in (variable, check) lexicographic order, so the edges of
 one variable node occupy a contiguous index range.  Messages are
 (num_edges, batch) arrays in edge order.  The padded tables var_pad_edge /
-var_pad_mask (n_var, dv_max) and check_pad_edge / check_pad_mask
-(n_check, dc_max) list each node's edges, ascending and left-aligned; as
-edges are variable-major, `pad[var_pad_mask] = values` fills per-variable
-blocks in edge order.  All message updates are vectorized over a batch:
+var_pad_mask (n_var, dv_max) list each variable's edges, ascending and
+left-aligned; as edges are variable-major, the flat slots
+np.flatnonzero(var_pad_mask) hold per-variable blocks in edge order.
+
+The check-node kernels work on one degree-major table of shape
+(dc_max, n_check, batch): slot (i, c) holds the i-th edge of check c, in
+ascending edge order, and the rest is padding.  check_slot gives each
+edge's flat slot in the (dc_max * n_check, batch) view and check_pad_slot
+the padding's, so `flat[check_slot] = values` scatters messages into the
+table and `np.take(flat, check_slot, axis=0)` gathers them back.  Each
+decode or training call makes one private workspace, whose scratch tables
+are allocated on first use and reused across all its iterations and across
+its forward and backward passes; results never alias it.
+
+All message updates are vectorized over a batch:
 
   check -> variable:  m_cv = 2 atanh( prod tanh(m_vc / 2) ),
                       excluding the target edge
@@ -20,6 +31,7 @@ posterior >= 0 -> 0.  Products fed to atanh are clamped away from +-1 by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +59,10 @@ class TannerGraph:
         n_var, n_check, num_edges: sizes.
         edge_var, edge_check: endpoint arrays, one entry per edge.
         var_offsets: v owns edges var_offsets[v] to var_offsets[v + 1] - 1.
-        var_pad_edge, var_pad_mask, check_pad_edge, check_pad_mask: the
-            padded per-node edge tables (see the module docstring).
+        var_pad_edge, var_pad_mask: the padded per-variable edge table.
+        dc_max, check_slot, check_pad_slot: the degree-major check table's
+            depth, each edge's flat slot and the padding's flat slots (see
+            the module docstring).
     """
 
     def __init__(self, parity_check):
@@ -70,7 +84,17 @@ class TannerGraph:
         var_deg = h.sum(axis=0).astype(np.int64)
         self.var_offsets = np.concatenate([[0], np.cumsum(var_deg)])
         self.var_pad_edge, self.var_pad_mask = _padded_table(vs, self.n_var)
-        self.check_pad_edge, self.check_pad_mask = _padded_table(cs, self.n_check)
+
+        check_deg = np.bincount(cs, minlength=self.n_check)
+        self.dc_max = int(check_deg.max())
+        # rank of each edge among its check's edges, ascending
+        by_check = np.argsort(cs, kind="stable")
+        rank = np.empty(self.num_edges, dtype=np.int64)
+        rank[by_check] = np.arange(self.num_edges) - np.repeat(
+            np.cumsum(check_deg) - check_deg, check_deg)
+        self.check_slot = rank * self.n_check + self.edge_check
+        self.check_pad_slot = np.flatnonzero(
+            np.arange(self.dc_max)[:, None] >= check_deg)
 
     def syndrome_ok(self, hard_bits) -> np.ndarray:
         """True per column of an (n_var, batch) bit array iff all checks pass."""
@@ -87,63 +111,115 @@ def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_prefix_suffix(values: np.ndarray, graph: TannerGraph):
-    """Edge values in the padded per-check table (padding 1) with their
-    exclusive prefix and suffix products: (pad, pre, suf), where pre[c, i]
-    is the product of pad[c, :i] and suf[c, i] that of pad[c, i + 1:]."""
-    mask = graph.check_pad_mask
-    pad = np.ones(mask.shape + values.shape[1:], dtype=values.dtype)
-    pad[mask] = values[graph.check_pad_edge[mask]]
-    pre = np.ones_like(pad)
-    np.cumprod(pad[:, :-1], axis=1, out=pre[:, 1:])
-    suf = np.ones_like(pad)
-    np.cumprod(pad[:, :0:-1], axis=1, out=suf[:, -2::-1])
-    return pad, pre, suf
+class _Workspace:
+    """Scratch arrays for one decode or training call.
+
+    table(name, shape) returns a contiguous view carved from a flat buffer
+    kept under `name`.  The buffer is allocated when the name is first used
+    and regrown only when a larger shape asks for it, so the shrinking
+    batches of an early-stopping decode reuse it.  Contents are left over
+    from the last use: callers write every entry they read.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def table(self, name, shape, dtype=np.float64):
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
 
 
-def check_products_except_self(values: np.ndarray, graph: TannerGraph) -> np.ndarray:
+def _check_pad_prefix(values: np.ndarray, graph: TannerGraph, ws: _Workspace):
+    """Edge values in the degree-major check table (padding 1) and their
+    exclusive prefix products: (pad, pre, flat), where pre[i, c] is the
+    product of pad[:i, c] in cumprod's order and `flat` is the shape of
+    the tables' flat-slot view."""
+    rows = (graph.dc_max, graph.n_check)
+    flat = (graph.dc_max * graph.n_check,) + values.shape[1:]
+    pad = ws.table("pad", rows + values.shape[1:], values.dtype)
+    pad_flat = pad.reshape(flat)
+    pad_flat[graph.check_pad_slot] = 1
+    pad_flat[graph.check_slot] = values
+    pre = ws.table("pre", pad.shape, values.dtype)
+    pre[0] = 1
+    for i in range(1, graph.dc_max):
+        np.multiply(pre[i - 1], pad[i - 1], out=pre[i])
+    return pad, pre, flat
+
+
+def check_products_except_self(values: np.ndarray, graph: TannerGraph, *,
+                               _workspace: _Workspace | None = None) -> np.ndarray:
     """For each edge, the product of same-check values excluding that edge.
 
     `values` is (num_edges, batch) in edge order; so is the result.
     """
-    _, pre, suf = _check_prefix_suffix(values, graph)
-    mask = graph.check_pad_mask
-    out = np.empty_like(values)
-    out[graph.check_pad_edge[mask]] = (pre * suf)[mask]
-    return out
+    ws = _Workspace() if _workspace is None else _workspace
+    pad, pre, flat = _check_pad_prefix(values, graph, ws)
+    # pre[i] *= the product of pad[i + 1:], kept as one running slab
+    suf = ws.table("suf", pad.shape[1:], values.dtype)
+    suf[...] = 1
+    for i in range(graph.dc_max - 1, -1, -1):
+        pre[i] *= suf
+        if i:
+            suf *= pad[i]
+    return np.take(pre.reshape(flat), graph.check_slot, axis=0)
 
 
 def check_products_except_self_backward(values: np.ndarray, grads: np.ndarray,
-                                        graph: TannerGraph) -> np.ndarray:
+                                        graph: TannerGraph, *,
+                                        _workspace: _Workspace | None = None
+                                        ) -> np.ndarray:
     """Reverse-mode step for check_products_except_self.
 
     Given d(loss)/d(output) per edge, returns d(loss)/d(values) per edge
     without dividing by any factor (stable at zeros).
     """
-    a, pre, suf = _check_prefix_suffix(values, graph)
-    mask = graph.check_pad_mask
-    gathered = graph.check_pad_edge[mask]
-    gpad = np.zeros_like(a)
-    gpad[mask] = grads[gathered]
-    dmax = a.shape[1]
-    acc_lo = np.zeros_like(a)
-    for i in range(dmax - 1):
-        acc_lo[:, i + 1] = acc_lo[:, i] * a[:, i] + gpad[:, i] * pre[:, i]
-    acc_hi = np.zeros_like(a)
-    for i in range(dmax - 2, -1, -1):
-        acc_hi[:, i] = acc_hi[:, i + 1] * a[:, i + 1] + gpad[:, i + 1] * suf[:, i + 1]
-    out = np.empty_like(values)
-    out[gathered] = (acc_lo * suf + acc_hi * pre)[mask]
-    return out
+    ws = _Workspace() if _workspace is None else _workspace
+    a, pre, flat = _check_pad_prefix(values, graph, ws)
+    gpad = ws.table("gpad", a.shape, values.dtype)
+    g_flat = gpad.reshape(flat)
+    g_flat[graph.check_pad_slot] = 0
+    g_flat[graph.check_slot] = grads
+    tmp = ws.table("tmp", a.shape[1:], values.dtype)
+    # acc[i] = sum over k < i of gpad[k] * pre[k] * prod(a[k + 1:i])
+    acc = ws.table("acc", a.shape, values.dtype)
+    acc[0] = 0
+    for i in range(graph.dc_max - 1):
+        np.multiply(acc[i], a[i], out=acc[i + 1])
+        np.multiply(gpad[i], pre[i], out=tmp)
+        acc[i + 1] += tmp
+    # downward: the mirrored accumulator `hi` and the suffix product `suf`
+    # as running slabs; slot i's result acc*suf + hi*pre overwrites acc[i]
+    hi = ws.table("hi", a.shape[1:], values.dtype)
+    hi[...] = 0
+    suf = ws.table("suf", a.shape[1:], values.dtype)
+    suf[...] = 1
+    for i in range(graph.dc_max - 1, -1, -1):
+        acc[i] *= suf
+        np.multiply(hi, pre[i], out=tmp)
+        acc[i] += tmp
+        if i:
+            hi *= a[i]
+            np.multiply(gpad[i], suf, out=tmp)
+            hi += tmp
+            suf *= a[i]
+    return np.take(acc.reshape(flat), graph.check_slot, axis=0)
 
 
 def check_messages(m_vc: np.ndarray, graph: TannerGraph,
-                   clamp: float = DEFAULT_CLAMP) -> np.ndarray:
+                   clamp: float = DEFAULT_CLAMP, *,
+                   _workspace: _Workspace | None = None) -> np.ndarray:
     """Check-to-variable messages from variable-to-check messages (LLR domain)."""
-    t = np.tanh(0.5 * m_vc)
-    prod = check_products_except_self(t, graph)
+    t = 0.5 * m_vc
+    np.tanh(t, out=t)
+    prod = check_products_except_self(t, graph, _workspace=_workspace)
     np.clip(prod, -1.0 + clamp, 1.0 - clamp, out=prod)
-    return 2.0 * np.arctanh(prod)
+    np.arctanh(prod, out=prod)
+    prod *= 2.0
+    return prod
 
 
 def _validate_llr_batch(llrs, n_var):
@@ -177,9 +253,10 @@ def bp_decode_batch(llrs, graph: TannerGraph, iterations: int,
     llr_t = llrs.T.copy()
     m_vc = llr_t[graph.edge_var]
     cols = np.arange(batch)
+    ws = _Workspace()
 
     for it in range(iterations):
-        m_cv = check_messages(m_vc, graph, clamp)
+        m_cv = check_messages(m_vc, graph, clamp, _workspace=ws)
         post = llr_t + segment_sum(m_cv, graph.var_offsets)
         hard = (post < 0).astype(np.uint8)
         ok = graph.syndrome_ok(hard)

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import (TannerGraph, check_products_except_self,
-                 check_products_except_self_backward, segment_sum)
+from .bp import (TannerGraph, _validate_llr_batch, _Workspace,
+                 check_products_except_self, check_products_except_self_backward,
+                 segment_sum)
 from .channel import awgn, bpsk_modulate, llr_from_channel, noise_sigma
 from .gf2 import LinearCode
 from .optim import Adam
@@ -73,6 +74,8 @@ class NeuralBpDecoder:
         # (n_var, dv_max, dv_max): True where slot b of v feeds slot a
         self._sib_mask = vmask[:, :, None] & vmask[:, None, :] & \
             ~np.eye(vmask.shape[1], dtype=bool)
+        # flat slot of each edge in an (n_var * dv_max, batch) view
+        self._var_slot = np.flatnonzero(vmask)
         self.w_chan = np.ones((iterations, graph.num_edges))
         self.w_in = np.broadcast_to(self._sib_mask, (iterations,) + self._sib_mask.shape
                                     ).astype(np.float64)
@@ -131,25 +134,41 @@ class NeuralBpDecoder:
 
     # -- forward ------------------------------------------------------------
 
-    def _forward_t(self, llr_t, keep_cache: bool):
-        """Core forward pass on an (n_var, batch) LLR array."""
+    def _var_table(self, ws: _Workspace, name: str, batch: int):
+        """A zeroed (n_var, dv_max, batch) workspace table and its flat
+        (n_var * dv_max, batch) view, indexed by _var_slot."""
+        shape = self.graph.var_pad_mask.shape + (batch,)
+        table = ws.table(name, shape)
+        table[...] = 0
+        return table, table.reshape(shape[0] * shape[1], batch)
+
+    def _forward_t(self, llr_t, keep_cache: bool, ws: _Workspace | None = None):
+        """Core forward pass on an (n_var, batch) LLR array, in the calling
+        pass's workspace `ws` (a fresh one if None)."""
         g = self.graph
-        vmask = g.var_pad_mask
+        ws = _Workspace() if ws is None else ws
+        batch = llr_t.shape[1]
         lo = 1.0 - self.atanh_clamp
         l_edge = llr_t[g.edge_var]
         w_in = self.w_in * self._sib_mask
-        x = np.zeros((g.num_edges, llr_t.shape[1]))
-        x_pad = np.zeros(vmask.shape + (llr_t.shape[1],))
+        x = np.zeros((g.num_edges, batch))
+        x_pad, x_flat = self._var_table(ws, "x_pad", batch)
+        sib, sib_flat = self._var_table(ws, "sib", batch)
         layers = []
         for j in range(self.iterations):
             x_prev = x
-            x_pad[vmask] = x_prev
-            pre = self.w_chan[j][:, None] * l_edge + np.matmul(w_in[j], x_pad)[vmask]
-            x_odd = np.tanh(0.5 * pre)
-            prod = check_products_except_self(x_odd, g)
-            p_clip = np.clip(prod, -lo, lo)
-            clip_mask = np.abs(prod) < lo
-            x = 2.0 * np.arctanh(p_clip)
+            x_flat[self._var_slot] = x_prev
+            np.matmul(w_in[j], x_pad, out=sib)
+            pre = self.w_chan[j][:, None] * l_edge
+            pre += np.take(sib_flat, self._var_slot, axis=0)
+            pre *= 0.5
+            x_odd = np.tanh(pre, out=pre)
+            prod = check_products_except_self(x_odd, g, _workspace=ws)
+            if keep_cache:  # a forward-only pass skips the mask and its temporaries
+                clip_mask = np.abs(prod) < lo
+            p_clip = np.clip(prod, -lo, lo, out=prod)
+            x = np.arctanh(p_clip)
+            x *= 2.0
             if keep_cache:
                 layers.append((x_prev, x_odd, p_clip, clip_mask))
         s = self.w_out_chan[:, None] * llr_t + \
@@ -171,11 +190,7 @@ class NeuralBpDecoder:
         single = a.ndim == 1
         if single:
             a = a[None, :]
-        if a.ndim != 2 or a.shape[1] != self.graph.n_var:
-            raise ValueError(f"expected LLR vectors of length {self.graph.n_var}, "
-                             f"got shape {np.shape(llr)}")
-        if not np.isfinite(a).all():
-            raise ValueError("LLR inputs must be finite")
+        a = _validate_llr_batch(a, self.graph.n_var)
         o, _ = self._forward_t(a.T.copy(), keep_cache=False)
         outputs = o.T
         hard = (outputs > 0.5).astype(np.uint8)
@@ -193,15 +208,20 @@ class NeuralBpDecoder:
         """Mean bitwise cross-entropy against target bits, with exact
         gradients for every weight.
 
-        llrs is (batch, n); targets is (batch, n) bits.  Returns
-        (loss, [grad arrays matching parameters()]).
+        llrs is (batch, n) with batch >= 1; targets is (batch, n) bits.
+        Returns (loss, [grad arrays matching parameters()]).
         """
         g = self.graph
-        llrs = np.asarray(llrs, dtype=np.float64)
+        llrs = _validate_llr_batch(llrs, g.n_var)
         y = np.asarray(targets, dtype=np.float64)
-        if llrs.shape != y.shape or llrs.ndim != 2:
+        if llrs.shape != y.shape:
             raise ValueError("llrs and targets must share a (batch, n) shape")
-        o, cache = self._forward_t(llrs.T.copy(), keep_cache=True)
+        if llrs.shape[0] == 0:
+            raise ValueError("loss_and_grads needs at least one frame")
+        if not ((y == 0.0) | (y == 1.0)).all():
+            raise ValueError("targets must be bits (0 or 1)")
+        ws = _Workspace()
+        o, cache = self._forward_t(llrs.T.copy(), keep_cache=True, ws=ws)
         llr_t, l_edge, w_in, layers, x_final, z, z_mask = cache
         y_t = y.T
         count = y_t.size
@@ -216,20 +236,22 @@ class NeuralBpDecoder:
 
         d_chan = np.zeros_like(self.w_chan)
         d_in = np.zeros_like(self.w_in)
-        vmask = g.var_pad_mask
-        x_pad = np.zeros(vmask.shape + (llr_t.shape[1],))
-        dpre_pad = np.zeros_like(x_pad)
+        batch = llr_t.shape[1]
+        x_pad, x_flat = self._var_table(ws, "x_pad", batch)
+        dpre_pad, dpre_flat = self._var_table(ws, "dpre_pad", batch)
+        sib, sib_flat = self._var_table(ws, "sib", batch)
         for j in reversed(range(self.iterations)):
             x_prev, x_odd, p_clip, clip_mask = layers[j]
             dp = dx * (2.0 / (1.0 - p_clip * p_clip)) * clip_mask
-            dx_odd = check_products_except_self_backward(x_odd, dp, g)
+            dx_odd = check_products_except_self_backward(x_odd, dp, g, _workspace=ws)
             dpre = dx_odd * 0.5 * (1.0 - x_odd * x_odd)
             d_chan[j] = (dpre * l_edge).sum(axis=1)
-            dpre_pad[vmask] = dpre
-            x_pad[vmask] = x_prev
+            dpre_flat[self._var_slot] = dpre
+            x_flat[self._var_slot] = x_prev
             d_in[j] = np.matmul(dpre_pad, x_pad.transpose(0, 2, 1)) * self._sib_mask
             if j > 0:
-                dx = np.matmul(w_in[j].transpose(0, 2, 1), dpre_pad)[vmask]
+                np.matmul(w_in[j].transpose(0, 2, 1), dpre_pad, out=sib)
+                dx = np.take(sib_flat, self._var_slot, axis=0)
         return loss, [d_chan, d_in, d_out_chan, d_out_edge]
 
 

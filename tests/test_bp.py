@@ -2,15 +2,20 @@
 
 The cycle-free exactness check compares BP posteriors against a test-local
 exhaustive marginalization over all codewords; the loopy-graph check
-compares them against a test-local per-edge flooding loop.
+compares them against a test-local per-edge flooding loop.  The check-node
+kernels are compared bit for bit against a test-local copy of the earlier
+cumprod and boolean-mask implementation.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from codedhash import channel, gf2, pipeline
-from codedhash.bp import (DEFAULT_CLAMP, TannerGraph, bp_decode, bp_decode_batch,
-                          check_products_except_self, segment_sum)
+from codedhash.bp import (DEFAULT_CLAMP, TannerGraph, _Workspace, bp_decode,
+                          bp_decode_batch, check_products_except_self,
+                          check_products_except_self_backward, segment_sum)
 
 H_APPENDIX = np.array(
     [
@@ -69,10 +74,19 @@ def naive_flooding_posteriors(llrs, h, iterations, clamp):
     return post.T
 
 
-def pipeline_code():
-    """The BCH(63,30) code the default training configuration selects."""
+def pipeline_code(c=None):
+    """The code the default training configuration selects: BCH(63,30), or
+    the length-c one."""
     config = pipeline.TrainConfig()
-    return pipeline.select_code(config.margin, config.c)
+    return pipeline.select_code(config.margin, config.c if c is None else c)
+
+
+def check_rows(graph):
+    """Each check's edges in degree-major table order, read back from
+    check_slot: slot i * n_check + c holds the i-th edge of check c."""
+    rank, check = np.divmod(graph.check_slot, graph.n_check)
+    order = np.lexsort((rank, check))
+    return np.split(order, np.cumsum(np.bincount(check, minlength=graph.n_check))[:-1])
 
 
 class TestTannerGraph:
@@ -83,7 +97,7 @@ class TestTannerGraph:
 
     def test_appendix_check_zero_neighbors(self):
         graph = TannerGraph(H_APPENDIX)
-        row = graph.check_pad_edge[0][graph.check_pad_mask[0]]
+        row = check_rows(graph)[0]
         np.testing.assert_array_equal(graph.edge_var[row], [1, 3, 4, 7])
 
     def test_adjacency_sorted_and_consistent(self):
@@ -94,8 +108,10 @@ class TestTannerGraph:
             np.testing.assert_array_equal(graph.edge_var[row], v)
             np.testing.assert_array_equal(graph.edge_check[row],
                                           np.nonzero(graph.h[:, v])[0])
-        for c in range(graph.n_check):
-            row = graph.check_pad_edge[c][graph.check_pad_mask[c]]
+        for c, row in enumerate(check_rows(graph)):
+            # left-aligned: the edges fill table rows 0 .. degree - 1
+            np.testing.assert_array_equal(graph.check_slot[row] // graph.n_check,
+                                          np.arange(len(row)))
             assert (np.diff(row) > 0).all()
             np.testing.assert_array_equal(graph.edge_check[row], c)
             np.testing.assert_array_equal(graph.edge_var[row],
@@ -108,10 +124,14 @@ class TestTannerGraph:
         assert graph.num_edges == len(edges)
         for e, (v, c) in enumerate(edges):
             assert (graph.edge_var[e], graph.edge_check[e]) == (v, c)
-        for pad, mask in ((graph.var_pad_edge, graph.var_pad_mask),
-                          (graph.check_pad_edge, graph.check_pad_mask)):
-            np.testing.assert_array_equal(np.sort(pad[mask]),
-                                          np.arange(graph.num_edges))
+        np.testing.assert_array_equal(np.sort(graph.var_pad_edge[graph.var_pad_mask]),
+                                      np.arange(graph.num_edges))
+        np.testing.assert_array_equal(np.sort(np.concatenate(check_rows(graph))),
+                                      np.arange(graph.num_edges))
+        # edge and padding slots tile the (dc_max, n_check) table exactly once
+        slots = np.concatenate([graph.check_slot, graph.check_pad_slot])
+        np.testing.assert_array_equal(np.sort(slots),
+                                      np.arange(graph.dc_max * graph.n_check))
 
     def test_identity_h_has_one_edge_per_check(self):
         graph = TannerGraph(np.eye(5, dtype=np.uint8))
@@ -147,6 +167,146 @@ class TestKernels:
                     if graph.edge_check[f] == c and f != e]
             expected = np.prod(values[sibs], axis=0)
             np.testing.assert_allclose(got[e], expected, rtol=1e-12)
+
+
+def reference_check_table(graph):
+    """(edge ids, mask), both (n_check, dc_max), rebuilt from edge_check:
+    row c lists the edges of check c ascending and left-aligned."""
+    deg = np.bincount(graph.edge_check, minlength=graph.n_check)
+    mask = np.arange(deg.max()) < deg[:, None]
+    edge = np.zeros(mask.shape, dtype=np.int64)
+    edge[mask] = np.argsort(graph.edge_check, kind="stable")
+    return edge, mask
+
+
+def reference_prefix_suffix(values, edge, mask):
+    pad = np.ones(mask.shape + values.shape[1:], dtype=values.dtype)
+    pad[mask] = values[edge[mask]]
+    pre = np.ones_like(pad)
+    np.cumprod(pad[:, :-1], axis=1, out=pre[:, 1:])
+    suf = np.ones_like(pad)
+    np.cumprod(pad[:, :0:-1], axis=1, out=suf[:, -2::-1])
+    return pad, pre, suf
+
+
+def reference_products(values, graph):
+    """Oracle: the check-major cumprod kernel with boolean-mask gathers."""
+    edge, mask = reference_check_table(graph)
+    _, pre, suf = reference_prefix_suffix(values, edge, mask)
+    out = np.empty_like(values)
+    out[edge[mask]] = (pre * suf)[mask]
+    return out
+
+
+def reference_backward(values, grads, graph):
+    """Oracle: the matching reverse-mode step, in the same operation order."""
+    edge, mask = reference_check_table(graph)
+    a, pre, suf = reference_prefix_suffix(values, edge, mask)
+    gathered = edge[mask]
+    gpad = np.zeros_like(a)
+    gpad[mask] = grads[gathered]
+    dmax = a.shape[1]
+    acc_lo = np.zeros_like(a)
+    for i in range(dmax - 1):
+        acc_lo[:, i + 1] = acc_lo[:, i] * a[:, i] + gpad[:, i] * pre[:, i]
+    acc_hi = np.zeros_like(a)
+    for i in range(dmax - 2, -1, -1):
+        acc_hi[:, i] = acc_hi[:, i + 1] * a[:, i + 1] + gpad[:, i + 1] * suf[:, i + 1]
+    out = np.empty_like(values)
+    out[gathered] = (acc_lo * suf + acc_hi * pre)[mask]
+    return out
+
+
+def kernel_inputs(graph, batch, rng):
+    """tanh-domain values with exact 0.0 and +-1.0 entries, and gradients."""
+    values = rng.uniform(-1.0, 1.0, size=(graph.num_edges, batch))
+    special = rng.random(values.shape)
+    values[special < 0.15] = 0.0
+    values[(special >= 0.15) & (special < 0.25)] = 1.0
+    values[(special >= 0.25) & (special < 0.35)] = -1.0
+    return values, rng.normal(size=values.shape)
+
+
+PIPELINE_GRAPHS = pytest.mark.parametrize(
+    "code", [gf2.build_bch(4, 2), pipeline_code(), pipeline_code(127)],
+    ids=["bch15_7", "bch63_30", "bch127"])
+
+
+class TestCheckKernelOracle:
+    """Bit-exact agreement with the earlier kernel on the pipeline's graphs."""
+
+    @PIPELINE_GRAPHS
+    @pytest.mark.parametrize("batch", [1, 128, 512])
+    def test_fresh_workspace_is_bit_exact(self, code, batch):
+        graph = TannerGraph(code.parity_check)
+        values, grads = kernel_inputs(graph, batch, np.random.default_rng(batch))
+        assert np.array_equal(check_products_except_self(values, graph),
+                              reference_products(values, graph))
+        assert np.array_equal(
+            check_products_except_self_backward(values, grads, graph),
+            reference_backward(values, grads, graph))
+
+    @PIPELINE_GRAPHS
+    def test_shared_workspace_across_shrinking_batches(self, code):
+        """512 -> 128 -> 500 through one workspace, as an early-stopping
+        decode reuses it; earlier results must not alias the workspace."""
+        graph = TannerGraph(code.parity_check)
+        rng = np.random.default_rng(7)
+        ws = _Workspace()
+        kept = []
+        for batch in (512, 128, 500):
+            values, grads = kernel_inputs(graph, batch, rng)
+            fwd = check_products_except_self(values, graph, _workspace=ws)
+            bwd = check_products_except_self_backward(values, grads, graph,
+                                                      _workspace=ws)
+            want_fwd = reference_products(values, graph)
+            want_bwd = reference_backward(values, grads, graph)
+            assert np.array_equal(fwd, want_fwd)
+            assert np.array_equal(bwd, want_bwd)
+            kept.append((fwd, bwd, want_fwd, want_bwd))
+        for fwd, bwd, want_fwd, want_bwd in kept:
+            assert np.array_equal(fwd, want_fwd)
+            assert np.array_equal(bwd, want_bwd)
+
+    def test_empty_batch(self):
+        graph = TannerGraph(pipeline_code().parity_check)
+        empty = np.zeros((graph.num_edges, 0))
+        assert check_products_except_self(empty, graph).shape == empty.shape
+        assert check_products_except_self_backward(empty, empty, graph).shape == \
+            empty.shape
+
+
+class TestKernelMemory:
+    """Peak traced allocations on BCH(63,30) at batch 512."""
+
+    def test_forward_kernel_allocates_only_its_output_and_a_slab(self):
+        graph = TannerGraph(pipeline_code().parity_check)
+        values, _ = kernel_inputs(graph, 512, np.random.default_rng(8))
+        ws = _Workspace()
+        check_products_except_self(values, graph, _workspace=ws)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = check_products_except_self(values, graph, _workspace=ws)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        slab = graph.n_check * 512 * values.itemsize
+        assert peak <= out.nbytes + slab, (peak, out.nbytes, slab)
+
+    def test_classic_decode_peak(self):
+        code = pipeline_code()
+        graph = TannerGraph(code.parity_check)
+        recv, sigma = channel.awgn(channel.bpsk_modulate(np.zeros((512, code.n))),
+                                   2.0, seed=np.random.default_rng(9), rate=code.rate)
+        llrs = channel.llr_from_channel(recv, sigma)
+        tracemalloc.start()
+        try:
+            bp_decode_batch(llrs, graph, iterations=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * 2**20, peak / 2**20
 
 
 class TestBpDecode:

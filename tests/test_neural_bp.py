@@ -216,6 +216,48 @@ class TestGradients:
         assert loss1 < loss0
 
 
+class TestInputChecks:
+    """forward and loss_and_grads reject the same malformed LLR batches;
+    loss_and_grads also needs frames and bit targets."""
+
+    BAD_LLRS = pytest.mark.parametrize("llrs, match", [
+        (np.full((2, 8), np.inf), "finite"), (np.full((2, 8), np.nan), "finite"),
+        (np.zeros((2, 9)), "expected shape")], ids=["inf", "nan", "width_n_plus_1"])
+
+    @BAD_LLRS
+    def test_loss_and_grads_rejects_bad_llrs(self, llrs, match):
+        with pytest.raises(ValueError, match=match):
+            appendix_net().loss_and_grads(llrs, np.zeros(llrs.shape))
+
+    @BAD_LLRS
+    def test_forward_rejects_bad_llrs(self, llrs, match):
+        with pytest.raises(ValueError, match=match):
+            appendix_net().forward(llrs)
+        with pytest.raises(ValueError, match=match):
+            appendix_net().forward(llrs[0])
+
+    def test_loss_and_grads_rejects_empty_batch(self):
+        with pytest.raises(ValueError, match="at least one frame"):
+            appendix_net().loss_and_grads(np.zeros((0, 8)), np.zeros((0, 8)))
+
+    @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan])
+    def test_loss_and_grads_rejects_non_bit_targets(self, bad):
+        targets = np.zeros((2, 8))
+        targets[1, 3] = bad
+        with pytest.raises(ValueError, match="bits"):
+            appendix_net().loss_and_grads(np.ones((2, 8)), targets)
+
+    def test_loss_and_grads_rejects_mismatched_targets(self):
+        with pytest.raises(ValueError):
+            appendix_net().loss_and_grads(np.zeros((2, 8)), np.zeros((3, 8)))
+
+    def test_empty_batch_decodes_to_empty(self):
+        net = NeuralBpDecoder(TannerGraph(pipeline_code().parity_check), 5)
+        outputs, hard = net.forward(np.zeros((0, 63)))
+        assert outputs.shape == hard.shape == (0, 63)
+        assert net.decode_batch(np.zeros((0, 63))).shape == (0, 63)
+
+
 class TestTraining:
     def test_zero_epochs_leaves_unit_weights(self):
         code = gf2.build_bch(3, 1)
