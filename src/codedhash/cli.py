@@ -23,8 +23,8 @@ from .pipeline import (
     write_report,
 )
 from .retrieval import (
+    _grades,
     build_index,
-    graded_relevance,
     rank,
     read_rankings,
     check_query_mask,
@@ -160,7 +160,7 @@ def _cmd_retrieve(args) -> int:
         mask = _parse_mask(text, dataset.d_attr)
         code = sign_hash(encoders.encode_attributes(mask.astype(np.float64)))
         ids, dists = rank(code, index)
-        grades = graded_relevance(mask, dataset.attributes)[ids]
+        grades = _grades(mask, index.attribute_words)[ids]
         blocks.append((mask, ids, dists, grades))
     write_rankings(args.out, blocks)
     return 0
@@ -180,7 +180,7 @@ def _cmd_eval(args) -> int:
         if not grade_lists:
             raise ValueError(f"no arity-{arity} queries in {args.rankings}")
         result = score_rankings([rels == arity for rels in grade_lists],
-                                grade_lists, args.k or None)
+                                grade_lists, args.k)
         rows += [("map", arity, result.mean_average_precision),
                  ("ndcg", arity, result.ndcg),
                  ("queries", arity, result.queries),

@@ -5,8 +5,13 @@ binary attribute vector).  Queries are attribute masks: an item is a binary
 match when it possesses every queried attribute, and its graded relevance is
 the number of queried attributes it possesses.  Rankings sort the whole
 gallery by Hamming distance ascending, breaking ties by ascending item id so
-results are reproducible.  The index packs each code into uint64 words once,
-so a query's distances are XOR + popcount over those words.
+results are reproducible.  The index packs each code and each attribute
+vector into uint64 words once, so a query's distances are XOR + popcount over
+the code words and its grades are AND + popcount over the attribute words.
+Each query is scored on the spot: one mask check, one popcount and one gather
+give its grades, binary relevance is grades == arity, and only its AP and
+NDCG are kept.  The NDCG normalizer comes from the grade histogram, not from
+sorting the gains.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ class RetrievalIndex:
     subject_ids: np.ndarray  # (n_items,)
     attributes: np.ndarray   # (n_items, d_attr) entries in {0, 1}
     words: np.ndarray        # (n_items, ceil(c / 64)) uint64, bit set where +1
+    attribute_words: np.ndarray  # (n_items, ceil(d_attr / 64)) uint64, set where 1
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -43,8 +49,9 @@ class RetrievalIndex:
 
 
 def _pack_words(codes) -> np.ndarray:
-    """Pack each row of a (n, c) +/-1 array into ceil(c / 64) uint64 words
-    with one bit per entry, set where the entry is +1; padding bits are 0."""
+    """Pack each row of a (n, c) array into ceil(c / 64) uint64 words with
+    one bit per entry, set where the entry is 1 (+1 of a code, or a present
+    attribute); padding bits are 0."""
     n, c = codes.shape
     packed = np.packbits(codes == 1, axis=1, bitorder="little")
     words = np.zeros((n, -(-c // 64) * 8), dtype=np.uint8)
@@ -72,8 +79,9 @@ def build_index(values, subject_ids, attributes) -> RetrievalIndex:
     n = codes.shape[0]
     if subject_ids.shape != (n,) or attributes.shape[0] != n:
         raise ValueError(f"metadata count must match gallery size {n}")
-    return RetrievalIndex(codes, subject_ids, attributes.astype(np.uint8),
-                          _pack_words(codes))
+    attributes = attributes.astype(np.uint8)
+    return RetrievalIndex(codes, subject_ids, attributes, _pack_words(codes),
+                          _pack_words(attributes))
 
 
 def rank(query_code, index: RetrievalIndex):
@@ -112,20 +120,26 @@ def check_query_mask(mask, d_attr: int | None = None) -> np.ndarray:
     return m.astype(np.uint8)
 
 
+def _grades(mask: np.ndarray, attribute_words: np.ndarray) -> np.ndarray:
+    """Number of a checked mask's attributes each item possesses, counted
+    as AND + popcount over the items' packed attribute words."""
+    queried = np.bitwise_count(attribute_words & _pack_words(mask[None, :]))
+    return queried.sum(axis=1, dtype=np.int64)
+
+
 def relevance(mask, attributes) -> np.ndarray:
     """1 for items possessing every queried attribute, else 0."""
     attributes = np.asarray(attributes)
     m = check_query_mask(mask, attributes.shape[1])
-    queried = np.nonzero(m)[0]
-    return (attributes[:, queried] == 1).all(axis=1).astype(np.uint8)
+    arity = np.count_nonzero(m)
+    return (_grades(m, _pack_words(attributes)) == arity).astype(np.uint8)
 
 
 def graded_relevance(mask, attributes) -> np.ndarray:
     """Number of queried attributes each item possesses."""
     attributes = np.asarray(attributes)
     m = check_query_mask(mask, attributes.shape[1])
-    queried = np.nonzero(m)[0]
-    return (attributes[:, queried] == 1).sum(axis=1).astype(np.int64)
+    return _grades(m, _pack_words(attributes))
 
 
 # ---------------------------------------------------------------------------
@@ -157,21 +171,31 @@ def ndcg_at_k(ranked_grades, k: int) -> float:
     """NDCG truncated at k for one graded relevance list in rank order.
 
     Gains are 2^grade - 1 with 1/log2(rank+1) discounts; the normalizer is
-    the same sum over the descending-sorted grades.
+    the same sum over the descending-sorted grades, read off the grade
+    histogram.  Grades must lie in [0, 1023]: 2^1024 overflows a float.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     grades = np.asarray(ranked_grades, dtype=np.int64)
     if (grades < 0).any():
         raise ValueError("relevance grades must be nonnegative")
-    if not grades.any():
+    if (grades > 1023).any():
+        raise ValueError("relevance grades must be at most 1023")
+    counts = np.bincount(grades)
+    if counts.size < 2:  # no grade above 0
         raise UndefinedMetricError("all relevance grades are zero")
     depth = min(k, grades.size)
-    discounts = 1.0 / np.log2(np.arange(2, depth + 2))
-    gains = (2.0 ** grades - 1.0)
-    dcg = float(gains[:depth] @ discounts)
-    ideal = float(np.sort(gains)[::-1][:depth] @ discounts)
-    return dcg / ideal
+    discounts = 1.0 / np.log2(np.arange(2, depth + 2, dtype=np.float64))
+    gain_of = 2.0 ** np.arange(counts.size) - 1.0
+    # the gains repeated over the histogram are the per-item gains sorted
+    # ascending.  Dotted through the reversed, negative-stride view, numpy
+    # sums them one by one in rank order; a contiguous copy would go
+    # through BLAS, which sums in another order and changes the last bits
+    with np.errstate(over="ignore"):
+        ideal = float(np.repeat(gain_of, counts)[::-1][:depth] @ discounts)
+    if not np.isfinite(ideal):
+        raise ValueError("ideal DCG overflows a float; grades are too large")
+    return float(gain_of.take(grades[:depth]) @ discounts) / ideal
 
 
 def enumerate_query_masks(d_attr: int, arity: int, max_queries=None,
@@ -199,19 +223,37 @@ class QueryEvaluation:
     skipped_ndcg: int
 
 
+def _score_query(binary, grades, k):
+    """(AP, NDCG@k) of one query's relevance lists in rank order, each None
+    when the query is skipped for that metric."""
+    ap = average_precision(binary) if binary.any() else None
+    ndcg = (ndcg_at_k(grades, grades.size if k is None else k)
+            if grades.any() else None)
+    return ap, ndcg
+
+
+def _aggregate(scores) -> QueryEvaluation:
+    """Means and skip counts over per-query (AP, NDCG) pairs; MAP's
+    UndefinedMetricError is raised first."""
+    aps = [ap for ap, _ in scores if ap is not None]
+    ndcgs = [ndcg for _, ndcg in scores if ndcg is not None]
+    if not aps:
+        raise UndefinedMetricError("no query with a relevant item")
+    if not ndcgs:
+        raise UndefinedMetricError("no query with a nonzero relevance grade")
+    return QueryEvaluation(float(np.mean(aps)), float(np.mean(ndcgs)),
+                           len(scores), len(scores) - len(aps),
+                           len(scores) - len(ndcgs))
+
+
 def score_rankings(binary_lists, grade_lists, k=None) -> QueryEvaluation:
     """MAP, NDCG@k and both skip counts over per-query relevance lists in
     rank order; k=None scores each NDCG over its whole list.  Queries with
     no relevant item are skipped for MAP and all-zero grade lists for NDCG;
-    MAP is scored first, so its UndefinedMetricError is raised first."""
-    mean_ap = mean_average_precision(binary_lists)
-    ndcgs = [ndcg_at_k(grades, len(grades) if k is None else k)
-             for grades in grade_lists if np.asarray(grades).any()]
-    if not ndcgs:
-        raise UndefinedMetricError("no query with a nonzero relevance grade")
-    skipped_map = sum(1 for rels in binary_lists if not np.asarray(rels).any())
-    return QueryEvaluation(mean_ap, float(np.mean(ndcgs)), len(grade_lists),
-                           skipped_map, len(grade_lists) - len(ndcgs))
+    MAP's UndefinedMetricError is raised first."""
+    return _aggregate([_score_query(np.asarray(binary), np.asarray(grades), k)
+                       for binary, grades in zip(binary_lists, grade_lists,
+                                                 strict=True)])
 
 
 def evaluate_queries(encode_attributes, index: RetrievalIndex, masks,
@@ -219,18 +261,18 @@ def evaluate_queries(encode_attributes, index: RetrievalIndex, masks,
     """Run attribute-mask queries through an encoder and the index.
 
     encode_attributes maps a float attribute vector to a real activation
-    (it is sign-hashed here).  The rankings are scored by score_rankings;
-    k=None scores NDCG over the whole gallery.
+    (it is sign-hashed here).  Each ranking is scored as it is made, as
+    score_rankings scores it; k=None scores NDCG over the whole gallery.
     """
     masks = np.atleast_2d(np.asarray(masks))
-    binary_lists = []
-    grade_lists = []
+    scores = []
     for mask in masks:
+        m = check_query_mask(mask, index.d_attr)
         code = sign_hash(encode_attributes(mask.astype(np.float64)))
         ids, _ = rank(code, index)
-        binary_lists.append(relevance(mask, index.attributes)[ids])
-        grade_lists.append(graded_relevance(mask, index.attributes)[ids])
-    return score_rankings(binary_lists, grade_lists, k)
+        grades = _grades(m, index.attribute_words)[ids]
+        scores.append(_score_query(grades == np.count_nonzero(m), grades, k))
+    return _aggregate(scores)
 
 
 # ---------------------------------------------------------------------------

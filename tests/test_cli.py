@@ -246,6 +246,15 @@ class TestEval:
                      "--out", str(out)]) == 0
         assert "map, 1, 0.5" in out.read_text()
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_nonpositive_k_rejected(self, tmp_path, capsys, k):
+        rankings = tmp_path / "hand.txt"
+        rankings.write_text("# query 10\n1, 0, 0, 0\n2, 1, 1, 1\n")
+        rc = main(["eval", "--rankings", str(rankings), "--k", k,
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 1
+        assert "k must be >= 1" in capsys.readouterr().err
+
     def test_missing_arity_group(self, tmp_path, capsys):
         rankings = tmp_path / "hand.txt"
         rankings.write_text("# query 10\n1, 0, 0, 1\n")

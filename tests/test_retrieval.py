@@ -1,8 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from codedhash.hashing import sign_hash
 from codedhash.retrieval import (
     QueryEvaluation,
     UndefinedMetricError,
@@ -40,6 +42,40 @@ def int64_dot_rank(query_code, index):
     return order.astype(np.int64), distances[order]
 
 
+# Reference scorer: the per-list code that the one-pass scorer replaced.
+# Its results are compared with ==, without tolerance.
+
+def reference_relevance(mask, attributes):
+    queried = np.nonzero(mask)[0]
+    return (attributes[:, queried] == 1).all(axis=1).astype(np.uint8)
+
+
+def reference_graded_relevance(mask, attributes):
+    queried = np.nonzero(mask)[0]
+    return (attributes[:, queried] == 1).sum(axis=1).astype(np.int64)
+
+
+def reference_ndcg(ranked_grades, k):
+    grades = np.asarray(ranked_grades, dtype=np.int64)
+    depth = min(k, grades.size)
+    discounts = 1.0 / np.log2(np.arange(2, depth + 2))
+    gains = (2.0 ** grades - 1.0)
+    dcg = float(gains[:depth] @ discounts)
+    ideal = float(np.sort(gains)[::-1][:depth] @ discounts)
+    return dcg / ideal
+
+
+def reference_score_rankings(binary_lists, grade_lists, k=None):
+    aps = [average_precision(rels) for rels in binary_lists
+           if np.asarray(rels).any()]
+    ndcgs = [reference_ndcg(grades, len(grades) if k is None else k)
+             for grades in grade_lists if np.asarray(grades).any()]
+    skipped_map = sum(1 for rels in binary_lists if not np.asarray(rels).any())
+    return QueryEvaluation(float(np.mean(aps)), float(np.mean(ndcgs)),
+                           len(grade_lists), skipped_map,
+                           len(grade_lists) - len(ndcgs))
+
+
 def tiny_index(codes, attributes=None):
     codes = np.asarray(codes, dtype=np.int8)
     n = codes.shape[0]
@@ -68,6 +104,30 @@ class TestBuildIndex:
         assert len(index) == 0
         ids, dists = rank(np.ones(4, dtype=np.int8), index)
         assert ids.size == 0 and dists.size == 0
+
+    def test_empty_gallery_scores(self):
+        index = build_index(np.ones((0, 4), dtype=np.int8),
+                            np.zeros(0, dtype=np.int64),
+                            np.zeros((0, 2), dtype=np.uint8))
+        assert index.attribute_words.shape == (0, 1)
+        assert graded_relevance([1, 0], index.attributes).shape == (0,)
+        with pytest.raises(UndefinedMetricError,
+                           match="no query with a relevant item"):
+            evaluate_queries(lambda m: np.ones(4), index, [[1, 0]])
+
+    @pytest.mark.parametrize("d_attr", [1, 40, 64, 65, 130])
+    def test_attribute_words_match_attributes(self, d_attr):
+        rng = np.random.default_rng(d_attr)
+        attributes = rng.integers(0, 2, size=(50, d_attr)).astype(np.uint8)
+        attributes[0] = 1
+        index = build_index(np.ones((50, 3), dtype=np.int8), np.arange(50),
+                            attributes)
+        words = index.attribute_words
+        assert words.dtype == np.uint64
+        assert words.shape == (50, -(-d_attr // 64))
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        assert np.array_equal(bits[:, :d_attr], attributes)
+        assert not bits[:, d_attr:].any()
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -311,6 +371,41 @@ class TestNdcg:
         with pytest.raises(ValueError):
             ndcg_at_k([1, -1], k=1)
 
+    def test_grade_past_float_range_rejected(self):
+        # 2.0 ** 1024 is inf, which would make the ratio nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at most 1023"):
+                ndcg_at_k([1024, 0], k=2)
+        assert ndcg_at_k([1023, 0], k=2) == 1.0
+
+    def test_overflowing_ideal_rejected(self):
+        # three gains of 2^1023 overflow the ideal DCG; two do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ideal DCG overflows"):
+                ndcg_at_k([1023, 1023, 1023], k=3)
+        assert ndcg_at_k([1023, 1023, 1023], k=2) == 1.0
+        assert ndcg_at_k([1023, 1023], k=2) == reference_ndcg([1023, 1023], 2)
+
+    def test_bits_equal_sort_reference(self):
+        rng = np.random.default_rng(300)
+        checked = 0
+        while checked < 400:
+            n = int(rng.integers(1, 60))
+            style = checked % 4
+            if style == 0:    # one-item lists
+                grades = rng.integers(1, 6, size=1)
+            elif style == 1:  # every nonzero grade the same
+                grades = rng.integers(0, 2, size=n) * int(rng.integers(1, 5))
+            else:
+                grades = rng.integers(0, int(rng.integers(2, 12)), size=n)
+            if not grades.any():
+                continue
+            for k in (1, max(1, n // 3), n, n + 5):
+                assert ndcg_at_k(grades, k) == reference_ndcg(grades, k)
+            checked += 1
+
 
 class TestEnumerateQueryMasks:
     def test_single_arity_is_identity_like(self):
@@ -372,6 +467,25 @@ class TestEvaluateQueries:
         with pytest.raises(UndefinedMetricError):
             evaluate_queries(self._encode, index, [[1, 0, 0]])
 
+    def test_memory_bounded_at_1e5_items(self):
+        # keeping two 10^5-long relevance lists per query would peak at
+        # 38 MiB; each query's lists are scored and dropped instead
+        rng = np.random.default_rng(41)
+        n, c, d_attr = 100_000, 63, 40
+        codes = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, c))
+        attributes = (rng.random((n, d_attr)) < 0.3).astype(np.uint8)
+        index = build_index(codes, np.arange(n), attributes)
+        weights = rng.normal(size=(c, d_attr))
+        masks = enumerate_query_masks(d_attr, 1)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            evaluate_queries(lambda m: weights @ m, index, masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 12 * 2 ** 20
+
     def test_relabeling_invariance_without_ties(self):
         attrs = np.array([
             [1, 1, 0],
@@ -398,6 +512,59 @@ class TestEvaluateQueries:
         assert a.mean_average_precision == pytest.approx(
             b.mean_average_precision, abs=1e-15)
         assert a.ndcg == pytest.approx(b.ndcg, abs=1e-15)
+
+
+class TestScoringOracle:
+    """evaluate_queries and score_rankings against the reference scorer on
+    a gallery with duplicate codes, so rankings have ties."""
+
+    C = 20
+    N = 400
+    # attributes 0 and 3 are never present and 1 and 2 never together, so
+    # [0] and [0, 3] are skipped for both metrics, [1, 2] and [0, 1, 2]
+    # for MAP only
+    SKIPPED = {1: [[0]], 2: [[0, 3], [1, 2]], 3: [[0, 1, 2]]}
+
+    def _case(self, d_attr):
+        rng = np.random.default_rng(d_attr)
+        unique = rng.choice(np.array([-1, 1], dtype=np.int8), size=(60, self.C))
+        codes = unique[rng.integers(0, len(unique), size=self.N)]
+        attributes = (rng.random((self.N, d_attr)) < 0.3).astype(np.uint8)
+        attributes[:, [0, 3]] = 0
+        attributes[attributes[:, 1] == 1, 2] = 0
+        index = build_index(codes, np.arange(self.N), attributes)
+        weights = rng.normal(size=(self.C, d_attr))
+        masks = {}
+        for arity, skipped in self.SKIPPED.items():
+            special = np.zeros((len(skipped), d_attr), dtype=np.uint8)
+            for row, queried in zip(special, skipped):
+                row[queried] = 1
+            masks[arity] = np.vstack([enumerate_query_masks(
+                d_attr, arity, max_queries=8, seed=arity), special])
+        return index, (lambda m: weights @ m), masks
+
+    @staticmethod
+    def _reference(encode, index, masks, k):
+        binary_lists, grade_lists = [], []
+        for mask in masks:
+            ids, _ = rank(sign_hash(encode(mask.astype(np.float64))), index)
+            binary_lists.append(reference_relevance(mask, index.attributes)[ids])
+            grade_lists.append(
+                reference_graded_relevance(mask, index.attributes)[ids])
+        return (binary_lists, grade_lists,
+                reference_score_rankings(binary_lists, grade_lists, k))
+
+    @pytest.mark.parametrize("k", [None, 7])
+    @pytest.mark.parametrize("d_attr", [40, 64, 65, 130])
+    def test_bits_equal_reference(self, d_attr, k):
+        index, encode, masks = self._case(d_attr)
+        for arity, group in masks.items():
+            binary_lists, grade_lists, expected = self._reference(
+                encode, index, group, k)
+            assert evaluate_queries(encode, index, group, k) == expected
+            assert score_rankings(binary_lists, grade_lists, k) == expected
+            if arity == 2:
+                assert expected.skipped_map > expected.skipped_ndcg > 0
 
 
 class TestScoreRankings:
