@@ -5,16 +5,20 @@ over GF(2) are Python integers whose bit i holds the coefficient of x**i,
 so e.g. x**3 + x + 1 is 0b1011.  Codewords use the column convention of the
 parity-check matrix: bit index 0 is the leftmost column.
 
-BCH codes are built over GF(2**m) with a fixed primitive polynomial per m,
-via the cyclotomic cosets of the first 2t powers of the primitive element.
-Generator matrices are systematic with the identity block first, and
-H = [A^T | I] so that G H^T = 0.
+BCH codes are built over GF(2**m) with a fixed primitive polynomial per m.
+The roots of the generator with designed capability t are the powers
+alpha**s for s in the union of the cyclotomic cosets of 1 .. 2t, so the
+generator is the product of (x + alpha**s) over that root set and the
+dimension is k = n - |roots|.  Generator matrices are systematic with the
+identity block first, and H = [A^T | I] so that G H^T = 0.  Minimum
+distances are computed on request by `min_distance`, never stored.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,16 +121,6 @@ def poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def poly_mul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
 def poly_mod(a: int, m: int) -> int:
     dm = poly_degree(m)
     while poly_degree(a) >= dm:
@@ -147,7 +141,6 @@ class LinearCode:
     """A binary [n, k] linear code with designed correction capability t.
 
     generator is k x n, parity_check is (n-k) x n, and G H^T = 0 over GF(2).
-    d_min is the exact minimum distance when known, else None.
     """
 
     n: int
@@ -155,9 +148,6 @@ class LinearCode:
     generator: np.ndarray
     parity_check: np.ndarray
     t: int
-    d_min: int | None = None
-    _codeword_ints: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _syndrome_table: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.generator = as_gf2(self.generator)
@@ -182,20 +172,26 @@ class LinearCode:
     def rate(self) -> float:
         return self.k / self.n
 
-    def codeword_ints(self) -> np.ndarray:
+    @cached_property
+    def codeword_ints(self) -> list[int]:
         """All 2**k codewords as integers (bit i of the int = codeword bit i)."""
-        if self.k > MAX_ENUM_K:
-            raise ValueError(f"refusing to enumerate 2**{self.k} codewords "
-                             f"(limit k <= {MAX_ENUM_K})")
-        if self._codeword_ints is None:
-            rows = [_bits_to_int(r) for r in self.generator]
-            words = np.zeros(1 << self.k, dtype=object)
-            cur = 0
-            for i in range(1, 1 << self.k):
-                cur ^= rows[_trailing_zeros(i)]
-                words[i] = cur
-            self._codeword_ints = words
-        return self._codeword_ints
+        return list(_codewords(self))
+
+    @cached_property
+    def _syndrome_table(self) -> dict:
+        """Syndrome -> the first error pattern of weight 1 .. t (by weight,
+        then position order) that gives it, both as ints."""
+        cols = _h_column_ints(self)
+        table = {}
+        for wgt in range(1, self.t + 1):
+            for pos in itertools.combinations(range(self.n), wgt):
+                s = 0
+                e = 0
+                for p in pos:
+                    s ^= cols[p]
+                    e |= 1 << p
+                table.setdefault(s, e)
+        return table
 
 
 def _bits_to_int(bits) -> int:
@@ -222,20 +218,23 @@ def syndrome(word, code: LinearCode) -> np.ndarray:
     return (w @ code.parity_check.T % 2).astype(np.uint8)
 
 
-def min_distance(code: LinearCode) -> int:
-    """Exact minimum distance by enumerating all nonzero codewords (k <= 20)."""
+def _codewords(code: LinearCode):
+    """Yield all 2**k codewords as integers, zero first, in Gray-code order:
+    each next word XORs in the generator row of the flipped message bit."""
     if code.k > MAX_ENUM_K:
-        raise ValueError(f"refusing exhaustive enumeration for k = {code.k} "
-                         f"(limit {MAX_ENUM_K})")
+        raise ValueError(f"refusing to enumerate 2**{code.k} codewords "
+                         f"(limit k <= {MAX_ENUM_K})")
     rows = [_bits_to_int(r) for r in code.generator]
-    best = code.n + 1
     cur = 0
+    yield cur
     for i in range(1, 1 << code.k):
         cur ^= rows[_trailing_zeros(i)]
-        w = cur.bit_count()
-        if w < best:
-            best = w
-    return best
+        yield cur
+
+
+def min_distance(code: LinearCode) -> int:
+    """Exact minimum distance by enumerating all nonzero codewords (k <= 20)."""
+    return min(cw.bit_count() for cw in itertools.islice(_codewords(code), 1, None))
 
 
 def bounded_distance_decode(word, code: LinearCode) -> np.ndarray | None:
@@ -248,12 +247,12 @@ def bounded_distance_decode(word, code: LinearCode) -> np.ndarray | None:
     w = as_bits(word, code.n)
     w_int = _bits_to_int(w)
     if code.k <= MAX_ENUM_K:
-        for cw in code.codeword_ints():
-            if (w_int ^ int(cw)).bit_count() <= code.t:
-                return poly_to_bits(int(cw), code.n)
+        for cw in code.codeword_ints:
+            if (w_int ^ cw).bit_count() <= code.t:
+                return poly_to_bits(cw, code.n)
         return None
     if code.n - code.k <= MAX_TABLE_REDUNDANCY:
-        table = _syndrome_table(code)
+        table = code._syndrome_table
         cols = _h_column_ints(code)
         s = 0
         for i in np.nonzero(w)[0]:
@@ -268,22 +267,6 @@ def bounded_distance_decode(word, code: LinearCode) -> np.ndarray | None:
 
 def _h_column_ints(code: LinearCode):
     return [_bits_to_int(code.parity_check[:, i]) for i in range(code.n)]
-
-
-def _syndrome_table(code: LinearCode) -> dict:
-    if code._syndrome_table is None:
-        cols = _h_column_ints(code)
-        table = {}
-        for wgt in range(1, code.t + 1):
-            for pos in itertools.combinations(range(code.n), wgt):
-                s = 0
-                e = 0
-                for p in pos:
-                    s ^= cols[p]
-                    e |= 1 << p
-                table.setdefault(s, e)
-        code._syndrome_table = table
-    return code._syndrome_table
 
 
 def code_from_parity_check(h, t: int = 0) -> LinearCode:
@@ -316,8 +299,8 @@ def _field_tables(m: int):
     """Exp/log tables for GF(2**m) with the fixed primitive polynomial."""
     prim = PRIMITIVE_POLYS[m]
     size = 1 << m
-    exp = np.zeros(size - 1, dtype=np.int64)
-    log = np.full(size, -1, dtype=np.int64)
+    exp = [0] * (size - 1)
+    log = [-1] * size
     x = 1
     for i in range(size - 1):
         exp[i] = x
@@ -326,12 +309,6 @@ def _field_tables(m: int):
         if x & size:
             x ^= prim
     return exp, log
-
-
-def _gf_mul(a: int, b: int, exp, log, order: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return int(exp[(log[a] + log[b]) % order])
 
 
 def cyclotomic_coset(i: int, m: int) -> list[int]:
@@ -345,88 +322,69 @@ def cyclotomic_coset(i: int, m: int) -> list[int]:
     return sorted(coset)
 
 
-def minimal_polynomial(i: int, m: int) -> int:
-    """Minimal polynomial of alpha**i over GF(2), as an integer polynomial."""
-    exp, log = _field_tables(m)
-    order = (1 << m) - 1
-    # product of (x + alpha**s) over the conjugacy class of alpha**i
-    coeffs = [1]  # coefficients in GF(2**m), index = power of x
-    for s in cyclotomic_coset(i, m):
-        root = int(exp[s % order])
-        nxt = [0] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            nxt[d + 1] ^= c
-            nxt[d] ^= _gf_mul(c, root, exp, log, order)
-        coeffs = nxt
-    out = 0
-    for d, c in enumerate(coeffs):
-        if c not in (0, 1):
-            raise AssertionError("minimal polynomial has a coefficient outside GF(2)")
-        if c:
-            out |= 1 << d
-    return out
+def _bch_roots(m: int, t: int) -> list[int]:
+    """Exponents s of the generator roots alpha**s of the length 2**m - 1 BCH
+    code with designed capability t: the union of the cyclotomic cosets of
+    1 .. 2t, sorted ascending."""
+    if m not in PRIMITIVE_POLYS:
+        raise ValueError(f"unsupported field degree m = {m}; "
+                         f"supported: {sorted(PRIMITIVE_POLYS)}")
+    if not 1 <= t < (1 << (m - 1)):
+        raise ValueError(f"t must satisfy 1 <= t < 2**(m-1), got {t}")
+    return sorted({s for i in range(1, 2 * t + 1) for s in cyclotomic_coset(i, m)})
 
 
 def bch_generator_poly(m: int, t: int) -> int:
-    """lcm of the minimal polynomials of alpha**1 .. alpha**(2t)."""
-    g = 1
-    seen = set()
-    for i in range(1, 2 * t + 1):
-        rep = min(cyclotomic_coset(i, m))
-        if rep in seen:
-            continue
-        seen.add(rep)
-        g = poly_mul(g, minimal_polynomial(rep, m))
-    return g
+    """Product of (x + alpha**s) over the BCH root set, as a GF(2)[x] integer.
+
+    This is the lcm of the minimal polynomials of alpha**1 .. alpha**(2t):
+    each minimal polynomial is the product over one cyclotomic coset.
+    """
+    roots = _bch_roots(m, t)
+    exp, log = _field_tables(m)
+    order = len(exp)
+    coeffs = [1]  # coefficients in GF(2**m), index = power of x
+    for s in roots:
+        nxt = [0] + coeffs  # x * coeffs, plus alpha**s * coeffs below
+        for d, c in enumerate(coeffs):
+            if c:
+                nxt[d] ^= exp[(log[c] + s) % order]
+        coeffs = nxt
+    if any(c not in (0, 1) for c in coeffs):
+        raise AssertionError("generator polynomial has a coefficient outside GF(2)")
+    return sum(1 << d for d, c in enumerate(coeffs) if c)
 
 
 def build_bch(m: int, t_design: int) -> LinearCode:
     """Construct the binary BCH code of length 2**m - 1 with designed capability t.
 
     The code is systematic: codeword = (message bits, parity bits) where the
-    parity polynomial is x**(n-k) u(x) mod g(x).  d_min is set exactly when
-    k <= 20, else to the design bound 2t + 1.
+    parity polynomial is x**(n-k) u(x) mod g(x).
     """
-    if m not in PRIMITIVE_POLYS:
-        raise ValueError(f"unsupported field degree m = {m}; "
-                         f"supported: {sorted(PRIMITIVE_POLYS)}")
-    if not 1 <= t_design < (1 << (m - 1)):
-        raise ValueError(f"t must satisfy 1 <= t < 2**(m-1), got {t_design}")
-    n = (1 << m) - 1
     g = bch_generator_poly(m, t_design)
-    k = n - poly_degree(g)
-    if k <= 0:
-        raise ValueError(f"degenerate code: generator degree {poly_degree(g)} "
-                         f"leaves k = {k}")
-    r = n - k
+    n = (1 << m) - 1
+    r = poly_degree(g)
+    k = n - r
     gen = np.zeros((k, n), dtype=np.uint8)
     for i in range(k):
         gen[i, i] = 1
         parity = poly_mod(1 << (r + i), g)
         gen[i, k:] = poly_to_bits(parity, r)
     h = np.concatenate([gen[:, k:].T, np.eye(r, dtype=np.uint8)], axis=1)
-    code = LinearCode(n=n, k=k, generator=gen, parity_check=h, t=t_design)
-    code.d_min = min_distance(code) if k <= MAX_ENUM_K else 2 * t_design + 1
-    return code
+    return LinearCode(n=n, k=k, generator=gen, parity_check=h, t=t_design)
 
 
 def bch_code_table(m: int) -> list[tuple[int, int, int]]:
-    """Distinct (n, k, t) BCH codes of length 2**m - 1.
+    """Distinct (n, k, t) BCH codes of length 2**m - 1, with k = n - |roots|.
 
     For each achievable dimension k the listed t is the largest design
     capability that yields it (design values whose extra roots are already
     covered collapse onto the same code).
     """
-    if m not in PRIMITIVE_POLYS:
-        raise ValueError(f"unsupported field degree m = {m}; "
-                         f"supported: {sorted(PRIMITIVE_POLYS)}")
+    # t = 1 always runs, so _bch_roots rejects an unsupported m before n is used
+    root_counts = [(len(_bch_roots(m, t)), t) for t in range(1, 1 << max(m - 1, 1))]
     n = (1 << m) - 1
-    by_k: dict[int, int] = {}
-    for t in range(1, 1 << (m - 1)):
-        k = n - poly_degree(bch_generator_poly(m, t))
-        if k <= 0:
-            break
-        by_k[k] = t
+    by_k = {n - r: t for r, t in root_counts}
     return [(n, k, t) for k, t in sorted(by_k.items(), reverse=True)]
 
 
@@ -446,9 +404,13 @@ def load_code(path) -> LinearCode:
     """Inverse of save_code.  The generator is reconstructed from H."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        n, k, t = (int(x) for x in header)
+        try:
+            n, k, t = (int(x) for x in header)
+        except ValueError:
+            raise ValueError(f"{path}: malformed header {header!r}, "
+                             "expected three integers 'n k t'") from None
+        if not 0 < k < n:
+            raise ValueError(f"{path}: header needs 0 < k < n, got n = {n}, k = {k}")
         rows = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
@@ -459,7 +421,8 @@ def load_code(path) -> LinearCode:
             rows.append([int(ch) for ch in line])
     if len(rows) != n - k:
         raise ValueError(f"{path}: expected {n - k} parity rows, got {len(rows)}")
-    code = code_from_parity_check(np.array(rows, dtype=np.uint8), t=t)
-    if code.k != k:
-        raise ValueError(f"{path}: header says k = {k} but H has rank {n - code.k}")
-    return code
+    try:
+        # n - k independent rows of length n leave exactly k dimensions
+        return code_from_parity_check(np.array(rows, dtype=np.uint8), t=t)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

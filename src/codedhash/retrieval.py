@@ -59,6 +59,21 @@ def _pack_words(codes) -> np.ndarray:
     return words.view(np.uint64)
 
 
+def _popcount_rows(op, words: np.ndarray, query_words: np.ndarray,
+                   dtype) -> np.ndarray:
+    """Per row, the popcount of op(row word, query word) summed over the
+    word columns into dtype; one column at a time, so no (n, words)
+    temporary is built."""
+    n, n_words = words.shape
+    if n_words == 0:
+        return np.zeros(n, dtype=dtype)
+    total = np.bitwise_count(op(words[:, 0], query_words[0, 0])).astype(
+        dtype, copy=False)
+    for j in range(1, n_words):
+        total += np.bitwise_count(op(words[:, j], query_words[0, j]))
+    return total
+
+
 def build_index(values, subject_ids, attributes) -> RetrievalIndex:
     """Index a gallery; real-valued activations are sign-hashed first."""
     values = np.asarray(values)
@@ -97,9 +112,8 @@ def rank(query_code, index: RetrievalIndex):
                          f"code length {index.code_length}")
     if not np.isin(q, (-1, 1)).all():
         raise ValueError("query code entries must be in {-1, +1}")
-    differing = np.bitwise_count(index.words ^ _pack_words(q[None, :]))
-    distances = differing.sum(axis=1,
-                              dtype=np.min_scalar_type(index.code_length))
+    distances = _popcount_rows(np.bitwise_xor, index.words, _pack_words(q[None, :]),
+                               np.min_scalar_type(index.code_length))
     order = np.argsort(distances, kind="stable")
     return order.astype(np.int64), distances[order].astype(np.int64)
 
@@ -123,8 +137,8 @@ def check_query_mask(mask, d_attr: int | None = None) -> np.ndarray:
 def _grades(mask: np.ndarray, attribute_words: np.ndarray) -> np.ndarray:
     """Number of a checked mask's attributes each item possesses, counted
     as AND + popcount over the items' packed attribute words."""
-    queried = np.bitwise_count(attribute_words & _pack_words(mask[None, :]))
-    return queried.sum(axis=1, dtype=np.int64)
+    return _popcount_rows(np.bitwise_and, attribute_words,
+                          _pack_words(mask[None, :]), np.int64)
 
 
 def relevance(mask, attributes) -> np.ndarray:

@@ -2,13 +2,18 @@
 
 The expected values here are produced by test-local routines that share no
 code with the library: dense enumeration for null spaces and minimum
-distance, and list-based polynomial long division for systematic encoding.
+distance, list-based polynomial long division for systematic encoding, and
+the lcm of per-coset minimal polynomials for BCH generators.
 """
+
+import dataclasses
+import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from codedhash import gf2
+from codedhash import gf2, pipeline
 
 # 4x8 parity-check fixture used throughout (also the Tanner-graph example).
 H_APPENDIX = np.array(
@@ -51,6 +56,74 @@ def systematic_encode_oracle(message, g_coeffs, n):
     shifted = [0] * (n - k) + list(message)
     parity = poly_divide_remainder(shifted, g_coeffs)
     return np.array(list(message) + parity, dtype=np.uint8)
+
+
+# Primitive polynomials as ascending GF(2) coefficient lists (x^2 + x + 1,
+# x^3 + x + 1, x^4 + x + 1, x^5 + x^2 + 1, x^6 + x + 1, x^7 + x^3 + 1).
+PRIMITIVE_COEFFS = {
+    2: [1, 1, 1],
+    3: [1, 1, 0, 1],
+    4: [1, 1, 0, 0, 1],
+    5: [1, 0, 1, 0, 0, 1],
+    6: [1, 1, 0, 0, 0, 0, 1],
+    7: [1, 0, 0, 1, 0, 0, 0, 1],
+}
+
+
+def gf_mul_oracle(a, b, m):
+    """Oracle: product in GF(2^m) by shift-and-reduce (no log tables)."""
+    prim = sum(c << i for i, c in enumerate(PRIMITIVE_COEFFS[m]))
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if (a >> m) & 1:
+            a ^= prim
+    return out
+
+
+def minimal_poly_oracle(rep, m):
+    """Oracle: prod (x + alpha^s) over the coset of rep, as a GF(2) list."""
+    order = (1 << m) - 1
+    coset, s = [], rep
+    while s not in coset:
+        coset.append(s)
+        s = 2 * s % order
+    coeffs = [1]  # GF(2^m) elements, ascending powers of x
+    for s in coset:
+        root = 1
+        for _ in range(s):
+            root = gf_mul_oracle(root, 2, m)
+        shifted = [0] + coeffs
+        for d, c in enumerate(coeffs):
+            shifted[d] ^= gf_mul_oracle(c, root, m)
+        coeffs = shifted
+    assert set(coeffs) <= {0, 1}
+    return coeffs
+
+
+def poly_mul_oracle(a, b):
+    """Oracle: product of ascending GF(2) coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] ^= x & y
+    return out
+
+
+def bch_generator_oracle(m, t):
+    """Oracle: lcm of the minimal polynomials of alpha^1 .. alpha^(2t), as
+    the product of one minimal polynomial per distinct coset."""
+    order = (1 << m) - 1
+    g, seen = [1], set()
+    for i in range(1, 2 * t + 1):
+        rep = min(i * 2 ** j % order for j in range(m))
+        if rep not in seen:
+            seen.add(rep)
+            g = poly_mul_oracle(g, minimal_poly_oracle(rep, m))
+    return g
 
 
 class TestSyndrome:
@@ -117,7 +190,6 @@ class TestBchConstruction:
     def test_hamming_7_4(self):
         code = gf2.build_bch(3, 1)
         assert (code.n, code.k, code.t) == (7, 4, 1)
-        assert code.d_min == 3
         assert not (code.generator @ code.parity_check.T % 2).any()
 
     def test_bch_15_7_generator_polynomial(self):
@@ -144,6 +216,34 @@ class TestBchConstruction:
                     (18, 10), (16, 11), (10, 13)}
         assert expected <= table
 
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_generators_and_table_match_coset_lcm_oracle(self, m):
+        n = (1 << m) - 1
+        by_k = {}
+        for t in range(1, 1 << (m - 1)):
+            g = bch_generator_oracle(m, t)
+            assert gf2.bch_generator_poly(m, t) == sum(
+                c << d for d, c in enumerate(g))
+            by_k[n - (len(g) - 1)] = t
+        assert gf2.bch_code_table(m) == [
+            (n, k, t) for k, t in sorted(by_k.items(), reverse=True)]
+
+    def test_code_fields(self):
+        """The constructor takes the code's defining data and nothing else."""
+        names = [f.name for f in dataclasses.fields(gf2.LinearCode)]
+        assert names == ["n", "k", "generator", "parity_check", "t"]
+
+    def test_codeword_ints_are_the_encodings(self):
+        code = gf2.build_bch(4, 2)
+        expected = set()
+        for u in range(1 << code.k):
+            msg = [(u >> i) & 1 for i in range(code.k)]
+            expected.add(sum(int(b) << i
+                             for i, b in enumerate(gf2.encode(msg, code))))
+        assert code.codeword_ints[0] == 0
+        assert len(code.codeword_ints) == 1 << code.k
+        assert set(code.codeword_ints) == expected
+
     def test_systematic_identity_block(self):
         code = gf2.build_bch(6, 6)
         np.testing.assert_array_equal(
@@ -159,6 +259,11 @@ class TestBchConstruction:
             gf2.build_bch(4, 0)
         with pytest.raises(ValueError):
             gf2.build_bch(4, 8)
+        for m in (0, 1, 8):
+            with pytest.raises(ValueError, match="unsupported field degree"):
+                gf2.bch_code_table(m)
+        with pytest.raises(ValueError):
+            gf2.bch_generator_poly(4, 0)
 
 
 class TestMinDistance:
@@ -284,3 +389,38 @@ class TestCodeFiles:
         path.write_text("7 4\n")
         with pytest.raises(ValueError):
             gf2.load_code(path)
+
+    def test_non_integer_header_names_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("63 30 x\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            gf2.load_code(path)
+
+    @pytest.mark.parametrize("header", ["3 3 0", "0 0 0", "7 9 1"])
+    def test_header_without_parity_rows_names_file(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            gf2.load_code(path)
+
+    def test_dependent_parity_rows_name_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("7 4 1\n1011100\n0101110\n1011100\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            gf2.load_code(path)
+
+    @pytest.mark.parametrize("c,nkt,digest", [
+        (31, (31, 6, 7),
+         "215be65752c57faa2ac8c4cd09c37edf26ad81fc9ef15cde06f13fee2bc8034c"),
+        (63, (63, 30, 6),
+         "b71143516fde446748863fba10f3d76ef1d8f937f5acaf2b5dfb473811e34f4e"),
+        (127, (127, 85, 6),
+         "8f769fc73165d1060f92d9efbc284e906afce00100ca63182bc85159802fad5d"),
+    ])
+    def test_pipeline_code_files_are_pinned(self, tmp_path, c, nkt, digest):
+        """code.txt for the margin-6 pipeline codes keeps its exact bytes."""
+        code = pipeline.select_code(6.0, c)
+        assert (code.n, code.k, code.t) == nkt
+        path = tmp_path / "code.txt"
+        gf2.save_code(code, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
