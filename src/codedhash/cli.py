@@ -32,6 +32,7 @@ from .retrieval import (
     write_metric_report,
     write_rankings,
 )
+from .textio import parse_rows, read_chunks, write_rows
 
 ENCODERS_FILE = "encoders.bin"
 DECODER_FILE = "decoder.bin"
@@ -42,34 +43,44 @@ REPORT_FILE = "report.csv"
 def write_codes(path, codes) -> None:
     """One gallery item per line as space-separated +1/-1 bits."""
     codes = np.asarray(codes)
+    if codes.ndim != 2:
+        raise ValueError(f"codes must be a 2-D array, got shape {codes.shape}")
     with open(path, "w") as fh:
         fh.write("# columns: code bits (+1/-1), one item per line\n")
-        for row in codes:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        write_rows(fh, " ".join(["%d"] * codes.shape[1]) + "\n", codes)
 
 
 def read_codes(path) -> np.ndarray:
-    rows = []
-    width = None
+    """Inverse of write_codes; blank lines and `#` comment lines are
+    skipped.  numpy parses each run of lines in one call; a run that fails
+    is rescanned only to name its first bad line."""
+    chunks = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = [int(tok) for tok in line.split()]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparseable code line")
-            if any(v not in (-1, 1) for v in row):
-                raise ValueError(f"{path}:{lineno}: code bits must be +1/-1")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(f"{path}:{lineno}: inconsistent code length")
-            rows.append(row)
-    if not rows:
+        for linenos, lines in read_chunks(fh, comment="#"):
+            width = chunks[0].shape[1] if chunks else None
+            table = parse_rows(lines, np.int8)
+            if (table is None or width not in (None, table.shape[1])
+                    or not np.isin(table, (-1, 1)).all()):
+                _raise_code_fault(path, linenos, lines, width)
+            chunks.append(table)
+    if not chunks:
         return np.zeros((0, 0), dtype=np.int8)
-    return np.array(rows, dtype=np.int8)
+    return np.concatenate(chunks)
+
+
+def _raise_code_fault(path, linenos, lines, width):
+    """Raise the error of the first bad line of a rejected run of code lines."""
+    for lineno, line in zip(linenos, lines):
+        row = parse_rows([line], np.int8)
+        if row is None:
+            raise ValueError(f"{path}:{lineno}: unparseable code line")
+        if not np.isin(row, (-1, 1)).all():
+            raise ValueError(f"{path}:{lineno}: code bits must be +1/-1")
+        if width is None:
+            width = row.shape[1]
+        elif row.shape[1] != width:
+            raise ValueError(f"{path}:{lineno}: inconsistent code length")
+    raise ValueError(f"{path}:{linenos[0]}: malformed code lines")
 
 
 def _parse_mask(text: str, d_attr: int) -> np.ndarray:

@@ -18,6 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .textio import parse_rows, read_chunks
+
+
+_BITS = frozenset("01")
+
 
 class DatasetFormatError(ValueError):
     """Malformed dataset file; message carries the offending line number."""
@@ -123,50 +128,88 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    subject_ids = []
-    attributes = []
-    features = []
-    d_attr = None
-    d_img = None
+    """Inverse of save_dataset; blank lines are skipped.
+
+    One pass over each run of CHUNK_ROWS lines checks its structure (three
+    `|` fields, attribute tokens that are literally 0 or 1, one attribute
+    width), then numpy parses the run's subject ids and features in one
+    call each.  A run that fails is rescanned only to name its first bad
+    line.
+    """
+    subject_ids, attributes, features = [], [], []
+    widths = None  # (d_attr, d_img) of the first record
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("|")
-            if len(parts) != 3:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: expected 3 '|'-separated fields, "
-                    f"got {len(parts)}")
-            try:
-                sid = int(parts[0])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: bad subject id {parts[0].strip()!r}")
-            attr_tokens = parts[1].split()
-            if any(tok not in ("0", "1") for tok in attr_tokens):
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: attribute values must be 0 or 1")
-            try:
-                feats = [float(tok) for tok in parts[2].split()]
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: unparseable feature value")
-            if not all(np.isfinite(feats)):
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: non-finite feature value")
-            if d_attr is None:
-                d_attr, d_img = len(attr_tokens), len(feats)
-            elif len(attr_tokens) != d_attr or len(feats) != d_img:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: inconsistent field widths")
-            subject_ids.append(sid)
-            attributes.append([int(t) for t in attr_tokens])
+        for linenos, lines in read_chunks(fh):
+            records = _parse_records(lines, widths)
+            if records is None:
+                _raise_record_fault(path, linenos, lines, widths)
+            ids, attrs, feats, widths = records
+            subject_ids.append(ids)
+            attributes.append(attrs)
             features.append(feats)
     if not subject_ids:
         return Dataset(np.zeros(0, dtype=np.int64),
                        np.zeros((0, 0), dtype=np.uint8),
                        np.zeros((0, 0)))
-    return Dataset(np.array(subject_ids, dtype=np.int64),
-                   np.array(attributes, dtype=np.uint8),
-                   np.array(features, dtype=np.float64))
+    return Dataset(np.concatenate(subject_ids), np.concatenate(attributes),
+                   np.concatenate(features))
+
+
+def _parse_records(lines, widths):
+    """(subject ids, attributes, features, widths) of a run of record lines,
+    or None when any line is malformed or its (d_attr, d_img) widths differ
+    from `widths`, or from the run's first line when `widths` is None."""
+    id_fields, bit_fields, feature_fields = [], [], []
+    for line in lines:
+        fields = line.split("|")
+        if len(fields) != 3:
+            return None
+        bits = fields[1].split()
+        if widths is None:
+            widths = (len(bits), len(fields[2].split()))
+        if len(bits) != widths[0] or not _BITS.issuperset(bits):
+            return None
+        id_fields.append(fields[0])
+        bit_fields.append("".join(bits))
+        feature_fields.append(fields[2])
+    ids = parse_rows(id_fields, np.int64)
+    if widths[1]:
+        feats = parse_rows(feature_fields, np.float64)
+    else:  # every feature field must be blank
+        feats = (None if "".join(feature_fields).strip()
+                 else np.zeros((len(lines), 0)))
+    if (ids is None or ids.shape[1] != 1 or feats is None
+            or feats.shape[1] != widths[1] or not np.isfinite(feats).all()):
+        return None
+    attrs = np.frombuffer("".join(bit_fields).encode(), dtype=np.uint8)
+    return (ids[:, 0], (attrs - ord("0")).reshape(len(lines), widths[0]),
+            feats, widths)
+
+
+def _raise_record_fault(path, linenos, lines, widths):
+    """Raise the DatasetFormatError of the first bad line of a rejected run,
+    checking each line as a whole file would be checked up to it."""
+    for lineno, line in zip(linenos, lines):
+        where = f"{path}:{lineno}"
+        fields = line.split("|")
+        if len(fields) != 3:
+            raise DatasetFormatError(
+                f"{where}: expected 3 '|'-separated fields, got {len(fields)}")
+        sid = parse_rows([fields[0]], np.int64)
+        if sid is None or sid.shape != (1, 1):
+            raise DatasetFormatError(
+                f"{where}: bad subject id {fields[0].strip()!r}")
+        bits = fields[1].split()
+        if not _BITS.issuperset(bits):
+            raise DatasetFormatError(f"{where}: attribute values must be 0 or 1")
+        feats = (parse_rows([fields[2]], np.float64) if fields[2].strip()
+                 else np.zeros((1, 0)))
+        if feats is None:
+            raise DatasetFormatError(f"{where}: unparseable feature value")
+        if not np.isfinite(feats).all():
+            raise DatasetFormatError(f"{where}: non-finite feature value")
+        if widths is None:
+            widths = (len(bits), feats.shape[1])
+        elif (len(bits), feats.shape[1]) != widths:
+            raise DatasetFormatError(f"{where}: inconsistent field widths")
+    raise DatasetFormatError(f"{path}:{linenos[0]}: malformed records")

@@ -154,6 +154,8 @@ class LinearCode:
         self.parity_check = as_gf2(self.parity_check)
         if self.k <= 0:
             raise ValueError(f"degenerate code: k = {self.k} must be positive")
+        if self.t < 0:
+            raise ValueError(f"correction capability t = {self.t} must be >= 0")
         if self.generator.shape != (self.k, self.n):
             raise ValueError(f"generator must be {self.k}x{self.n}, "
                              f"got {self.generator.shape}")
@@ -178,11 +180,17 @@ class LinearCode:
         return list(_codewords(self))
 
     @cached_property
+    def _h_column_ints(self) -> list[int]:
+        """Column i of the parity check as an int (bit j = row j): the
+        syndrome of a single error at position i."""
+        return [_bits_to_int(col) for col in self.parity_check.T]
+
+    @cached_property
     def _syndrome_table(self) -> dict:
-        """Syndrome -> the first error pattern of weight 1 .. t (by weight,
+        """Syndrome -> the first error pattern of weight 0 .. t (by weight,
         then position order) that gives it, both as ints."""
-        cols = _h_column_ints(self)
-        table = {}
+        cols = self._h_column_ints
+        table = {0: 0}
         for wgt in range(1, self.t + 1):
             for pos in itertools.combinations(range(self.n), wgt):
                 s = 0
@@ -253,7 +261,7 @@ def bounded_distance_decode(word, code: LinearCode) -> np.ndarray | None:
         return None
     if code.n - code.k <= MAX_TABLE_REDUNDANCY:
         table = code._syndrome_table
-        cols = _h_column_ints(code)
+        cols = code._h_column_ints
         s = 0
         for i in np.nonzero(w)[0]:
             s ^= cols[i]
@@ -263,10 +271,6 @@ def bounded_distance_decode(word, code: LinearCode) -> np.ndarray | None:
         return poly_to_bits(w_int ^ err, code.n)
     raise ValueError("bounded-distance decoding needs k <= 20 or n - k <= 20, "
                      f"got [n={code.n}, k={code.k}]")
-
-
-def _h_column_ints(code: LinearCode):
-    return [_bits_to_int(code.parity_check[:, i]) for i in range(code.n)]
 
 
 def code_from_parity_check(h, t: int = 0) -> LinearCode:

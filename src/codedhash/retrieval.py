@@ -22,6 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .hashing import sign_hash
+from .textio import parse_rows, write_rows
 
 
 class UndefinedMetricError(ValueError):
@@ -300,53 +301,74 @@ def write_rankings(path, blocks) -> None:
         fh.write("# columns: rank, item_id, hamming_distance, relevance\n")
         for mask, item_ids, distances, relevances in blocks:
             mask = check_query_mask(mask)
+            columns = [np.asarray(v, dtype=np.int64)
+                       for v in (item_ids, distances, relevances)]
+            if any(col.shape != columns[0].shape or col.ndim != 1
+                   for col in columns):
+                raise ValueError("item ids, distances and relevances must be "
+                                 "1-D with one entry per ranked item")
+            ranks = np.arange(1, columns[0].size + 1, dtype=np.int64)
             fh.write("# query " + "".join(str(int(b)) for b in mask) + "\n")
-            for pos, (item, dist, rel) in enumerate(
-                    zip(item_ids, distances, relevances), start=1):
-                fh.write(f"{pos}, {int(item)}, {int(dist)}, {int(rel)}\n")
+            write_rows(fh, "%d, %d, %d, %d\n", np.column_stack([ranks, *columns]))
 
 
 def read_rankings(path):
     """Parse a rankings file back into (mask, item_ids, distances,
-    relevances) blocks."""
+    relevances) blocks.
+
+    The file is read block by block: one pass sorts out the `#` lines, and
+    numpy parses each block's rows in one call.  A block that fails to
+    parse or whose ranks are not 1, 2, ... is rescanned only to name its
+    first bad line.
+    """
     blocks = []
     mask = None
-    rows = []
+    query_lineno = None
+    linenos, lines = [], []
 
     def flush():
-        if mask is not None:
-            if not rows:
-                raise ValueError(f"{path}: query block with no rows")
-            arr = np.array(rows, dtype=np.int64)
-            blocks.append((mask, arr[:, 1], arr[:, 2], arr[:, 3]))
+        if mask is None:
+            if lines:
+                raise ValueError(f"{path}:{linenos[0]}: malformed ranking line")
+            return
+        if not lines:
+            raise ValueError(f"{path}:{query_lineno}: query block with no rows")
+        table = parse_rows(lines, np.int64, delimiter=",")
+        if (table is None or table.shape[1] != 4
+                or (table[:, 0] != np.arange(1, len(lines) + 1)).any()):
+            _raise_ranking_fault(path, linenos, lines)
+        ids, dists, rels = table[:, 1:].T.copy()
+        blocks.append((mask, ids, dists, rels))
 
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
-            if line.startswith("# query "):
-                flush()
-                digits = line[len("# query "):].strip()
-                if not digits or set(digits) - {"0", "1"}:
-                    raise ValueError(f"{path}:{lineno}: bad query mask")
-                mask = np.frombuffer(digits.encode(), dtype=np.uint8) - ord("0")
-                rows = []
+            if "#" in line and (text := line.strip()).startswith("#"):
+                if text.startswith("# query "):
+                    flush()
+                    digits = text[len("# query "):].strip()
+                    if not digits or set(digits) - {"0", "1"}:
+                        raise ValueError(f"{path}:{lineno}: bad query mask")
+                    mask = np.frombuffer(digits.encode(), dtype=np.uint8) - ord("0")
+                    query_lineno = lineno
+                    linenos, lines = [], []
                 continue
-            if line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if mask is None or len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: malformed ranking line")
-            try:
-                row = [int(p) for p in parts]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed ranking line")
-            if row[0] != len(rows) + 1:
-                raise ValueError(f"{path}:{lineno}: rank out of sequence")
-            rows.append(row)
+            linenos.append(lineno)
+            lines.append(line)
     flush()
     return blocks
+
+
+def _raise_ranking_fault(path, linenos, lines):
+    """Raise the error of the first bad row of a rejected query block."""
+    for pos, (lineno, line) in enumerate(zip(linenos, lines), start=1):
+        row = parse_rows([line], np.int64, delimiter=",")
+        if row is None or row.shape != (1, 4):
+            raise ValueError(f"{path}:{lineno}: malformed ranking line")
+        if row[0, 0] != pos:
+            raise ValueError(f"{path}:{lineno}: rank out of sequence")
+    raise ValueError(f"{path}:{linenos[0]}: malformed query block")
 
 
 def write_metric_report(path, rows) -> None:

@@ -8,6 +8,7 @@ the lcm of per-coset minimal polynomials for BCH generators.
 
 import dataclasses
 import hashlib
+import itertools
 import re
 
 import numpy as np
@@ -361,6 +362,52 @@ class TestBoundedDistanceDecode:
             np.testing.assert_array_equal(
                 gf2.bounded_distance_decode(word, code), cw)
 
+    def test_syndrome_table_path_keeps_codewords(self):
+        """A word with no error has syndrome 0 and decodes to itself."""
+        code = gf2.build_bch(6, 2)
+        cw = gf2.encode(np.ones(code.k, dtype=np.uint8), code)
+        for word in (np.zeros(code.n, dtype=np.uint8), cw):
+            np.testing.assert_array_equal(
+                gf2.bounded_distance_decode(word, code), word)
+
+    def test_syndrome_table_path_matches_ball_search(self):
+        """On BCH(63,51) the syndrome-table decode equals a brute-force
+        search of the radius-t ball: the word is decoded to w ^ e for the
+        first e (by weight, then position order) of weight <= t with a zero
+        syndrome, or to None when there is none.  Words sit within t of a
+        codeword or just beyond it, so both outcomes are covered."""
+        code = gf2.build_bch(6, 2)
+        patterns = np.zeros((1, code.n), dtype=np.uint8)
+        for wgt in range(1, code.t + 1):
+            for pos in itertools.combinations(range(code.n), wgt):
+                e = np.zeros((1, code.n), dtype=np.uint8)
+                e[0, list(pos)] = 1
+                patterns = np.concatenate([patterns, e])
+        rng = np.random.default_rng(63)
+        outcomes = set()
+        for trial in range(120):
+            cw = gf2.encode(rng.integers(0, 2, size=code.k), code)
+            pos = rng.choice(code.n, size=trial % (code.t + 3), replace=False)
+            word = cw.copy()
+            word[pos] ^= 1
+            candidates = word ^ patterns
+            zero = ~((candidates @ code.parity_check.T) % 2).any(axis=1)
+            want = candidates[np.argmax(zero)] if zero.any() else None
+            got = gf2.bounded_distance_decode(word, code)
+            outcomes.add(got is None)
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+        assert outcomes == {True, False}
+
+    def test_negative_t_rejected(self):
+        code = gf2.build_bch(3, 1)
+        with pytest.raises(ValueError, match="t = -3"):
+            dataclasses.replace(code, t=-3)
+        with pytest.raises(ValueError, match="t = -1"):
+            gf2.code_from_parity_check(code.parity_check, t=-1)
+
 
 class TestCodeFiles:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -401,6 +448,12 @@ class TestCodeFiles:
         path = tmp_path / "bad.txt"
         path.write_text(header + "\n")
         with pytest.raises(ValueError, match=re.escape(str(path))):
+            gf2.load_code(path)
+
+    def test_negative_t_header_names_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("7 4 -3\n1011100\n0101110\n0010111\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*t = -3"):
             gf2.load_code(path)
 
     def test_dependent_parity_rows_name_file(self, tmp_path):
