@@ -7,6 +7,8 @@ code rate: sigma = sqrt(1 / (2 * rate * 10^(snr_db / 10))).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -19,10 +21,21 @@ def bpsk_modulate(bits) -> np.ndarray:
 
 
 def noise_sigma(snr_db: float, rate: float = 1.0) -> float:
-    """Noise standard deviation for a given Eb/N0 in dB and code rate."""
+    """Noise standard deviation for a given Eb/N0 in dB and code rate.
+
+    Raises ValueError for an snr_db whose sigma is not a finite positive
+    float: nan, +-inf, or a magnitude of about 3080 dB or more.
+    """
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    return float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (snr_db / 10.0))))
+    snr_db = float(snr_db)
+    try:
+        sigma = math.sqrt(1.0 / (2.0 * rate * 10.0 ** (snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"snr_db={snr_db!r} gives no finite positive noise sigma")
+    return sigma
 
 
 def awgn(symbols, snr_db: float, seed, rate: float = 1.0):

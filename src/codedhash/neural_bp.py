@@ -23,7 +23,9 @@ one weight per incident edge.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,11 @@ from .optim import Adam
 
 DEFAULT_ATANH_CLAMP = 1e-7
 _PRESIGMOID_LIMIT = 36.0
+
+# a batch is split only into pieces of at least this many frames: on
+# BCH(63,30) on a 2-core host, a 64-frame batch took 1.3x as long on two
+# threads as on one, a 192-frame batch 0.75x as long
+_MIN_PIECE_FRAMES = 64
 
 _MAGIC = b"NBPW"
 _VERSION = 1
@@ -303,6 +310,29 @@ def train_decoder(net: NeuralBpDecoder, code: LinearCode,
     return net
 
 
+def _worker_count() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _piece_count(workers: int, frames: int) -> int:
+    """Pieces to split a batch of `frames` into: one per worker, each of at
+    least _MIN_PIECE_FRAMES frames, and never fewer than one."""
+    return max(1, min(workers, frames // _MIN_PIECE_FRAMES))
+
+
+def _decode_split(decoder, llrs, pool, pieces: int) -> np.ndarray:
+    """Hard decisions for a batch decoded as `pieces` frame-order slices:
+    the calling thread decodes the first, `pool` the rest."""
+    parts = np.array_split(llrs, pieces)
+    futures = [pool.submit(decoder.decode_batch, part) for part in parts[1:]]
+    first = decoder.decode_batch(parts[0])
+    return np.concatenate([first] + [f.result() for f in futures])
+
+
 def evaluate_error_rates(decoder, code: LinearCode, snr_db: float, frames: int,
                          seed, zero_codeword: bool = False,
                          batch_size: int = 2048):
@@ -311,28 +341,44 @@ def evaluate_error_rates(decoder, code: LinearCode, snr_db: float, frames: int,
     `decoder` is anything with decode_batch (a NeuralBpDecoder or a plain
     BpDecoder).  Transmits random codewords unless zero_codeword is set.
     Deterministic for a fixed seed.
+
+    Each batch is split in frame order across the cores the process may
+    run on, in pieces of at least 64 frames, and the pieces are decoded at
+    the same time: one on the calling thread, the rest on a thread pool
+    that lives for this call.  All random draws stay on the calling thread
+    and every frame is decoded on its own, so the rates do not depend on
+    the core count; `decoder` must be safe to call from several threads at
+    once.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)  # a Generator is used as is
     bit_errors = 0
     frame_errors = 0
     done = 0
     gen = code.generator.astype(np.int64)
-    while done < frames:
-        b = min(batch_size, frames - done)
-        if zero_codeword:
-            words = np.zeros((b, code.n), dtype=np.uint8)
-        else:
-            msgs = rng.integers(0, 2, size=(b, code.k))
-            words = (msgs @ gen % 2).astype(np.uint8)
-        received, sigma = awgn(bpsk_modulate(words), snr_db, rng, rate=code.rate)
-        llrs = llr_from_channel(received, sigma)
-        hard = decoder.decode_batch(llrs)
-        errs = hard != words
-        bit_errors += int(errs.sum())
-        frame_errors += int(errs.any(axis=1).sum())
-        done += b
+    workers = _piece_count(_worker_count(), min(batch_size, frames))
+    if workers > 1:
+        # imported on first use: it imports logging, about 9 ms that every
+        # import of the package would pay otherwise
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        while done < frames:
+            b = min(batch_size, frames - done)
+            if zero_codeword:
+                words = np.zeros((b, code.n), dtype=np.uint8)
+            else:
+                msgs = rng.integers(0, 2, size=(b, code.k))
+                words = (msgs @ gen % 2).astype(np.uint8)
+            received, sigma = awgn(bpsk_modulate(words), snr_db, rng, rate=code.rate)
+            llrs = llr_from_channel(received, sigma)
+            hard = _decode_split(decoder, llrs, pool, _piece_count(workers, b))
+            errs = hard != words
+            bit_errors += int(errs.sum())
+            frame_errors += int(errs.any(axis=1).sum())
+            done += b
     return bit_errors / (frames * code.n), frame_errors / frames
 
 

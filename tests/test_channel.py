@@ -25,6 +25,19 @@ def test_sigma_formula():
     assert channel.noise_sigma(6.0) < channel.noise_sigma(0.0)
 
 
+@pytest.mark.parametrize("snr_db", [float("-inf"), -4000.0, 4000.0,
+                                    float("nan"), float("inf")])
+def test_sigma_rejects_snr_without_finite_positive_sigma(snr_db):
+    with pytest.raises(ValueError, match="snr_db"):
+        channel.noise_sigma(snr_db, rate=30 / 63)
+
+
+def test_sigma_at_extreme_but_valid_snr():
+    for snr_db in (-3000.0, 3000.0):
+        sigma = channel.noise_sigma(snr_db, rate=30 / 63)
+        assert np.isfinite(sigma) and sigma > 0.0
+
+
 def test_awgn_calibration():
     symbols = np.zeros(1_000_000)
     received, sigma = channel.awgn(symbols, snr_db=2.0, seed=123, rate=7 / 15)

@@ -348,3 +348,15 @@ class TestBer:
         first = out.read_bytes()
         assert main(args) == 0
         assert out.read_bytes() == first
+
+    @pytest.mark.parametrize("snr", ["-inf", "-4000", "4000", "nan", "inf"])
+    def test_snr_without_noise_sigma_fails_cleanly(self, tmp_path, capsys, snr):
+        code, decoder = self._decoder_files(tmp_path)
+        capsys.readouterr()
+        rc = main(["ber", "--code", str(code), "--decoder", str(decoder),
+                   f"--snr={snr}", "--frames", "20",
+                   "--out", str(tmp_path / "ber.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "snr_db" in err
+        assert "Traceback" not in err

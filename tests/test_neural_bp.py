@@ -342,6 +342,14 @@ class TestErrorRates:
         ber, fer = evaluate_error_rates(net, code, 2.0, frames=2000, seed=42)
         assert ber <= fer <= 1.0
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_nonpositive_batch_size(self, batch_size):
+        code = gf2.build_bch(4, 2)
+        net = NeuralBpDecoder(TannerGraph(code.parity_check), 5)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            evaluate_error_rates(net, code, 2.0, frames=10, seed=43,
+                                 batch_size=batch_size)
+
 
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
