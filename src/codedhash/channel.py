@@ -24,17 +24,21 @@ def noise_sigma(snr_db: float, rate: float = 1.0) -> float:
     """Noise standard deviation for a given Eb/N0 in dB and code rate.
 
     Raises ValueError for an snr_db whose sigma is not a finite positive
-    float: nan, +-inf, or a magnitude of about 3080 dB or more.
+    float, or whose LLR scale 2 / sigma^2 (see llr_from_channel) overflows:
+    nan, +-inf, or a magnitude of about 3077-3083 dB or more, depending
+    on the rate.
     """
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     snr_db = float(snr_db)
     try:
         sigma = math.sqrt(1.0 / (2.0 * rate * 10.0 ** (snr_db / 10.0)))
+        llr_scale = 2.0 / (sigma * sigma)
     except (OverflowError, ZeroDivisionError):
-        sigma = math.nan
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"snr_db={snr_db!r} gives no finite positive noise sigma")
+        sigma = llr_scale = math.nan
+    if not (math.isfinite(sigma) and math.isfinite(llr_scale)):
+        raise ValueError(f"snr_db={snr_db!r} gives no finite positive noise "
+                         "sigma with finite LLRs")
     return sigma
 
 

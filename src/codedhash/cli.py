@@ -151,7 +151,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_encode(args) -> int:
     encoders = load_encoders(args.encoders)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, with_features=args.modality == "image")
     if args.modality == "image":
         activations = encoders.encode_images(dataset.features)
     else:
@@ -163,7 +163,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     encoders = load_encoders(args.encoders)
-    dataset = load_dataset(args.data)
+    # ranking reads the gallery's ids and attributes, never its features
+    dataset = load_dataset(args.data, with_features=False)
     codes = read_codes(args.codes)
     index = build_index(codes, dataset.subject_ids, dataset.attributes)
     blocks = []
@@ -205,12 +206,14 @@ def _cmd_ber(args) -> int:
     code = load_code(args.code)
     decoder = load_decoder(args.decoder, code)
     seeds = np.random.SeedSequence(args.seed).generate_state(len(args.snr))
+    # every row is computed before --out is opened, so a failing SNR leaves
+    # no partial report behind
+    rows = [(snr, *evaluate_error_rates(decoder, code, snr,
+                                        frames=args.frames, seed=seed))
+            for snr, seed in zip(args.snr, seeds.tolist())]
     with open(args.out, "w") as fh:
         fh.write("snr_db, ber, fer\n")
-        for snr, seed in zip(args.snr, seeds.tolist()):
-            ber, fer = evaluate_error_rates(decoder, code, snr,
-                                            frames=args.frames, seed=seed)
-            fh.write(f"{snr!r}, {ber!r}, {fer!r}\n")
+        fh.writelines(f"{snr!r}, {ber!r}, {fer!r}\n" for snr, ber, fer in rows)
     return 0
 
 

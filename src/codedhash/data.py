@@ -127,7 +127,7 @@ def save_dataset(dataset: Dataset, path) -> None:
             fh.write(f"{int(sid)} | {attr_part} | {feat_part}\n")
 
 
-def load_dataset(path) -> Dataset:
+def load_dataset(path, *, with_features: bool = True) -> Dataset:
     """Inverse of save_dataset; blank lines are skipped.
 
     One pass over each run of CHUNK_ROWS lines checks its structure (three
@@ -135,30 +135,35 @@ def load_dataset(path) -> Dataset:
     width), then numpy parses the run's subject ids and features in one
     call each.  A run that fails is rescanned only to name its first bad
     line.
+
+    With `with_features` false the feature field is neither parsed nor
+    checked, and the dataset carries an (n, 0) feature array: for callers
+    that read only subject ids and attributes.
     """
-    subject_ids, attributes, features = [], [], []
+    subject_ids, attributes, feature_rows = [], [], []
     widths = None  # (d_attr, d_img) of the first record
     with open(path) as fh:
         for linenos, lines in read_chunks(fh):
-            records = _parse_records(lines, widths)
+            records = _parse_records(lines, widths, with_features)
             if records is None:
-                _raise_record_fault(path, linenos, lines, widths)
+                _raise_record_fault(path, linenos, lines, widths, with_features)
             ids, attrs, feats, widths = records
             subject_ids.append(ids)
             attributes.append(attrs)
-            features.append(feats)
+            feature_rows.append(feats)
     if not subject_ids:
         return Dataset(np.zeros(0, dtype=np.int64),
                        np.zeros((0, 0), dtype=np.uint8),
                        np.zeros((0, 0)))
     return Dataset(np.concatenate(subject_ids), np.concatenate(attributes),
-                   np.concatenate(features))
+                   np.concatenate(feature_rows))
 
 
-def _parse_records(lines, widths):
+def _parse_records(lines, widths, with_features):
     """(subject ids, attributes, features, widths) of a run of record lines,
     or None when any line is malformed or its (d_attr, d_img) widths differ
-    from `widths`, or from the run's first line when `widths` is None."""
+    from `widths`, or from the run's first line when `widths` is None.
+    Without features, d_img reads 0 and the feature field is not looked at."""
     id_fields, bit_fields, feature_fields = [], [], []
     for line in lines:
         fields = line.split("|")
@@ -166,14 +171,17 @@ def _parse_records(lines, widths):
             return None
         bits = fields[1].split()
         if widths is None:
-            widths = (len(bits), len(fields[2].split()))
+            widths = (len(bits),
+                      len(fields[2].split()) if with_features else 0)
         if len(bits) != widths[0] or not _BITS.issuperset(bits):
             return None
         id_fields.append(fields[0])
         bit_fields.append("".join(bits))
         feature_fields.append(fields[2])
     ids = parse_rows(id_fields, np.int64)
-    if widths[1]:
+    if not with_features:
+        feats = np.zeros((len(lines), 0))
+    elif widths[1]:
         feats = parse_rows(feature_fields, np.float64)
     else:  # every feature field must be blank
         feats = (None if "".join(feature_fields).strip()
@@ -186,7 +194,7 @@ def _parse_records(lines, widths):
             feats, widths)
 
 
-def _raise_record_fault(path, linenos, lines, widths):
+def _raise_record_fault(path, linenos, lines, widths, with_features):
     """Raise the DatasetFormatError of the first bad line of a rejected run,
     checking each line as a whole file would be checked up to it."""
     for lineno, line in zip(linenos, lines):
@@ -202,8 +210,8 @@ def _raise_record_fault(path, linenos, lines, widths):
         bits = fields[1].split()
         if not _BITS.issuperset(bits):
             raise DatasetFormatError(f"{where}: attribute values must be 0 or 1")
-        feats = (parse_rows([fields[2]], np.float64) if fields[2].strip()
-                 else np.zeros((1, 0)))
+        feats = (parse_rows([fields[2]], np.float64)
+                 if with_features and fields[2].strip() else np.zeros((1, 0)))
         if feats is None:
             raise DatasetFormatError(f"{where}: unparseable feature value")
         if not np.isfinite(feats).all():

@@ -25,8 +25,9 @@ def test_sigma_formula():
     assert channel.noise_sigma(6.0) < channel.noise_sigma(0.0)
 
 
+# 3081 dB has a finite sigma whose LLR scale 2 / sigma^2 overflows
 @pytest.mark.parametrize("snr_db", [float("-inf"), -4000.0, 4000.0,
-                                    float("nan"), float("inf")])
+                                    float("nan"), float("inf"), 3081.0])
 def test_sigma_rejects_snr_without_finite_positive_sigma(snr_db):
     with pytest.raises(ValueError, match="snr_db"):
         channel.noise_sigma(snr_db, rate=30 / 63)

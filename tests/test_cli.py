@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import codedhash
+from codedhash import cli
 from codedhash.cli import main, read_codes, write_codes
 from codedhash.data import load_dataset
 from codedhash.gf2 import load_code
-from codedhash.hashing import load_encoders
+from codedhash.hashing import Encoders, load_encoders, save_encoders
 from codedhash.retrieval import (build_index, enumerate_query_masks,
                                  evaluate_queries, read_rankings)
 
@@ -237,6 +238,82 @@ class TestWorkflow:
         assert rc == 1
 
 
+class TestGalleryFields:
+    """retrieve and attribute encoding load the gallery without parsing its
+    features; image encoding parses every field."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        data, encoders, codes = (tmp_path / name for name in (
+            "data.txt", "encoders.bin", "codes.txt"))
+        gen_tiny_data(data)
+        save_encoders(Encoders.build(16, 8, 31, hidden=(16,), seed=0), encoders)
+        assert main(["encode", "--encoders", str(encoders), "--data", str(data),
+                     "--modality", "image", "--out", str(codes)]) == 0
+        return data, encoders, codes
+
+    @staticmethod
+    def retrieve(files, data, out):
+        _, encoders, codes = files
+        return main(["retrieve", "--encoders", str(encoders), "--data",
+                     str(data), "--codes", str(codes), "--query", "10000000",
+                     "--query", "01100000", "--out", str(out)])
+
+    @staticmethod
+    def rewrite_line(data, path, index, edit):
+        lines = data.read_text().splitlines(keepends=True)
+        lines[index] = edit(lines[index])
+        path.write_text("".join(lines))
+
+    def test_rankings_equal_a_full_load(self, files, tmp_path, monkeypatch):
+        data = files[0]
+        assert self.retrieve(files, data, tmp_path / "skipped.txt") == 0
+        monkeypatch.setattr(cli, "load_dataset",
+                            lambda path, **_: load_dataset(path))
+        assert self.retrieve(files, data, tmp_path / "full.txt") == 0
+        skipped = (tmp_path / "skipped.txt").read_bytes()
+        assert len(read_rankings(tmp_path / "skipped.txt")) == 2
+        assert skipped == (tmp_path / "full.txt").read_bytes()
+
+    def test_corrupt_feature_fails_image_encoding_only(self, files, tmp_path,
+                                                       capsys):
+        data, encoders, _ = files
+        bad = tmp_path / "bad.txt"
+
+        def corrupt(line):
+            head, feats = line.rsplit("|", 1)
+            tokens = feats.split()
+            tokens[3] = "x"
+            return f"{head}| {' '.join(tokens)}\n"
+
+        self.rewrite_line(data, bad, 4, corrupt)
+        assert self.retrieve(files, data, tmp_path / "good.txt") == 0
+        assert self.retrieve(files, bad, tmp_path / "bad-rankings.txt") == 0
+        assert ((tmp_path / "bad-rankings.txt").read_bytes()
+                == (tmp_path / "good.txt").read_bytes())
+        encode = ["encode", "--encoders", str(encoders), "--data", str(bad),
+                  "--out", str(tmp_path / "c.txt"), "--modality"]
+        assert main(encode + ["attribute"]) == 0
+        capsys.readouterr()
+        assert main(encode + ["image"]) == 1
+        assert f"{bad}:5: unparseable feature value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("1 | 0 1 0 0 1 0 0 1\n", "expected 3 '|'-separated fields"),
+        ("x | 0 1 0 0 1 0 0 1 | 0.5\n", "bad subject id"),
+        ("1 | 0 1 0 0 2 0 0 1 | 0.5\n", "attribute values must be 0 or 1"),
+        ("1 | 0 1 0 0 1 0 0 | 0.5\n", "inconsistent field widths"),
+    ])
+    def test_retrieve_rejects_bad_structure(self, files, tmp_path, capsys,
+                                            line, message):
+        bad = tmp_path / "bad.txt"
+        self.rewrite_line(files[0], bad, 1, lambda _: line)
+        capsys.readouterr()
+        assert self.retrieve(files, bad, tmp_path / "r.txt") == 1
+        assert f"{bad}:2: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+
+
 class TestEval:
     def test_hand_built_single_relevant_at_rank_two(self, tmp_path):
         rankings = tmp_path / "hand.txt"
@@ -349,7 +426,17 @@ class TestBer:
         assert main(args) == 0
         assert out.read_bytes() == first
 
-    @pytest.mark.parametrize("snr", ["-inf", "-4000", "4000", "nan", "inf"])
+    def test_failing_snr_leaves_no_report(self, tmp_path):
+        code, decoder = self._decoder_files(tmp_path)
+        out = tmp_path / "ber.csv"
+        assert main(["ber", "--code", str(code), "--decoder", str(decoder),
+                     "--snr", "4", "inf", "--frames", "20",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    # 3081 dB has a finite sigma whose LLR scale 2 / sigma^2 overflows
+    @pytest.mark.parametrize("snr", ["-inf", "-4000", "4000", "nan", "inf",
+                                     "3081"])
     def test_snr_without_noise_sigma_fails_cleanly(self, tmp_path, capsys, snr):
         code, decoder = self._decoder_files(tmp_path)
         capsys.readouterr()

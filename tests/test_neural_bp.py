@@ -313,6 +313,25 @@ class TestTraining:
             adam.step(ref.parameters(), grads)
         np.testing.assert_array_equal(net.weight_vector(), ref.weight_vector())
 
+    def test_every_weight_group_trains(self):
+        """Each parameter array, w_in included, moves off its unit start in
+        place; a fresh decoder's w_in is not contiguous, so an optimizer that
+        steps a reshaped copy would leave it at 1.0."""
+        code = gf2.build_bch(4, 2)
+        net = NeuralBpDecoder(TannerGraph(code.parity_check), 2)
+        params = net.parameters()
+        assert not net.w_in.flags.c_contiguous
+        train_decoder(net, code, DecoderTrainConfig(frames_per_epoch=32,
+                                                    epochs=3, seed=2))
+        for before, after in zip(params, net.parameters()):
+            assert after is before
+        # the first iteration's sibling messages are zero, so its sibling
+        # weights get no gradient; every later one moves
+        real_in = net.w_in[1:, net._sib_mask]
+        assert real_in.size and (real_in != 1.0).all()
+        for p in (net.w_chan, net.w_out_chan, net.w_out_edge):
+            assert (p != 1.0).any()
+
     def test_mismatched_code_rejected(self):
         code = gf2.build_bch(3, 1)
         net = appendix_net()

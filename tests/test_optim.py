@@ -42,6 +42,22 @@ class TestOracle:
             assert got.tobytes() == want.tobytes()
 
 
+    def test_non_contiguous_parameter_updated_in_place(self):
+        rng = np.random.default_rng(3)
+        base = np.ones((6, 8))
+        param = base[:, ::2].T  # a strided view of base
+        assert not param.flags.c_contiguous and not param.flags.f_contiguous
+        ref = [param.copy()]
+        m, v = [np.zeros_like(ref[0])], [np.zeros_like(ref[0])]
+        opt = Adam([param])
+        for t in range(1, 4):
+            grad = rng.standard_normal(param.shape)
+            opt.step([param], [grad])
+            reference_step(ref, [grad], m, v, t)
+        assert base[:, ::2].T.tobytes() == ref[0].tobytes()
+        assert (base[:, 1::2] == 1.0).all()
+
+
 class TestMemory:
     def test_one_step_needs_two_scratch_arrays(self):
         enc = Encoders.build(128, 40, 63, hidden=(512, 512), seed=0)

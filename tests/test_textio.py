@@ -144,6 +144,18 @@ class TestByteIdentity:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
+    def test_dataset_without_features_across_chunks(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec(n_subjects=250,
+                                              images_per_subject=9,
+                                              d_attr=7, d_img=5, seed=4))
+        save_dataset(ds, tmp_path / "d.txt")
+        back = load_dataset(tmp_path / "d.txt", with_features=False)
+        for field in ("subject_ids", "attributes"):
+            want, got = getattr(ds, field), getattr(back, field)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert back.features.shape == (len(ds), 0)
+
     def test_dataset_zero_widths(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("3 |  | \n\n4 | | \n")
@@ -153,7 +165,8 @@ class TestByteIdentity:
 
 
 GOOD_RECORD = "0 | 0 1 | 0.5 -1.5\n"
-DATASET_FAULTS = [
+# faults a load rejects at the same line whether or not it parses features
+STRUCTURE_FAULTS = [
     ("0 | 0 1\n", 1),                                     # two fields
     ("0 | 0 1 | 0.5 | 1\n", 1),                           # four fields
     ("x | 0 1 | 0.5 0.5\n", 1),
@@ -166,25 +179,33 @@ DATASET_FAULTS = [
     ("# note\n" + GOOD_RECORD, 1),
     (GOOD_RECORD + "1 | 0 2 | 0.5 0.5\n", 2),
     (GOOD_RECORD + "1 | 0 01 | 0.5 0.5\n", 2),
+    (GOOD_RECORD + "1 | 0 1 1 | 0.5 0.5\n", 2),
+    (GOOD_RECORD * 1100 + "x | 0 1 | 0.5 0.5\n", 1101),
+]
+# faults in the feature field alone
+FEATURE_FAULTS = [
     (GOOD_RECORD + "1 | 0 1 | x 0.5\n", 2),
     (GOOD_RECORD + "1 | 0 1 | 0.5 1_0\n", 2),
     (GOOD_RECORD + "1 | 0 1 | 0.5 ٣\n", 2),
     (GOOD_RECORD + "1 | 0 1 | 0.5 0.5 # c\n", 2),
     (GOOD_RECORD + "1 | 0 1 | nan 0.5\n", 2),
     (GOOD_RECORD + "1 | 0 1 | 0.5 1e999\n", 2),
-    (GOOD_RECORD + "1 | 0 1 1 | 0.5 0.5\n", 2),
     (GOOD_RECORD + "1 | 0 1 | 0.5\n", 2),
     (GOOD_RECORD + "1 | 0 1 |\n", 2),
     ("0 | 0 1 |\n1 | 0 1 | 0.5\n", 2),
     (GOOD_RECORD + "\n   \n" + "1 | 0 1 | 0.5\n", 4),
-    # the first fault in line order wins
-    (GOOD_RECORD + "1 | 0 1 | x 0.5\n" + "2 | 0 1\n", 2),
-    (GOOD_RECORD + "1 | 0 1 | 0.5 0.5 0.5\n" + "2 | 0 2 | 0.5 0.5\n", 2),
-    # faults in a later chunk, and a width change at a chunk boundary
+    # a fault in a later chunk, and a width change at a chunk boundary
     (GOOD_RECORD * 1500 + "1 | 0 1 | 0.5 inf\n" + GOOD_RECORD, 1501),
     (GOOD_RECORD * CHUNK_ROWS + "1 | 0 1 | 0.5 0.5 0.5\n", CHUNK_ROWS + 1),
-    (GOOD_RECORD * 1100 + "x | 0 1 | 0.5 0.5\n", 1101),
 ]
+# a feature fault on line 2 before a structure fault on line 3: the first
+# fault in line order wins, and a load without features sees only the second
+MIXED_FAULTS = [
+    GOOD_RECORD + "1 | 0 1 | x 0.5\n" + "2 | 0 1\n",
+    GOOD_RECORD + "1 | 0 1 | 0.5 0.5 0.5\n" + "2 | 0 2 | 0.5 0.5\n",
+]
+DATASET_FAULTS = (STRUCTURE_FAULTS + FEATURE_FAULTS
+                  + [(text, 2) for text in MIXED_FAULTS])
 
 RANKING_FAULTS = [
     ("1, 5, 0, 1\n", 1),                                  # row before a query
@@ -238,6 +259,23 @@ class TestMalformedInputs:
         path.write_text(text)
         with pytest.raises(DatasetFormatError, match=f"d.txt:{lineno}: "):
             load_dataset(path)
+
+    @pytest.mark.parametrize("text,lineno", STRUCTURE_FAULTS
+                             + [(text, 3) for text in MIXED_FAULTS])
+    def test_dataset_without_features(self, tmp_path, text, lineno):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=f"d.txt:{lineno}: "):
+            load_dataset(path, with_features=False)
+
+    @pytest.mark.parametrize("text,lineno", FEATURE_FAULTS)
+    def test_feature_faults_load_without_features(self, tmp_path, text, lineno):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        ds = load_dataset(path, with_features=False)
+        assert len(ds) == sum(bool(line.strip()) for line in text.splitlines())
+        assert ds.attributes.shape == (len(ds), 2)
+        assert ds.features.shape == (len(ds), 0)
 
     @pytest.mark.parametrize("text,lineno", RANKING_FAULTS)
     def test_rankings(self, tmp_path, text, lineno):
