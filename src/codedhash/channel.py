@@ -11,11 +11,13 @@ import math
 
 import numpy as np
 
+from ._checks import all_either
+
 
 def bpsk_modulate(bits) -> np.ndarray:
     """Map bits to antipodal symbols: 0 -> +1.0, 1 -> -1.0."""
     b = np.asarray(bits)
-    if b.size and not np.isin(b, (0, 1)).all():
+    if not all_either(b, 0, 1):
         raise ValueError("bits must be 0 or 1")
     return 1.0 - 2.0 * b.astype(np.float64)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import all_either
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .gf2 import bch_code_table, load_code, save_code
 from .hashing import load_encoders, save_encoders, sign_hash, Encoders
@@ -60,7 +61,7 @@ def read_codes(path) -> np.ndarray:
             width = chunks[0].shape[1] if chunks else None
             table = parse_rows(lines, np.int8)
             if (table is None or width not in (None, table.shape[1])
-                    or not np.isin(table, (-1, 1)).all()):
+                    or not all_either(table, -1, 1)):
                 _raise_code_fault(path, linenos, lines, width)
             chunks.append(table)
     if not chunks:
@@ -74,7 +75,7 @@ def _raise_code_fault(path, linenos, lines, width):
         row = parse_rows([line], np.int8)
         if row is None:
             raise ValueError(f"{path}:{lineno}: unparseable code line")
-        if not np.isin(row, (-1, 1)).all():
+        if not all_either(row, -1, 1):
             raise ValueError(f"{path}:{lineno}: code bits must be +1/-1")
         if width is None:
             width = row.shape[1]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import all_either
 from .textio import parse_rows, read_chunks
 
 
@@ -55,10 +56,16 @@ class Dataset:
     features: np.ndarray     # (n, d_img) float64
 
     def __post_init__(self):
+        for name, ndim in (("subject_ids", 1), ("attributes", 2),
+                           ("features", 2)):
+            shape = np.shape(getattr(self, name))
+            if len(shape) != ndim:
+                raise ValueError(f"{name} must be a {ndim}-D array, "
+                                 f"got shape {shape}")
         n = self.subject_ids.shape[0]
         if self.attributes.shape[0] != n or self.features.shape[0] != n:
             raise ValueError("record counts disagree across fields")
-        if self.attributes.size and not np.isin(self.attributes, (0, 1)).all():
+        if not all_either(self.attributes, 0, 1):
             raise ValueError("attribute entries must be 0 or 1")
         if not np.isfinite(self.features).all():
             raise ValueError("feature entries must be finite")
@@ -94,9 +101,13 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     subject_ids = np.repeat(np.arange(spec.n_subjects, dtype=np.int64),
                             spec.images_per_subject)
     attributes = np.repeat(subject_attrs, spec.images_per_subject, axis=0)
-    noise = rng.normal(0.0, 1.0, size=(n, spec.d_img))
-    features = (np.repeat(prototypes, spec.images_per_subject, axis=0)
-                + spec.feature_noise_std * noise)
+    # in place, with no full-size temporary: std * noise + prototype is
+    # the same IEEE sum as prototype + std * noise
+    features = rng.standard_normal((n, spec.d_img))
+    features *= spec.feature_noise_std
+    per_subject = features.reshape(spec.n_subjects, spec.images_per_subject,
+                                   spec.d_img)
+    per_subject += prototypes[:, None, :]
     return Dataset(subject_ids, attributes, features)
 
 

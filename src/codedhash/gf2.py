@@ -22,6 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ._checks import all_either
+
 # Fixed primitive polynomial for each supported extension degree m.
 PRIMITIVE_POLYS = {
     2: 0b111,        # x^2 + x + 1
@@ -41,7 +43,7 @@ def as_gf2(matrix) -> np.ndarray:
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    if a.size and not np.isin(a, (0, 1)).all():
+    if not all_either(a, 0, 1):
         raise ValueError("matrix entries must be 0 or 1")
     return a.astype(np.uint8)
 
@@ -51,7 +53,7 @@ def as_bits(word, length=None) -> np.ndarray:
     v = np.asarray(word)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D bit vector, got shape {v.shape}")
-    if v.size and not np.isin(v, (0, 1)).all():
+    if not all_either(v, 0, 1):
         raise ValueError("bit vector entries must be 0 or 1")
     if length is not None and v.size != length:
         raise ValueError(f"expected length {length}, got {v.size}")

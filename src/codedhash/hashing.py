@@ -33,6 +33,8 @@ import struct
 
 import numpy as np
 
+from ._checks import all_either
+
 PROB_CLAMP = 1e-12
 HAMMING_MARGIN_SCALE = 4.0
 
@@ -86,9 +88,15 @@ class Mlp:
         acts = [a]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
-            a = np.tanh(z) if i == last else np.maximum(z, 0.0)
-            acts.append(a)
+            # bias and activation in place, so each layer allocates one
+            # (n, d_out) array: the activation the cache keeps
+            z = acts[-1] @ w
+            z += b
+            if i == last:
+                np.tanh(z, out=z)
+            else:
+                np.maximum(z, 0.0, out=z)
+            acts.append(z)
         out = acts[-1][0] if single else acts[-1]
         return out, acts
 
@@ -142,7 +150,7 @@ class Encoders:
 def sign_hash(activations) -> np.ndarray:
     """Elementwise sign with sign(0) = +1, as int8 codes."""
     a = np.asarray(activations)
-    return np.where(a >= 0, 1, -1).astype(np.int8)
+    return np.where(a >= 0, np.int8(1), np.int8(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +199,7 @@ def _check_batch(p, q, s):
     if s.shape != (p.shape[0], q.shape[0]):
         raise ValueError(f"similarity must be {(p.shape[0], q.shape[0])}, "
                          f"got {s.shape}")
-    if s.size and not np.isin(s, (0, 1)).all():
+    if not all_either(s, 0, 1):
         raise ValueError("similarity entries must be 0 or 1")
     return p, q, s
 

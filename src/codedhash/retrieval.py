@@ -21,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._checks import all_either
 from .hashing import sign_hash
 from .textio import parse_rows, write_rows
 
@@ -83,14 +84,14 @@ def build_index(values, subject_ids, attributes) -> RetrievalIndex:
     if np.issubdtype(values.dtype, np.floating):
         codes = sign_hash(values)
     else:
-        if values.size and not np.isin(values, (-1, 1)).all():
+        if not all_either(values, -1, 1):
             raise ValueError("integer codes must have entries in {-1, +1}")
         codes = values.astype(np.int8)
     subject_ids = np.asarray(subject_ids, dtype=np.int64)
     attributes = np.asarray(attributes)
     if attributes.ndim != 2:
         raise ValueError("attributes must be a 2-D array")
-    if attributes.size and not np.isin(attributes, (0, 1)).all():
+    if not all_either(attributes, 0, 1):
         raise ValueError("attribute entries must be 0 or 1")
     n = codes.shape[0]
     if subject_ids.shape != (n,) or attributes.shape[0] != n:
@@ -111,7 +112,7 @@ def rank(query_code, index: RetrievalIndex):
     if q.shape != (index.code_length,):
         raise ValueError(f"query length {q.shape} does not match "
                          f"code length {index.code_length}")
-    if not np.isin(q, (-1, 1)).all():
+    if not all_either(q, -1, 1):
         raise ValueError("query code entries must be in {-1, +1}")
     distances = _popcount_rows(np.bitwise_xor, index.words, _pack_words(q[None, :]),
                                np.min_scalar_type(index.code_length))
@@ -125,7 +126,7 @@ def rank(query_code, index: RetrievalIndex):
 
 def check_query_mask(mask, d_attr: int | None = None) -> np.ndarray:
     m = np.asarray(mask)
-    if m.ndim != 1 or (m.size and not np.isin(m, (0, 1)).all()):
+    if m.ndim != 1 or not all_either(m, 0, 1):
         raise ValueError("query mask must be a 1-D 0/1 vector")
     if not m.any():
         raise ValueError("query mask must select at least one attribute")

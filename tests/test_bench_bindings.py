@@ -8,8 +8,11 @@ in the unit suite instead of in a full benchmark self-test.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 # imported before the tracer installs, so every binding gets wrapped
 from codedhash import cli, neural_bp, pipeline  # noqa: F401
+from codedhash.hashing import Encoders
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -28,3 +31,20 @@ def test_tracer_finds_every_target(monkeypatch):
     assert pipeline.train_decoder is original
     assert neural_bp.train_decoder is original
     assert tracer.spans == []
+
+
+def test_forward_only_encode_is_traced_with_its_rows(monkeypatch):
+    """Encoding without backprop goes through forward_cache, so the
+    hashing.forward span and its row counter cover gallery encodes."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    from tracer import Tracer
+
+    enc = Encoders.build(d_img=6, d_attr=4, code_length=5, hidden=(8,))
+    tracer = Tracer()
+    with tracer.recording(0):
+        enc.encode_images(np.zeros((7, 6)))
+        enc.image.forward(np.zeros(6))
+        enc.encode_attributes(np.zeros((0, 4)))
+    assert [span[0] for span in tracer.spans] == ["hashing.forward"] * 3
+    assert tracer.counts[0]["hashing.forward.rows"] == 8

@@ -82,6 +82,33 @@ class TestGenerateSynthetic:
         density = ds.attributes[::1].mean()
         assert abs(density - 0.5) < 0.02
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_subjects=50, images_per_subject=8, seed=1),
+        dict(n_subjects=100, images_per_subject=100, seed=2),
+        dict(n_subjects=6, images_per_subject=5, feature_noise_std=0.0),
+        dict(n_subjects=9, images_per_subject=1, seed=3),
+        dict(n_subjects=1, images_per_subject=1, d_attr=1, d_img=1),
+    ])
+    def test_features_match_repeat_formula(self, kwargs):
+        """In-place generation gives the bits of `repeat(prototypes) +
+        std * noise`, the formula it replaced."""
+        spec = SyntheticSpec(**kwargs)
+        rng = np.random.default_rng(spec.seed)
+        embed = rng.normal(size=(spec.d_attr, spec.d_img)) / np.sqrt(spec.d_attr)
+        subject_attrs = (rng.random((spec.n_subjects, spec.d_attr))
+                         < spec.attribute_density).astype(np.uint8)
+        prototypes = subject_attrs.astype(np.float64) @ embed
+        n = spec.n_subjects * spec.images_per_subject
+        noise = rng.normal(0.0, 1.0, size=(n, spec.d_img))
+        want = (np.repeat(prototypes, spec.images_per_subject, axis=0)
+                + spec.feature_noise_std * noise)
+        ds = generate_synthetic(spec)
+        assert ds.features.dtype == np.float64
+        assert ds.features.tobytes() == want.tobytes()
+        assert np.array_equal(
+            ds.attributes,
+            np.repeat(subject_attrs, spec.images_per_subject, axis=0))
+
     def test_subset(self):
         ds = generate_synthetic(SyntheticSpec(n_subjects=3,
                                               images_per_subject=2, seed=0))
@@ -164,6 +191,22 @@ class TestDatasetFiles:
         path.write_text("0 | 1 | x\n")
         with pytest.raises(DatasetFormatError, match=":1"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("subject_ids", np.zeros((3, 1), dtype=np.int64)),
+        ("subject_ids", np.array(0)),
+        ("attributes", np.zeros(3, dtype=np.uint8)),
+        ("attributes", np.zeros((3, 4, 1), dtype=np.uint8)),
+        ("features", np.zeros(3)),
+        ("features", np.zeros((3, 2, 2))),
+    ])
+    def test_dataset_rejects_misshapen_field(self, field, value):
+        fields = dict(subject_ids=np.arange(3),
+                      attributes=np.zeros((3, 4), dtype=np.uint8),
+                      features=np.zeros((3, 2)))
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            Dataset(**fields)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,18 @@ class TestSignHash:
         assert out.dtype == np.int8
         assert out.tolist() == [-1, 1, -1, 1]
 
+    @pytest.mark.parametrize("values", [
+        np.array([[-0.0, np.nan, np.inf, -np.inf, 1e-300]]),
+        np.zeros((0, 63)),
+        np.array(-2.5),
+        np.array([3, -3, 0], dtype=np.int64),
+    ])
+    def test_matches_int64_sign_cast(self, values):
+        want = np.where(values >= 0, 1, -1).astype(np.int8)
+        out = sign_hash(values)
+        assert out.dtype == np.int8 and out.shape == want.shape
+        assert np.array_equal(out, want)
+
 
 class TestMatchProbability:
     def test_zero_distance_is_exactly_one(self):
@@ -301,6 +313,57 @@ class TestEncoders:
         enc = Encoders.build(6, 5, 8, seed=0)
         with pytest.raises(ValueError):
             enc.encode_images(np.zeros((2, 7)))
+
+
+def reference_forward(net, x):
+    """The out-of-place layer loop (`a @ w + b`, then a fresh activation)
+    that Mlp.forward_cache ran before it worked in place: (output, acts)."""
+    a = np.asarray(x, dtype=np.float64)
+    single = a.ndim == 1
+    if single:
+        a = a[None, :]
+    acts = [a]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if i == last else np.maximum(z, 0.0))
+    return (acts[-1][0] if single else acts[-1]), acts
+
+
+class TestInPlaceForward:
+    """The in-place forward gives the out-of-place loop's bits, at the
+    pipeline's sizes (512-512 hidden, c = 63) with nonzero biases."""
+
+    @pytest.fixture(scope="class")
+    def encoders(self):
+        enc = Encoders.build(d_img=128, d_attr=40, code_length=63, seed=5)
+        rng = np.random.default_rng(6)
+        for net in (enc.image, enc.attribute):
+            for w in net.weights:
+                w *= 10.0
+            for b in net.biases:
+                b += rng.normal(0.0, 0.1, size=b.shape)
+        return enc
+
+    @pytest.mark.parametrize("branch", ["image", "attribute"])
+    @pytest.mark.parametrize("rows", [None, 0, 128, 10_000])
+    def test_bits_match_out_of_place_loop(self, encoders, branch, rows):
+        net = getattr(encoders, branch)
+        shape = (net.d_in,) if rows is None else (rows, net.d_in)
+        rng = np.random.default_rng(rows or 1)
+        x = (rng.normal(size=shape) if branch == "image"
+             else rng.integers(0, 2, size=shape).astype(np.uint8))
+        want, want_acts = reference_forward(net, x)
+        out, acts = net.forward_cache(x)
+        assert out.shape == want.shape
+        assert np.array_equal(out, want)
+        assert len(acts) == len(want_acts)
+        for a, b in zip(acts, want_acts):
+            assert np.array_equal(a, b)
+        assert np.array_equal(net.forward(x), want)
+        for g, h in zip(net.backward(acts, out),
+                        net.backward(want_acts, want)):
+            assert np.array_equal(g, h)
 
 
 class TestSerialization:

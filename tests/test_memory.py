@@ -1,0 +1,81 @@
+"""tracemalloc peaks of the gallery path at 10^4 to 10^5 items.
+
+Each bound is the arrays a call must build plus a little slack, so a
+full-size temporary (an unused copy of the features, a layer's
+pre-activation beside its activation, a per-entry index array of a 0/1
+check) fails it.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from codedhash.data import Dataset, SyntheticSpec, generate_synthetic
+from codedhash.hashing import Encoders, sign_hash
+from codedhash.retrieval import build_index
+
+MiB = 2 ** 20
+
+
+def traced_peak(fn, *args):
+    """(peak bytes allocated while fn runs, fn's result)."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def gallery():
+    """10^5 items: 1000 subjects x 100 images, 40 attributes, 128 features."""
+    return generate_synthetic(SyntheticSpec(n_subjects=1000,
+                                            images_per_subject=100, seed=4))
+
+
+def test_encode_images_keeps_one_array_per_layer():
+    enc = Encoders.build(d_img=128, d_attr=40, code_length=63, seed=0)
+    x = np.random.default_rng(0).normal(size=(10_000, 128))
+    peak, out = traced_peak(enc.encode_images, x)
+    # the cached activations of both hidden layers, and the output
+    hidden = 2 * x.shape[0] * 512 * 8
+    assert peak <= hidden + out.nbytes + 2 * MiB
+
+
+def test_generate_synthetic_within_its_outputs():
+    spec = SyntheticSpec(n_subjects=1000, images_per_subject=100, seed=4)
+    peak, ds = traced_peak(generate_synthetic, spec)
+    assert ds.features.shape == (100_000, 128)
+    # the dataset itself, and Dataset's boolean finiteness mask
+    assert peak <= 1.35 * ds.features.nbytes
+
+
+def test_dataset_validation_at_1e5_items(gallery):
+    peak, _ = traced_peak(Dataset, gallery.subject_ids, gallery.attributes,
+                          gallery.features)
+    # one boolean mask of the features
+    assert peak <= gallery.features.nbytes // 8 + MiB
+
+
+@pytest.mark.parametrize("kind", ["activations", "codes"])
+def test_build_index_at_1e5_items(gallery, kind):
+    values = np.random.default_rng(5).normal(size=(len(gallery), 63))
+    if kind == "codes":
+        values = sign_hash(values)
+    peak, index = traced_peak(build_index, values, gallery.subject_ids,
+                              gallery.attributes)
+    kept = sum(a.nbytes for a in (index.codes, index.attributes, index.words,
+                                  index.attribute_words))
+    # the index, and one boolean mask of the codes
+    assert peak <= kept + index.codes.size + MiB
+
+
+def test_sign_hash_builds_only_its_output():
+    values = np.random.default_rng(6).normal(size=(100_000, 63))
+    peak, codes = traced_peak(sign_hash, values)
+    # the int8 codes, and the boolean mask they are selected by
+    assert peak <= 2 * codes.nbytes + MiB
