@@ -285,17 +285,6 @@ def bp_decode_batch(llrs, graph: TannerGraph, iterations: int,
     return out_hard.T, out_soft.T, out_conv
 
 
-def bp_decode(llr, graph: TannerGraph, iterations: int,
-              early_stop: bool = True, clamp: float = DEFAULT_CLAMP):
-    """Single-vector wrapper around bp_decode_batch."""
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.ndim != 1:
-        raise ValueError(f"expected a 1-D LLR vector, got shape {llr.shape}")
-    hard, soft, conv = bp_decode_batch(llr[None, :], graph, iterations,
-                                       early_stop=early_stop, clamp=clamp)
-    return hard[0], soft[0], bool(conv[0])
-
-
 @dataclass
 class BpDecoder:
     """A fixed-iteration sum-product decoder usable wherever a trained

@@ -95,12 +95,6 @@ def gf2_rank(matrix) -> int:
     return len(gf2_rref(matrix)[1])
 
 
-def row_basis(matrix) -> np.ndarray:
-    """The nonzero rows of the RREF: a basis of the row space."""
-    rref, pivots = gf2_rref(matrix)
-    return rref[: len(pivots)]
-
-
 def gf2_null_space(matrix) -> np.ndarray:
     """Basis of the right null space of a GF(2) matrix, one vector per row."""
     a = as_gf2(matrix)

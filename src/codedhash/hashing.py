@@ -157,12 +157,6 @@ def sign_hash(activations) -> np.ndarray:
 # Pairwise objective
 # ---------------------------------------------------------------------------
 
-def squared_distance(p, q) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    return np.sum((p - q) ** 2, axis=-1)
-
-
 def match_probability(d_sq, margin: float):
     """Probability that a pair at squared distance d_sq is a match."""
     if margin <= 0:

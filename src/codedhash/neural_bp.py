@@ -9,16 +9,19 @@ and applies a sigmoid, yielding the probability that the bit is 1 under
 the positive-LLR-means-0 convention.  With every weight at 1.0 the hard
 decisions coincide exactly with plain sum-product decoding.
 
-Sibling weights form per-variable blocks: w_in[j, v, a, b] weighs edge
-slot b of v (a var_pad_edge slot) into slot a, so a layer's sibling sum is
-one batched matmul of the (L, n_var, dv_max, dv_max) blocks with padded
-(n_var, dv_max, batch) messages.  The diagonal and padding entries are not
-weights: they stay 0, the forward pass masks them out, their gradient is 0.
+Sibling weights form per-variable blocks: in layer j >= 1, w_in[j - 1, v,
+a, b] weighs edge slot b of v (a var_pad_edge slot) into slot a, so a
+layer's sibling sum is one batched matmul of an (n_var, dv_max, dv_max)
+block with padded (n_var, dv_max, batch) messages.  The diagonal and
+padding entries are not weights: they stay 0, the forward pass masks them
+out, their gradient is 0.  Layer 0 has no sibling weights: the messages
+start at zero, so a first-iteration sibling weight would only ever
+multiply zero and could never train.
 
-Weights, in the order used by the serialized format and weight_vector():
-for each layer, per edge, one channel weight then one weight per incoming
-sibling edge (ascending); then per variable one output channel weight and
-one weight per incident edge.
+Weights, in the order of parameters(), weight_vector() and the serialized
+format (decoder.bin version 2): w_chan layer-major in edge order; the real
+w_in entries in (layer, variable, slot, sibling slot) order; w_out_chan per
+variable; then w_out_edge in edge order.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ _PRESIGMOID_LIMIT = 36.0
 _MIN_PIECE_FRAMES = 64
 
 _MAGIC = b"NBPW"
-_VERSION = 1
+_VERSION = 2
 _HEADER = "<BIIIIQ"
 
 
@@ -63,6 +66,15 @@ def _sigmoid(z):
     return out
 
 
+def _weight_count(graph: TannerGraph, iterations: int) -> int:
+    """Weights of an L-iteration decoder over `graph`: a channel weight per
+    edge and layer, deg(v) (deg(v) - 1) sibling weights per variable in
+    each layer after the first, and the output layer's weights."""
+    deg = np.diff(graph.var_offsets)
+    return (iterations * graph.num_edges + (iterations - 1) * int((deg * (deg - 1)).sum())
+            + graph.n_var + graph.num_edges)
+
+
 class NeuralBpDecoder:
     """Trainable unrolled decoder over a fixed Tanner graph.
 
@@ -77,29 +89,17 @@ class NeuralBpDecoder:
         self.graph = graph
         self.iterations = iterations
         self.atanh_clamp = atanh_clamp
-        vmask, vedge = graph.var_pad_mask, graph.var_pad_edge
+        vmask = graph.var_pad_mask
         # (n_var, dv_max, dv_max): True where slot b of v feeds slot a
         self._sib_mask = vmask[:, :, None] & vmask[:, None, :] & \
             ~np.eye(vmask.shape[1], dtype=bool)
         # flat slot of each edge in an (n_var * dv_max, batch) view
         self._var_slot = np.flatnonzero(vmask)
         self.w_chan = np.ones((iterations, graph.num_edges))
-        self.w_in = np.broadcast_to(self._sib_mask, (iterations,) + self._sib_mask.shape
+        self.w_in = np.broadcast_to(self._sib_mask, (iterations - 1,) + self._sib_mask.shape
                                     ).astype(np.float64)
         self.w_out_chan = np.ones(graph.n_var)
         self.w_out_edge = np.ones(graph.num_edges)
-        # positions in the raveled parameters(), in serialization order; -1
-        # marks a padding or diagonal slot
-        base = np.cumsum([0] + [p.size for p in self.parameters()])
-        chan = np.where(vmask, graph.num_edges * np.arange(iterations)[:, None, None]
-                        + vedge, -1)
-        sib = np.where(self._sib_mask, base[1] + np.arange(self.w_in.size).reshape(
-            self.w_in.shape), -1)
-        out = np.where(np.c_[np.ones(graph.n_var, dtype=bool), vmask],
-                       np.c_[base[2] + np.arange(graph.n_var), base[3] + vedge], -1)
-        order = np.concatenate([np.concatenate([chan[..., None], sib], axis=-1).ravel(),
-                                out.ravel()])
-        self._order = order[order >= 0]
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -114,30 +114,25 @@ class NeuralBpDecoder:
     def num_weights(self) -> int:
         """Length of weight_vector(): the diagonal and padding of w_in are
         not weights."""
-        return self._order.size
+        return _weight_count(self.graph, self.iterations)
 
     def weight_vector(self) -> np.ndarray:
         """All weights in serialization order (see module docstring)."""
-        return np.concatenate([p.ravel() for p in self.parameters()])[self._order]
+        return np.concatenate([self.w_chan.ravel(), self.w_in[:, self._sib_mask].ravel(),
+                               self.w_out_chan, self.w_out_edge])
 
     def set_weight_vector(self, vec) -> None:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.num_weights,):
             raise ValueError(f"expected {self.num_weights} weights, got {vec.shape}")
-        params = self.parameters()
-        flat = np.zeros(sum(p.size for p in params))
-        flat[self._order] = vec
-        ends = np.cumsum([p.size for p in params])[:-1]
-        for p, part in zip(params, np.split(flat, ends)):
-            p[...] = part.reshape(p.shape)
-
-    def copy(self) -> "NeuralBpDecoder":
-        dup = NeuralBpDecoder(self.graph, self.iterations, self.atanh_clamp)
-        dup.w_chan = self.w_chan.copy()
-        dup.w_in = self.w_in.copy()
-        dup.w_out_chan = self.w_out_chan.copy()
-        dup.w_out_edge = self.w_out_edge.copy()
-        return dup
+        e, n = self.num_edges, self.graph.n_var
+        chan, sib, out_chan, out_edge = np.split(
+            vec, [self.w_chan.size, vec.size - n - e, vec.size - e])
+        self.w_chan[...] = chan.reshape(self.w_chan.shape)
+        self.w_in[:, self._sib_mask] = sib.reshape(len(self.w_in),
+                                                   np.count_nonzero(self._sib_mask))
+        self.w_out_chan[...] = out_chan
+        self.w_out_edge[...] = out_edge
 
     # -- forward ------------------------------------------------------------
 
@@ -158,16 +153,17 @@ class NeuralBpDecoder:
         lo = 1.0 - self.atanh_clamp
         l_edge = llr_t[g.edge_var]
         w_in = self.w_in * self._sib_mask
-        x = np.zeros((g.num_edges, batch))
+        x = None
         x_pad, x_flat = self._var_table(ws, "x_pad", batch)
         sib, sib_flat = self._var_table(ws, "sib", batch)
         layers = []
         for j in range(self.iterations):
             x_prev = x
-            x_flat[self._var_slot] = x_prev
-            np.matmul(w_in[j], x_pad, out=sib)
             pre = self.w_chan[j][:, None] * l_edge
-            pre += np.take(sib_flat, self._var_slot, axis=0)
+            if j > 0:
+                x_flat[self._var_slot] = x_prev
+                np.matmul(w_in[j - 1], x_pad, out=sib)
+                pre += np.take(sib_flat, self._var_slot, axis=0)
             pre *= 0.5
             x_odd = np.tanh(pre, out=pre)
             prod = check_products_except_self(x_odd, g, _workspace=ws)
@@ -253,11 +249,11 @@ class NeuralBpDecoder:
             dx_odd = check_products_except_self_backward(x_odd, dp, g, _workspace=ws)
             dpre = dx_odd * 0.5 * (1.0 - x_odd * x_odd)
             d_chan[j] = (dpre * l_edge).sum(axis=1)
-            dpre_flat[self._var_slot] = dpre
-            x_flat[self._var_slot] = x_prev
-            d_in[j] = np.matmul(dpre_pad, x_pad.transpose(0, 2, 1)) * self._sib_mask
             if j > 0:
-                np.matmul(w_in[j].transpose(0, 2, 1), dpre_pad, out=sib)
+                dpre_flat[self._var_slot] = dpre
+                x_flat[self._var_slot] = x_prev
+                d_in[j - 1] = np.matmul(dpre_pad, x_pad.transpose(0, 2, 1)) * self._sib_mask
+                np.matmul(w_in[j - 1].transpose(0, 2, 1), dpre_pad, out=sib)
                 dx = np.take(sib_flat, self._var_slot, axis=0)
         return loss, [d_chan, d_in, d_out_chan, d_out_edge]
 
@@ -385,8 +381,8 @@ def evaluate_error_rates(decoder, code: LinearCode, snr_db: float, frames: int,
 # -- serialization ----------------------------------------------------------
 
 def save_decoder(net: NeuralBpDecoder, code: LinearCode, path) -> None:
-    """Binary format: magic, version, (n, k, t, L), then the packed weight
-    vector as little-endian float64."""
+    """Binary format: magic, version, (n, k, t, L), the weight count, then
+    weight_vector() as little-endian float64."""
     if code.n != net.graph.n_var:
         raise ValueError("code length does not match decoder graph")
     vec = net.weight_vector()
@@ -408,7 +404,7 @@ def load_decoder(path, code: LinearCode) -> NeuralBpDecoder:
         raise ValueError(f"{path}: truncated header ({len(data)} of {body} bytes)")
     version, n, k, t, iterations, count = struct.unpack_from(_HEADER, data, len(_MAGIC))
     if version != _VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
+        raise ValueError(f"{path}: unsupported version {version}, expected {_VERSION}")
     if (n, k, t) != (code.n, code.k, code.t):
         raise ValueError(f"{path}: weights are for an ({n}, {k}) t={t} code, "
                          f"not ({code.n}, {code.k}) t={code.t}")
@@ -417,9 +413,7 @@ def load_decoder(path, code: LinearCode) -> NeuralBpDecoder:
                          f"({8 * count} bytes) but {len(data) - body} bytes follow")
     # checked before any array is sized by the header's iteration count
     graph = TannerGraph(code.parity_check)
-    deg = np.diff(graph.var_offsets)
-    per_layer = graph.num_edges + int((deg * (deg - 1)).sum())
-    if iterations < 1 or count != iterations * per_layer + graph.n_var + graph.num_edges:
+    if iterations < 1 or count != _weight_count(graph, iterations):
         raise ValueError(f"{path}: {count} weights do not fit an L={iterations} "
                          f"decoder of this code")
     net = NeuralBpDecoder(graph, iterations)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from codedhash import channel, gf2, pipeline
-from codedhash.bp import (DEFAULT_CLAMP, TannerGraph, _Workspace, bp_decode,
-                          bp_decode_batch, check_products_except_self,
+from codedhash.bp import (DEFAULT_CLAMP, TannerGraph, _Workspace, bp_decode_batch,
+                          check_products_except_self,
                           check_products_except_self_backward, segment_sum)
 
 H_APPENDIX = np.array(
@@ -312,10 +312,10 @@ class TestKernelMemory:
 class TestBpDecode:
     def test_zero_llr_yields_zero_codeword(self):
         graph = TannerGraph(gf2.build_bch(4, 2).parity_check)
-        hard, soft, conv = bp_decode(np.zeros(15), graph, iterations=5)
+        hard, soft, conv = bp_decode_batch(np.zeros((1, 15)), graph, iterations=5)
         np.testing.assert_array_equal(hard, 0)
         np.testing.assert_array_equal(soft, 0.0)
-        assert conv
+        assert conv.all()
 
     def test_strong_codeword_llrs_decode_exactly(self):
         code = gf2.build_bch(4, 2)
@@ -324,9 +324,9 @@ class TestBpDecode:
         for _ in range(10):
             cw = gf2.encode(rng.integers(0, 2, size=code.k), code)
             llr = 8.0 * channel.bpsk_modulate(cw)
-            hard, _, conv = bp_decode(llr, graph, iterations=5)
-            np.testing.assert_array_equal(hard, cw)
-            assert conv
+            hard, _, conv = bp_decode_batch(llr[None, :], graph, iterations=5)
+            np.testing.assert_array_equal(hard[0], cw)
+            assert conv[0]
 
     def test_converged_frames_are_codewords(self):
         """Early termination never reports a non-codeword as converged."""
@@ -338,17 +338,6 @@ class TestBpDecode:
         assert conv.any()
         synd = hard[conv] @ code.parity_check.T % 2
         assert not synd.any()
-
-    def test_single_vector_matches_batch(self):
-        graph = TannerGraph(gf2.build_bch(4, 2).parity_check)
-        rng = np.random.default_rng(2)
-        llrs = rng.normal(0.0, 2.0, size=(8, 15))
-        bh, bs, bc = bp_decode_batch(llrs, graph, iterations=4, early_stop=False)
-        for i in range(8):
-            h, s, c = bp_decode(llrs[i], graph, iterations=4, early_stop=False)
-            np.testing.assert_array_equal(h, bh[i])
-            np.testing.assert_array_equal(s, bs[i])
-            assert c == bc[i]
 
     def test_tree_posteriors_are_exact(self):
         """On a cycle-free graph BP equals exhaustive marginalization."""
@@ -387,11 +376,11 @@ class TestBpDecode:
     def test_bad_inputs_rejected(self):
         graph = TannerGraph(H_REPETITION)
         with pytest.raises(ValueError):
-            bp_decode(np.zeros(3), graph, iterations=0)
+            bp_decode_batch(np.zeros((1, 3)), graph, iterations=0)
         with pytest.raises(ValueError):
-            bp_decode(np.array([np.inf, 0.0, 0.0]), graph, iterations=2)
+            bp_decode_batch(np.array([[np.inf, 0.0, 0.0]]), graph, iterations=2)
         with pytest.raises(ValueError):
-            bp_decode(np.zeros(4), graph, iterations=2)
+            bp_decode_batch(np.zeros((1, 4)), graph, iterations=2)
 
     def test_noisy_channel_beats_uncoded_decisions(self):
         code = gf2.build_bch(4, 2)

@@ -7,6 +7,7 @@ import pytest
 from codedhash.hashing import (
     Encoders,
     Mlp,
+    _pair_distances,
     dll_loss,
     gradients,
     load_encoders,
@@ -15,7 +16,6 @@ from codedhash.hashing import (
     objective_grads,
     save_encoders,
     sign_hash,
-    squared_distance,
 )
 
 
@@ -130,11 +130,12 @@ class TestDllLoss:
 
 class TestSquaredDistance:
     def test_matches_norm(self):
+        """The objective's pairwise squared distances, every pair."""
         rng = np.random.default_rng(3)
         p = rng.normal(size=(5, 7))
         q = rng.normal(size=(5, 7))
-        expected = np.linalg.norm(p - q, axis=1) ** 2
-        assert np.allclose(squared_distance(p, q), expected)
+        expected = np.linalg.norm(p[:, None] - q[None, :], axis=2) ** 2
+        assert np.allclose(_pair_distances(p, q)[0], expected)
 
 
 class TestObjective:

@@ -2,7 +2,9 @@
 decoding at unit weights, agreement with a per-edge weighted loop, exact
 gradients, training behavior, and the weight-file round trip."""
 
+import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -38,27 +40,23 @@ def pipeline_code():
 def naive_weighted_bp(llrs, h, vec, iterations, clamp):
     """Oracle: the weighted unrolled decoder with one Python step per edge
     message, edges from h alone and weights read from `vec` in the
-    documented serialization order.  Returns the pre-sigmoid output
-    (posterior) per bit, (batch, n).
+    documented serialization order (decoder.bin v2), which has no sibling
+    weights for layer 0.  Returns the pre-sigmoid output (posterior) per
+    bit, (batch, n).
     """
     n_check, n = h.shape
     checks_of = [np.nonzero(h[:, v])[0] for v in range(n)]
     vars_of = [np.nonzero(h[c])[0] for c in range(n_check)]
     edges = [(v, c) for v in range(n) for c in checks_of[v]]
     weights = iter(vec)
-    w_chan = [{} for _ in range(iterations)]
-    w_sib = [{} for _ in range(iterations)]
-    for j in range(iterations):
-        for v, c in edges:
-            w_chan[j][(v, c)] = next(weights)
-            for d in checks_of[v]:
-                if d != c:
-                    w_sib[j][(v, c, d)] = next(weights)
-    w_out_chan, w_out_edge = {}, {}
-    for v in range(n):
-        w_out_chan[v] = next(weights)
-        for c in checks_of[v]:
-            w_out_edge[(v, c)] = next(weights)
+    w_chan = [{e: next(weights) for e in edges} for _ in range(iterations)]
+    sib_keys = [(v, c, d) for v, c in edges for d in checks_of[v] if d != c]
+    # layer 0's incoming messages are zero, so any weight there (1.0 here)
+    # multiplies zero
+    w_sib = [dict.fromkeys(sib_keys, 1.0)] + [
+        {key: next(weights) for key in sib_keys} for _ in range(1, iterations)]
+    w_out_chan = {v: next(weights) for v in range(n)}
+    w_out_edge = {e: next(weights) for e in edges}
     assert next(weights, None) is None
 
     llr = llrs.T
@@ -85,13 +83,16 @@ class TestStructure:
         net = appendix_net()
         assert net.num_edges == 16
 
-    def test_weight_count_for_one_iteration(self):
-        # per layer: one channel weight per edge plus deg(v)-1 sibling
-        # weights; every variable here has degree 2, so 16 + 16 = 32.
-        # output layer: 8 channel weights + 16 edge weights.
-        net = appendix_net(iterations=1)
-        assert net.num_weights == 32 + 24
-        assert net.weight_vector().shape == (56,)
+    @pytest.mark.parametrize("iterations, count", [(1, 40), (2, 72)])
+    def test_weight_count(self, iterations, count):
+        # per layer: one channel weight per edge (16), and from the second
+        # layer on deg(v)-1 sibling weights per edge; every variable here
+        # has degree 2, so 16 more.  The first layer has none: its incoming
+        # messages are zero.  output layer: 8 channel weights + 16 edge
+        # weights.
+        net = appendix_net(iterations)
+        assert net.num_weights == 16 * iterations + 16 * (iterations - 1) + 24 == count
+        assert net.weight_vector().shape == (count,)
         assert (net.weight_vector() == 1.0).all()
 
     def test_weight_vector_round_trip(self):
@@ -146,7 +147,7 @@ class TestUnitWeightEquivalence:
 
 class TestWeightedForward:
     """Non-unit weights against a per-edge loop that reads them in the
-    decoder.bin v1 order."""
+    decoder.bin v2 order, with no sibling weights in layer 0."""
 
     @pytest.mark.parametrize("code", [gf2.build_bch(4, 2), pipeline_code()],
                              ids=["bch15_7", "bch63_30"])
@@ -171,15 +172,19 @@ class TestWeightedForward:
 
 class TestGradients:
     def finite_difference(self, net, llrs, targets, param_idx, flat_idx,
-                          h=1e-6):
+                          h=1e-3):
+        """Five-point central difference: its O(h^4) truncation error and
+        its rounding (about 1e-13) stay far below the tolerance for
+        gradients near 1e-6, where a two-point difference at h = 1e-6 is
+        off by about 1e-5 relative."""
         p = net.parameters()[param_idx]
         orig = p.flat[flat_idx]
-        p.flat[flat_idx] = orig + h
-        hi, _ = net.loss_and_grads(llrs, targets)
-        p.flat[flat_idx] = orig - h
-        lo, _ = net.loss_and_grads(llrs, targets)
+        loss = {}
+        for step in (-2, -1, 1, 2):
+            p.flat[flat_idx] = orig + step * h
+            loss[step], _ = net.loss_and_grads(llrs, targets)
         p.flat[flat_idx] = orig
-        return (hi - lo) / (2.0 * h)
+        return (8.0 * (loss[1] - loss[-1]) - (loss[2] - loss[-2])) / (12.0 * h)
 
     def test_gradients_match_finite_differences(self):
         """Six sampled entries per array on the appendix graph; every entry
@@ -318,19 +323,32 @@ class TestTraining:
         place; a fresh decoder's w_in is not contiguous, so an optimizer that
         steps a reshaped copy would leave it at 1.0."""
         code = gf2.build_bch(4, 2)
-        net = NeuralBpDecoder(TannerGraph(code.parity_check), 2)
+        net = NeuralBpDecoder(TannerGraph(code.parity_check), 3)
         params = net.parameters()
         assert not net.w_in.flags.c_contiguous
         train_decoder(net, code, DecoderTrainConfig(frames_per_epoch=32,
                                                     epochs=3, seed=2))
         for before, after in zip(params, net.parameters()):
             assert after is before
-        # the first iteration's sibling messages are zero, so its sibling
-        # weights get no gradient; every later one moves
-        real_in = net.w_in[1:, net._sib_mask]
+        real_in = net.w_in[:, net._sib_mask]
         assert real_in.size and (real_in != 1.0).all()
         for p in (net.w_chan, net.w_out_chan, net.w_out_edge):
             assert (p != 1.0).any()
+
+    def test_trained_weights_bit_identical_to_v1_decoder(self):
+        """Dropping the first-iteration sibling weights changes no other
+        weight's training.  The hash was made with the v1 decoder, whose
+        w_in was (L, n_var, dv_max, dv_max): after this same seeded
+        train_decoder call, sha256 of the little-endian float64 bytes of
+        w_chan.ravel(), w_in[1:][:, _sib_mask].ravel(), w_out_chan and
+        w_out_edge, concatenated in that (v2) order."""
+        code = pipeline_code()
+        net = NeuralBpDecoder(TannerGraph(code.parity_check), 5)
+        train_decoder(net, code, DecoderTrainConfig(frames_per_epoch=64,
+                                                    epochs=3, seed=5))
+        digest = hashlib.sha256(net.weight_vector().astype("<f8").tobytes())
+        assert digest.hexdigest() == \
+            "d36db10f53844dafbb603044d7c91a6a5dd159df63ca0da4cb683075044e72ee"
 
     def test_mismatched_code_rejected(self):
         code = gf2.build_bch(3, 1)
@@ -383,6 +401,32 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.weight_vector(), net.weight_vector())
         save_decoder(loaded, code, tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    def test_pipeline_decoder_size(self, tmp_path):
+        """BCH(63,30) at L = 5: four sibling layers and a 29-byte header."""
+        code = pipeline_code()
+        net = NeuralBpDecoder(TannerGraph(code.parity_check), 5)
+        assert net.w_in.shape == (4, 63, 21, 21)
+        assert net.num_weights == 35167
+        path = tmp_path / "decoder.bin"
+        save_decoder(net, code, path)
+        assert path.stat().st_size == 281365
+
+    def test_version_1_file_rejected(self, tmp_path):
+        """A well-formed v1 file, with first-iteration sibling weights, is
+        not converted."""
+        code = gf2.build_bch(4, 2)
+        graph = TannerGraph(code.parity_check)
+        deg = np.diff(graph.var_offsets)
+        iterations = 2
+        count = iterations * (graph.num_edges + int((deg * (deg - 1)).sum())) \
+            + graph.n_var + graph.num_edges
+        path = tmp_path / "decoder.bin"
+        path.write_bytes(b"NBPW" + struct.pack("<BIIIIQ", 1, code.n, code.k, code.t,
+                                               iterations, count)
+                         + np.ones(count).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*version 1"):
+            load_decoder(path, code)
 
     def test_wrong_code_rejected(self, tmp_path):
         code = gf2.build_bch(4, 2)

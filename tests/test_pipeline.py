@@ -4,8 +4,7 @@ import pytest
 from codedhash.bp import TannerGraph
 from codedhash.data import SyntheticSpec, generate_synthetic, similarity_matrix
 from codedhash.gf2 import build_bch, encode
-from codedhash.hashing import (Encoders, gradients, match_probability,
-                               squared_distance)
+from codedhash.hashing import Encoders, gradients, match_probability
 from codedhash.neural_bp import NeuralBpDecoder
 from codedhash.optim import Adam
 from codedhash.pipeline import (
