@@ -77,7 +77,12 @@ def _popcount_rows(op, words: np.ndarray, query_words: np.ndarray,
 
 
 def build_index(values, subject_ids, attributes) -> RetrievalIndex:
-    """Index a gallery; real-valued activations are sign-hashed first."""
+    """Index a gallery; real-valued activations are sign-hashed first.
+
+    Codes already int8 and attributes already uint8 are not copied: the
+    index shares those arrays with the caller, who must not change them
+    while the index is in use, as ranking reads the words packed here.
+    """
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError("gallery values must be a 2-D array")
@@ -86,7 +91,7 @@ def build_index(values, subject_ids, attributes) -> RetrievalIndex:
     else:
         if not all_either(values, -1, 1):
             raise ValueError("integer codes must have entries in {-1, +1}")
-        codes = values.astype(np.int8)
+        codes = values.astype(np.int8, copy=False)
     subject_ids = np.asarray(subject_ids, dtype=np.int64)
     attributes = np.asarray(attributes)
     if attributes.ndim != 2:
@@ -96,7 +101,7 @@ def build_index(values, subject_ids, attributes) -> RetrievalIndex:
     n = codes.shape[0]
     if subject_ids.shape != (n,) or attributes.shape[0] != n:
         raise ValueError(f"metadata count must match gallery size {n}")
-    attributes = attributes.astype(np.uint8)
+    attributes = attributes.astype(np.uint8, copy=False)
     return RetrievalIndex(codes, subject_ids, attributes, _pack_words(codes),
                           _pack_words(attributes))
 

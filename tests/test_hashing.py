@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from codedhash.hashing import (
+    FORWARD_ROWS,
     Encoders,
     Mlp,
     _pair_distances,
@@ -70,7 +71,7 @@ class TestSignHash:
         assert out.tolist() == [-1, 1, -1, 1]
 
     @pytest.mark.parametrize("values", [
-        np.array([[-0.0, np.nan, np.inf, -np.inf, 1e-300]]),
+        np.array([[-0.0, np.inf, -np.inf, 1e-300, -1e-300]]),
         np.zeros((0, 63)),
         np.array(-2.5),
         np.array([3, -3, 0], dtype=np.int64),
@@ -80,6 +81,15 @@ class TestSignHash:
         out = sign_hash(values)
         assert out.dtype == np.int8 and out.shape == want.shape
         assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("values", [
+        [[np.nan, 1.0]],
+        np.array([np.inf, -np.inf, np.nan]),
+        np.array(np.nan),
+    ])
+    def test_rejects_nan(self, values):
+        with pytest.raises(ValueError, match="NaN"):
+            sign_hash(values)
 
 
 class TestMatchProbability:
@@ -315,6 +325,18 @@ class TestEncoders:
         with pytest.raises(ValueError):
             enc.encode_images(np.zeros((2, 7)))
 
+    @pytest.mark.parametrize("branch", ["image", "attribute"])
+    @pytest.mark.parametrize("lead", [None, (2, 3), (FORWARD_ROWS + 1, 1)])
+    def test_rejects_inputs_not_1d_or_2d(self, branch, lead):
+        enc = Encoders.build(6, 5, 8, seed=0)
+        net = getattr(enc, branch)
+        x = np.zeros(() if lead is None else (*lead, net.d_in))
+        encode = (enc.encode_images if branch == "image"
+                  else enc.encode_attributes)
+        for fn in (encode, net.forward_cache):
+            with pytest.raises(ValueError, match=re.escape(f"shape {x.shape}")):
+                fn(x)
+
 
 def reference_forward(net, x):
     """The out-of-place layer loop (`a @ w + b`, then a fresh activation)
@@ -347,24 +369,49 @@ class TestInPlaceForward:
         return enc
 
     @pytest.mark.parametrize("branch", ["image", "attribute"])
-    @pytest.mark.parametrize("rows", [None, 0, 128, 10_000])
+    @pytest.mark.parametrize("rows", [None, 0, 128, 10_000, FORWARD_ROWS + 1,
+                                      100_000])
     def test_bits_match_out_of_place_loop(self, encoders, branch, rows):
         net = getattr(encoders, branch)
         shape = (net.d_in,) if rows is None else (rows, net.d_in)
         rng = np.random.default_rng(rows or 1)
         x = (rng.normal(size=shape) if branch == "image"
              else rng.integers(0, 2, size=shape).astype(np.uint8))
+        # each full-size cache is dropped once compared, so at 10^5 rows
+        # no more than two are held at once
         want, want_acts = reference_forward(net, x)
+        want_grads = net.backward(want_acts, want)
         out, acts = net.forward_cache(x)
         assert out.shape == want.shape
         assert np.array_equal(out, want)
         assert len(acts) == len(want_acts)
         for a, b in zip(acts, want_acts):
             assert np.array_equal(a, b)
-        assert np.array_equal(net.forward(x), want)
-        for g, h in zip(net.backward(acts, out),
-                        net.backward(want_acts, want)):
+        del want_acts
+        for g, h in zip(net.backward(acts, out), want_grads):
             assert np.array_equal(g, h)
+        del acts
+        assert np.array_equal(net.forward(x), want)
+
+    @pytest.mark.parametrize("rows", [FORWARD_ROWS, FORWARD_ROWS + 1,
+                                      2 * FORWARD_ROWS + 1, 10_000])
+    def test_forward_runs_consecutive_pieces(self, encoders, rows,
+                                             monkeypatch):
+        net = encoders.attribute
+        x = np.random.default_rng(rows).integers(0, 2, size=(rows, net.d_in))
+        pieces = []
+
+        def spy(piece):
+            pieces.append(piece)
+            return Mlp.forward_cache(net, piece)
+
+        monkeypatch.setattr(net, "forward_cache", spy)
+        out = net.forward(x)
+        assert len(pieces) == -(-rows // FORWARD_ROWS)
+        assert np.array_equal(np.concatenate(pieces), x)
+        sizes = [len(p) for p in pieces]
+        assert all(FORWARD_ROWS // 2 <= n <= FORWARD_ROWS for n in sizes)
+        assert np.array_equal(out, reference_forward(net, x)[0])
 
 
 class TestSerialization:

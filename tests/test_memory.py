@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from codedhash.data import Dataset, SyntheticSpec, generate_synthetic
-from codedhash.hashing import Encoders, sign_hash
+from codedhash.hashing import FORWARD_ROWS, Encoders, sign_hash
 from codedhash.retrieval import build_index
 
 MiB = 2 ** 20
@@ -37,13 +37,15 @@ def gallery():
                                             images_per_subject=100, seed=4))
 
 
-def test_encode_images_keeps_one_array_per_layer():
+@pytest.mark.parametrize("rows", [10_000, 100_000])
+def test_encode_images_keeps_one_array_per_layer(rows):
     enc = Encoders.build(d_img=128, d_attr=40, code_length=63, seed=0)
-    x = np.random.default_rng(0).normal(size=(10_000, 128))
+    x = np.random.default_rng(0).normal(size=(rows, 128))
     peak, out = traced_peak(enc.encode_images, x)
-    # the cached activations of both hidden layers, and the output
-    hidden = 2 * x.shape[0] * 512 * 8
-    assert peak <= hidden + out.nbytes + 2 * MiB
+    # the output, and the activations of at most FORWARD_ROWS rows at a
+    # time: a bound that does not grow with the row count past the output
+    piece = FORWARD_ROWS * (512 + 512 + 63) * 8
+    assert peak <= out.nbytes + piece + 2 * MiB
 
 
 def test_generate_synthetic_within_its_outputs():
@@ -68,10 +70,11 @@ def test_build_index_at_1e5_items(gallery, kind):
         values = sign_hash(values)
     peak, index = traced_peak(build_index, values, gallery.subject_ids,
                               gallery.attributes)
-    kept = sum(a.nbytes for a in (index.codes, index.attributes, index.words,
-                                  index.attribute_words))
-    # the index, and one boolean mask of the codes
-    assert peak <= kept + index.codes.size + MiB
+    # the packed words, and two arrays of the codes' size: the new int8
+    # codes and sign_hash's boolean mask, or the +-1 check's two masks of
+    # int8 codes the index shares; uint8 attributes are shared, not counted
+    kept = index.words.nbytes + index.attribute_words.nbytes
+    assert peak <= kept + 2 * index.codes.size + MiB
 
 
 def test_sign_hash_builds_only_its_output():

@@ -97,6 +97,17 @@ class TestBuildIndex:
         index = tiny_index(codes)
         assert np.array_equal(index.codes, codes)
 
+    def test_int8_codes_and_uint8_attributes_shared(self):
+        codes = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
+        attributes = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+        index = build_index(codes, [0, 1], attributes)
+        assert np.shares_memory(index.codes, codes)
+        assert np.shares_memory(index.attributes, attributes)
+
+    def test_rejects_nan_activations(self):
+        with pytest.raises(ValueError, match="NaN"):
+            build_index([[np.nan, 1.0]], [0], [[1]])
+
     def test_empty_gallery(self):
         index = build_index(np.zeros((0, 4), dtype=np.int8) + 1,
                             np.zeros(0, dtype=np.int64),
