@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from ._checks import all_either
-from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from .data import (SyntheticSpec, generate_synthetic, load_dataset, read_records,
+                   save_dataset)
 from .gf2 import bch_code_table, load_code, save_code
-from .hashing import load_encoders, save_encoders, sign_hash, Encoders
+from .hashing import FORWARD_ROWS, load_encoders, save_encoders, sign_hash, Encoders
 from .neural_bp import evaluate_error_rates, load_decoder, save_decoder
 from .pipeline import (
     TrainConfig,
@@ -150,15 +151,42 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _row_pieces(runs):
+    """Regroup runs of at most CHUNK_ROWS rows into consecutive pieces of
+    at least FORWARD_ROWS / 2 rows.  A piece is passed on only once the
+    runs after it hold that many rows too, so rows left over at the end
+    join the last piece, which Mlp.forward splits if it has more than
+    FORWARD_ROWS rows.  Every piece encoded then has FORWARD_ROWS / 2 to
+    FORWARD_ROWS rows, the range of Mlp.forward's own pieces, unless all
+    the rows fit in one."""
+    ready, pending, held = None, [], 0
+    for run in runs:
+        pending.append(run)
+        held += len(run)
+        if held >= FORWARD_ROWS // 2:
+            if ready is not None:
+                yield ready
+            ready, pending, held = np.concatenate(pending), [], 0
+    if ready is not None:
+        pending.insert(0, ready)
+    if pending:
+        # the parts are dropped before the joined piece is encoded
+        last, ready, pending = np.concatenate(pending), None, None
+        yield last
+
+
 def _cmd_encode(args) -> int:
-    encoders = load_encoders(args.encoders)
-    dataset = load_dataset(args.data, with_features=args.modality == "image")
-    if args.modality == "image":
-        activations = encoders.encode_images(dataset.features)
-    else:
-        activations = encoders.encode_attributes(
-            dataset.attributes.astype(np.float64))
-    write_codes(args.out, sign_hash(activations))
+    # only the modality's branch and the gallery's int8 codes are kept: the
+    # gallery streams through in row pieces, and --out is written once
+    # every record has parsed
+    net = getattr(load_encoders(args.encoders), args.modality)
+    image = args.modality == "image"
+    runs = (feats if image else attrs for _, attrs, feats in
+            read_records(args.data, with_features=image))
+    codes = [sign_hash(net.forward(rows)) for rows in _row_pieces(runs)]
+    if not codes:
+        raise ValueError(f"{args.data}: no records")
+    write_codes(args.out, np.concatenate(codes))
     return 0
 
 

@@ -138,36 +138,38 @@ def save_dataset(dataset: Dataset, path) -> None:
             fh.write(f"{int(sid)} | {attr_part} | {feat_part}\n")
 
 
-def load_dataset(path, *, with_features: bool = True) -> Dataset:
-    """Inverse of save_dataset; blank lines are skipped.
+def read_records(path, *, with_features: bool = True):
+    """Yield (subject ids, attributes, features) for each run of CHUNK_ROWS
+    lines of a save_dataset file; blank lines are skipped.
 
-    One pass over each run of CHUNK_ROWS lines checks its structure (three
-    `|` fields, attribute tokens that are literally 0 or 1, one attribute
-    width), then numpy parses the run's subject ids and features in one
+    One pass over each run checks its structure (three `|` fields,
+    attribute tokens that are literally 0 or 1, one attribute width across
+    the file), then numpy parses the run's subject ids and features in one
     call each.  A run that fails is rescanned only to name its first bad
-    line.
+    line, as `path:lineno`; the runs before it have been yielded by then.
 
     With `with_features` false the feature field is neither parsed nor
-    checked, and the dataset carries an (n, 0) feature array: for callers
+    checked, and each run carries an (n, 0) feature array: for callers
     that read only subject ids and attributes.
     """
-    subject_ids, attributes, feature_rows = [], [], []
     widths = None  # (d_attr, d_img) of the first record
     with open(path) as fh:
         for linenos, lines in read_chunks(fh):
             records = _parse_records(lines, widths, with_features)
             if records is None:
                 _raise_record_fault(path, linenos, lines, widths, with_features)
-            ids, attrs, feats, widths = records
-            subject_ids.append(ids)
-            attributes.append(attrs)
-            feature_rows.append(feats)
-    if not subject_ids:
+            *fields, widths = records
+            yield fields
+
+
+def load_dataset(path, *, with_features: bool = True) -> Dataset:
+    """Inverse of save_dataset: every run of read_records, concatenated."""
+    runs = list(read_records(path, with_features=with_features))
+    if not runs:
         return Dataset(np.zeros(0, dtype=np.int64),
                        np.zeros((0, 0), dtype=np.uint8),
                        np.zeros((0, 0)))
-    return Dataset(np.concatenate(subject_ids), np.concatenate(attributes),
-                   np.concatenate(feature_rows))
+    return Dataset(*(np.concatenate(field) for field in zip(*runs)))
 
 
 def _parse_records(lines, widths, with_features):

@@ -48,6 +48,13 @@ _PRESIGMOID_LIMIT = 36.0
 # threads as on one, a 192-frame batch 0.75x as long
 _MIN_PIECE_FRAMES = 64
 
+# forward decodes a larger batch in blocks of exactly this many frames, the
+# last block taking the remainder (64-127 frames).  That rule gave one
+# unblocked pass's soft-output bits on BCH(15,7) to (127,64) for every
+# batch size tried; near-equal blocks (33 + 32, ...) and a trailing block
+# of one frame did not.
+_DECODE_BLOCK = 64
+
 _MAGIC = b"NBPW"
 _VERSION = 2
 _HEADER = "<BIIIIQ"
@@ -144,11 +151,10 @@ class NeuralBpDecoder:
         table[...] = 0
         return table, table.reshape(shape[0] * shape[1], batch)
 
-    def _forward_t(self, llr_t, keep_cache: bool, ws: _Workspace | None = None):
+    def _forward_t(self, llr_t, keep_cache: bool, ws: _Workspace):
         """Core forward pass on an (n_var, batch) LLR array, in the calling
-        pass's workspace `ws` (a fresh one if None)."""
+        pass's workspace `ws`."""
         g = self.graph
-        ws = _Workspace() if ws is None else ws
         batch = llr_t.shape[1]
         lo = 1.0 - self.atanh_clamp
         l_edge = llr_t[g.edge_var]
@@ -188,15 +194,28 @@ class NeuralBpDecoder:
         Accepts a single length-n LLR vector or a (batch, n) array and
         returns arrays of matching shape.  Hard decision: output > 0.5 is
         bit 1, ties resolve to bit 0.
+
+        A batch of more than _DECODE_BLOCK frames runs as consecutive blocks
+        of _DECODE_BLOCK frames, the last one taking the remainder, through
+        one workspace into preallocated outputs, so a decode holds one
+        block's messages however many frames it is given.
         """
         a = np.asarray(llr, dtype=np.float64)
         single = a.ndim == 1
         if single:
             a = a[None, :]
         a = _validate_llr_batch(a, self.graph.n_var)
-        o, _ = self._forward_t(a.T.copy(), keep_cache=False)
-        outputs = o.T
-        hard = (outputs > 0.5).astype(np.uint8)
+        n = a.shape[0]
+        outputs = np.empty((n, self.graph.n_var))
+        hard = np.empty((n, self.graph.n_var), dtype=np.uint8)
+        ws = _Workspace()
+        blocks = max(1, n // _DECODE_BLOCK)
+        for i in range(blocks):
+            start = i * _DECODE_BLOCK
+            stop = n if i == blocks - 1 else start + _DECODE_BLOCK
+            o, _ = self._forward_t(a[start:stop].T.copy(), keep_cache=False, ws=ws)
+            outputs[start:stop] = o.T
+            np.greater(o.T, 0.5, out=hard[start:stop])
         if single:
             return outputs[0], hard[0]
         return outputs, hard

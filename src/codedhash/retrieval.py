@@ -224,14 +224,13 @@ def enumerate_query_masks(d_attr: int, arity: int, max_queries=None,
     """All attribute masks with `arity` ones, optionally subsampled."""
     if not 1 <= arity <= d_attr:
         raise ValueError(f"arity must be in [1, {d_attr}], got {arity}")
-    combos = list(combinations(range(d_attr), arity))
+    combos = np.array(list(combinations(range(d_attr), arity)), dtype=np.intp)
     if max_queries is not None and len(combos) > max_queries:
         rng = np.random.default_rng(seed)
         chosen = rng.choice(len(combos), size=max_queries, replace=False)
-        combos = [combos[i] for i in sorted(chosen)]
+        combos = combos[np.sort(chosen)]
     masks = np.zeros((len(combos), d_attr), dtype=np.uint8)
-    for row, combo in enumerate(combos):
-        masks[row, list(combo)] = 1
+    masks[np.arange(len(combos))[:, None], combos] = 1
     return masks
 
 

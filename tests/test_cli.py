@@ -11,9 +11,11 @@ import pytest
 import codedhash
 from codedhash import cli
 from codedhash.cli import main, read_codes, write_codes
-from codedhash.data import load_dataset
+from codedhash.data import (SyntheticSpec, generate_synthetic, load_dataset,
+                            save_dataset)
 from codedhash.gf2 import load_code
-from codedhash.hashing import Encoders, load_encoders, save_encoders
+from codedhash.hashing import (FORWARD_ROWS, Encoders, load_encoders, save_encoders,
+                               sign_hash)
 from codedhash.retrieval import (build_index, enumerate_query_masks,
                                  evaluate_queries, read_rankings)
 
@@ -312,6 +314,89 @@ class TestGalleryFields:
         assert self.retrieve(files, bad, tmp_path / "r.txt") == 1
         assert f"{bad}:2: {message}" in capsys.readouterr().err
         assert not (tmp_path / "r.txt").exists()
+
+
+class TestStreamingEncode:
+    """encode streams the gallery in row pieces and writes --out only once
+    the last record has parsed; its codes are those of one encoding of
+    every row."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("stream")
+        encoders = Encoders.build(128, 40, 63, seed=2)
+        save_encoders(encoders, root / "encoders.bin")
+        dataset = generate_synthetic(SyntheticSpec(n_subjects=10_001,
+                                                   images_per_subject=1, seed=3))
+        save_dataset(dataset, root / "all.txt")
+        return root, encoders, dataset
+
+    @staticmethod
+    def encode(root, data, modality, out):
+        return main(["encode", "--encoders", str(root / "encoders.bin"),
+                     "--data", str(data), "--modality", modality,
+                     "--out", str(out)])
+
+    @pytest.mark.parametrize("modality", ["image", "attribute"])
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049, 10_001])
+    def test_codes_equal_whole_gallery_encoding(self, model, tmp_path, rows,
+                                                modality):
+        root, encoders, dataset = model
+        lines = (root / "all.txt").read_text().splitlines(keepends=True)[:rows]
+        # blank and whitespace-only lines between records
+        data = tmp_path / "gallery.txt"
+        data.write_text("".join(line + "\n" * (i % 7 == 3) + " \t\n" * (i % 11 == 5)
+                                for i, line in enumerate(lines)))
+        if modality == "image":
+            want = encoders.encode_images(dataset.features[:rows])
+        else:
+            want = encoders.encode_attributes(
+                dataset.attributes[:rows].astype(np.float64))
+        write_codes(tmp_path / "want.txt", sign_hash(want))
+        assert self.encode(root, data, modality, tmp_path / "codes.txt") == 0
+        assert ((tmp_path / "codes.txt").read_bytes()
+                == (tmp_path / "want.txt").read_bytes())
+
+    @pytest.mark.parametrize("sizes", [[1], [1023], [1024] * 2, [1024] * 3,
+                                       [1000, 1024, 1024, 3], [1024] * 10 + [17],
+                                       [5] * 700])
+    def test_row_pieces(self, sizes):
+        rows = np.arange(sum(sizes))
+        pieces = list(cli._row_pieces(np.split(rows, np.cumsum(sizes)[:-1])))
+        assert np.array_equal(np.concatenate(pieces), rows)
+        assert all(FORWARD_ROWS // 2 <= len(p) < FORWARD_ROWS for p in pieces[:-1])
+        # Mlp.forward splits a last piece of more than FORWARD_ROWS rows
+        # into two of at least FORWARD_ROWS / 2
+        assert len(pieces[-1]) < FORWARD_ROWS + FORWARD_ROWS // 2
+        assert len(pieces) == 1 or len(pieces[-1]) >= FORWARD_ROWS // 2
+
+    @pytest.mark.parametrize("modality", ["image", "attribute"])
+    def test_malformed_last_record_leaves_no_file(self, model, tmp_path,
+                                                  capsys, modality):
+        root = model[0]
+        lines = (root / "all.txt").read_text().splitlines(keepends=True)[:2049]
+        sid, bits, feats = lines[-1].split("|")
+        lines[-1] = f"{sid}|{bits.replace('0', '2', 1)}|{feats}"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(lines))
+        out = tmp_path / "codes.txt"
+        capsys.readouterr()
+        assert self.encode(root, bad, modality, out) == 1
+        assert (f"{bad}:2049: attribute values must be 0 or 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("modality", ["image", "attribute"])
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
+    def test_gallery_without_records_fails(self, model, tmp_path, capsys,
+                                           modality, text):
+        empty = tmp_path / "empty.txt"
+        empty.write_text(text)
+        out = tmp_path / "codes.txt"
+        capsys.readouterr()
+        assert self.encode(model[0], empty, modality, out) == 1
+        assert capsys.readouterr().err == f"error: {empty}: no records\n"
+        assert not out.exists()
 
 
 class TestEval:

@@ -338,18 +338,21 @@ class TestEncoders:
                 fn(x)
 
 
+def reference_layer(net, i, a):
+    """Layer i of the out-of-place loop: `a @ w + b`, then a fresh
+    activation."""
+    z = a @ net.weights[i] + net.biases[i]
+    return np.tanh(z) if i == len(net.weights) - 1 else np.maximum(z, 0.0)
+
+
 def reference_forward(net, x):
-    """The out-of-place layer loop (`a @ w + b`, then a fresh activation)
-    that Mlp.forward_cache ran before it worked in place: (output, acts)."""
+    """The out-of-place layer loop that Mlp.forward_cache ran before it
+    worked in place: (output, acts)."""
     a = np.asarray(x, dtype=np.float64)
     single = a.ndim == 1
-    if single:
-        a = a[None, :]
-    acts = [a]
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = acts[-1] @ w + b
-        acts.append(np.tanh(z) if i == last else np.maximum(z, 0.0))
+    acts = [a[None, :] if single else a]
+    for i in range(len(net.weights)):
+        acts.append(reference_layer(net, i, acts[-1]))
     return (acts[-1][0] if single else acts[-1]), acts
 
 
@@ -377,17 +380,21 @@ class TestInPlaceForward:
         rng = np.random.default_rng(rows or 1)
         x = (rng.normal(size=shape) if branch == "image"
              else rng.integers(0, 2, size=shape).astype(np.uint8))
-        # each full-size cache is dropped once compared, so at 10^5 rows
-        # no more than two are held at once
+        # one full-size cache at a time: the reference's is dropped once its
+        # gradients are taken, and each cached layer is compared with the
+        # reference layer applied to the previous cached activation, which
+        # by induction from the input is the reference's own layer
         want, want_acts = reference_forward(net, x)
         want_grads = net.backward(want_acts, want)
+        want_layers = len(want_acts)
+        del want_acts
         out, acts = net.forward_cache(x)
         assert out.shape == want.shape
         assert np.array_equal(out, want)
-        assert len(acts) == len(want_acts)
-        for a, b in zip(acts, want_acts):
-            assert np.array_equal(a, b)
-        del want_acts
+        assert len(acts) == want_layers
+        assert np.array_equal(acts[0], np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        for i in range(1, len(acts)):
+            assert np.array_equal(acts[i], reference_layer(net, i - 1, acts[i - 1]))
         for g, h in zip(net.backward(acts, out), want_grads):
             assert np.array_equal(g, h)
         del acts

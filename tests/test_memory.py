@@ -11,8 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from codedhash.data import Dataset, SyntheticSpec, generate_synthetic
-from codedhash.hashing import FORWARD_ROWS, Encoders, sign_hash
+from codedhash import cli, pipeline
+from codedhash.bp import TannerGraph
+from codedhash.data import Dataset, SyntheticSpec, generate_synthetic, save_dataset
+from codedhash.hashing import FORWARD_ROWS, Encoders, save_encoders, sign_hash
+from codedhash.neural_bp import NeuralBpDecoder
 from codedhash.retrieval import build_index
 
 MiB = 2 ** 20
@@ -82,3 +85,42 @@ def test_sign_hash_builds_only_its_output():
     peak, codes = traced_peak(sign_hash, values)
     # the int8 codes, and the boolean mask they are selected by
     assert peak <= 2 * codes.nbytes + MiB
+
+
+def test_decode_holds_one_block():
+    config = pipeline.TrainConfig()
+    code = pipeline.select_code(config.margin, config.c)
+    net = NeuralBpDecoder(TannerGraph(code.parity_check), iterations=5)
+    llrs = np.random.default_rng(7).normal(0.0, 2.5, size=(10_000, code.n))
+    # the largest block a batch of more than 64 frames is decoded in
+    block, _ = traced_peak(net.decode_batch, llrs[:127])
+    peak, hard = traced_peak(net.decode_batch, llrs)
+    assert hard.shape == llrs.shape
+    # float64 soft outputs, uint8 hard bits and the input's finiteness
+    # mask, and one block's messages
+    assert peak <= llrs.size * (8 + 1 + 1) + block + MiB
+
+
+@pytest.mark.parametrize("modality", ["image", "attribute"])
+def test_encode_command_streams_the_gallery(tmp_path, modality):
+    block = tmp_path / "block.txt"
+    save_dataset(generate_synthetic(SyntheticSpec(n_subjects=1000,
+                                                  images_per_subject=1,
+                                                  seed=1)), block)
+    save_encoders(Encoders.build(128, 40, 63, seed=0), tmp_path / "enc.bin")
+    piece = FORWARD_ROWS * (512 + 512 + 63) * 8
+    peaks = {}
+    for rows in (10_000, 40_000):
+        gallery = tmp_path / f"gallery-{rows}.txt"
+        gallery.write_text(block.read_text() * (rows // 1000))
+        peak, rc = traced_peak(cli.main, [
+            "encode", "--encoders", str(tmp_path / "enc.bin"), "--data",
+            str(gallery), "--modality", modality, "--out", str(tmp_path / "c.txt")])
+        assert rc == 0
+        codes = rows * 63
+        # one piece's activations and the int8 codes (the pieces' and their
+        # concatenation); the slack covers one branch's weights (2.9 MiB),
+        # the rows of the pieces waiting to be encoded, and one run's text
+        assert peak <= piece + 2 * codes + 8 * MiB
+        peaks[rows] = peak
+    assert peaks[40_000] - peaks[10_000] <= 2 * 30_000 * 63 + MiB

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from codedhash import channel, gf2, pipeline
-from codedhash.bp import TannerGraph, bp_decode_batch
+from codedhash.bp import TannerGraph, _Workspace, bp_decode_batch
 from codedhash.neural_bp import (DecoderTrainConfig, NeuralBpDecoder,
                                  evaluate_error_rates, load_decoder,
                                  save_decoder, train_decoder)
@@ -168,6 +168,58 @@ class TestWeightedForward:
         assert ok.mean() > 0.5
         logit = np.log1p(-outputs[ok]) - np.log(outputs[ok])
         np.testing.assert_allclose(logit, post[ok], rtol=0, atol=1e-9)
+
+
+BLOCK_CODES = {"bch15_7": lambda: gf2.build_bch(4, 2),
+               "bch31_21": lambda: gf2.build_bch(5, 2),
+               "bch63_30": pipeline_code,
+               "bch127_64": lambda: gf2.build_bch(7, 10)}
+
+
+class TestBlockedForward:
+    """forward decodes in 64-frame blocks, the last taking the remainder;
+    its outputs are bitwise those of one unblocked pass."""
+
+    @pytest.fixture(scope="class")
+    def nets(self):
+        nets = {}
+        for name, build in BLOCK_CODES.items():
+            net = NeuralBpDecoder(TannerGraph(build().parity_check), iterations=5)
+            net.set_weight_vector(np.random.default_rng(14).normal(
+                1.0, 0.2, size=net.num_weights))
+            nets[name] = net
+        return nets
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 129, 193, 257, 1000])
+    @pytest.mark.parametrize("code", list(BLOCK_CODES))
+    def test_bits_equal_one_unblocked_pass(self, nets, code, n):
+        net = nets[code]
+        llrs = np.random.default_rng(n).normal(0.0, 2.5, size=(n, net.graph.n_var))
+        want = net._forward_t(llrs.T.copy(), keep_cache=False, ws=_Workspace())[0].T
+        outputs, hard = net.forward(llrs)
+        assert outputs.shape == hard.shape == (n, net.graph.n_var)
+        assert hard.dtype == np.uint8
+        assert np.array_equal(outputs, want)
+        assert np.array_equal(hard, (want > 0.5).astype(np.uint8))
+        assert np.array_equal(net.decode_batch(llrs), hard)
+
+    @pytest.mark.parametrize("n, sizes", [(1, [1]), (64, [64]), (127, [127]),
+                                          (128, [64, 64]), (129, [64, 65]),
+                                          (191, [64, 127]), (193, [64, 64, 65]),
+                                          (1000, [64] * 14 + [104])])
+    def test_blocks_are_consecutive(self, nets, n, sizes, monkeypatch):
+        net = nets["bch15_7"]
+        llrs = np.random.default_rng(n).normal(0.0, 2.5, size=(n, net.graph.n_var))
+        seen = []
+
+        def spy(llr_t, keep_cache, ws):
+            seen.append(llr_t)
+            return NeuralBpDecoder._forward_t(net, llr_t, keep_cache, ws)
+
+        monkeypatch.setattr(net, "_forward_t", spy)
+        net.forward(llrs)
+        assert [t.shape[1] for t in seen] == sizes
+        assert np.array_equal(np.concatenate(seen, axis=1), llrs.T)
 
 
 class TestGradients:

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -434,6 +435,23 @@ class TestEnumerateQueryMasks:
         b = enumerate_query_masks(8, 2, max_queries=5, seed=3)
         assert np.array_equal(a, b)
         assert a.shape == (5, 8)
+
+    @pytest.mark.parametrize("max_queries", [None, 1, 40, 9880])
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_equals_per_mask_loop(self, arity, max_queries):
+        # the combinations in order, subsampled by sorted draws of the
+        # seeded generator, one mask set per row
+        combos = list(combinations(range(40), arity))
+        if max_queries is not None and len(combos) > max_queries:
+            chosen = np.random.default_rng(7).choice(len(combos), size=max_queries,
+                                                     replace=False)
+            combos = [combos[i] for i in sorted(chosen)]
+        want = np.zeros((len(combos), 40), dtype=np.uint8)
+        for row, combo in enumerate(combos):
+            want[row, list(combo)] = 1
+        got = enumerate_query_masks(40, arity, max_queries=max_queries, seed=7)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
 
     def test_bad_arity(self):
         with pytest.raises(ValueError):
