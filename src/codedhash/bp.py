@@ -2,10 +2,10 @@
 
 Edges are indexed in (variable, check) lexicographic order, so the edges of
 one variable node occupy a contiguous index range.  Messages are
-(num_edges, batch) arrays in edge order.  The padded tables var_pad_edge /
-var_pad_mask (n_var, dv_max) list each variable's edges, ascending and
-left-aligned; as edges are variable-major, the flat slots
-np.flatnonzero(var_pad_mask) hold per-variable blocks in edge order.
+(num_edges, batch) arrays in edge order.  The mask var_pad_mask (n_var,
+dv_max) marks the first deg(v) slots of each variable's row; as edges are
+variable-major, the flat slots np.flatnonzero(var_pad_mask) hold
+per-variable blocks in edge order, ascending and left-aligned.
 
 The check-node kernels work on one degree-major table of shape
 (dc_max, n_check, batch): slot (i, c) holds the i-th edge of check c, in
@@ -41,25 +41,15 @@ from .gf2 import as_gf2
 DEFAULT_CLAMP = 1e-12
 
 
-def _padded_table(node_of_edge: np.ndarray, n_nodes: int):
-    """(edge ids, mask), both (n_nodes, max degree): row i lists the edges
-    of node i ascending and left-aligned; padding holds edge 0."""
-    deg = np.bincount(node_of_edge, minlength=n_nodes)
-    mask = np.arange(deg.max()) < deg[:, None]
-    edge = np.zeros(mask.shape, dtype=np.int64)
-    edge[mask] = np.argsort(node_of_edge, kind="stable")
-    return edge, mask
-
-
 class TannerGraph:
     """Bipartite factor graph of a parity-check matrix.
 
     Attributes:
         h: the (n_check, n_var) parity-check matrix.
         n_var, n_check, num_edges: sizes.
-        edge_var, edge_check: endpoint arrays, one entry per edge.
+        edge_var: each edge's variable.
         var_offsets: v owns edges var_offsets[v] to var_offsets[v + 1] - 1.
-        var_pad_edge, var_pad_mask: the padded per-variable edge table.
+        var_pad_mask: the real slots of the padded per-variable edge table.
         dc_max, check_slot, check_pad_slot: the degree-major check table's
             depth, each edge's flat slot and the padding's flat slots (see
             the module docstring).
@@ -78,12 +68,11 @@ class TannerGraph:
 
         vs, cs = np.nonzero(h.T)  # (v, c) lexicographic order
         self.edge_var = vs.astype(np.int64)
-        self.edge_check = cs.astype(np.int64)
         self.num_edges = len(vs)
 
         var_deg = h.sum(axis=0).astype(np.int64)
         self.var_offsets = np.concatenate([[0], np.cumsum(var_deg)])
-        self.var_pad_edge, self.var_pad_mask = _padded_table(vs, self.n_var)
+        self.var_pad_mask = np.arange(var_deg.max()) < var_deg[:, None]
 
         check_deg = np.bincount(cs, minlength=self.n_check)
         self.dc_max = int(check_deg.max())
@@ -92,7 +81,7 @@ class TannerGraph:
         rank = np.empty(self.num_edges, dtype=np.int64)
         rank[by_check] = np.arange(self.num_edges) - np.repeat(
             np.cumsum(check_deg) - check_deg, check_deg)
-        self.check_slot = rank * self.n_check + self.edge_check
+        self.check_slot = rank * self.n_check + cs
         self.check_pad_slot = np.flatnonzero(
             np.arange(self.dc_max)[:, None] >= check_deg)
 
@@ -293,9 +282,8 @@ class BpDecoder:
     graph: TannerGraph
     iterations: int
     early_stop: bool = True
-    clamp: float = DEFAULT_CLAMP
 
     def decode_batch(self, llrs) -> np.ndarray:
         hard, _, _ = bp_decode_batch(llrs, self.graph, self.iterations,
-                                     early_stop=self.early_stop, clamp=self.clamp)
+                                     early_stop=self.early_stop)
         return hard

@@ -111,16 +111,12 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(subject_ids, attributes, features)
 
 
-def similarity_matrix(attributes, other=None) -> np.ndarray:
-    """S[i, j] = 1 iff row j's attribute set is contained in row i's.
-
-    With one argument the matrix is square over the same records; the
-    optional second argument supplies the column-side attribute vectors.
-    """
+def similarity_matrix(attributes) -> np.ndarray:
+    """S[i, j] = 1 iff row j's attribute set is contained in row i's, over
+    the rows of one attribute array."""
     a = np.asarray(attributes, dtype=np.int64)
-    b = a if other is None else np.asarray(other, dtype=np.int64)
     # count the attributes j sets that i lacks; containment means zero
-    missing = (1 - a) @ b.T
+    missing = (1 - a) @ a.T
     return (missing == 0).astype(np.uint8)
 
 

@@ -10,15 +10,12 @@ The roots of the generator with designed capability t are the powers
 alpha**s for s in the union of the cyclotomic cosets of 1 .. 2t, so the
 generator is the product of (x + alpha**s) over that root set and the
 dimension is k = n - |roots|.  Generator matrices are systematic with the
-identity block first, and H = [A^T | I] so that G H^T = 0.  Minimum
-distances are computed on request by `min_distance`, never stored.
+identity block first, and H = [A^T | I] so that G H^T = 0.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +31,6 @@ PRIMITIVE_POLYS = {
     7: 0b10001001,   # x^7 + x^3 + 1
 }
 
-MAX_ENUM_K = 20      # exhaustive codeword enumeration is allowed up to 2**20 words
-MAX_TABLE_REDUNDANCY = 20   # syndrome-table decoding bound
-
 
 def as_gf2(matrix) -> np.ndarray:
     """Validate and return a 2-D uint8 matrix with entries in {0, 1}."""
@@ -46,18 +40,6 @@ def as_gf2(matrix) -> np.ndarray:
     if not all_either(a, 0, 1):
         raise ValueError("matrix entries must be 0 or 1")
     return a.astype(np.uint8)
-
-
-def as_bits(word, length=None) -> np.ndarray:
-    """Validate a 1-D bit vector, optionally checking its length."""
-    v = np.asarray(word)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D bit vector, got shape {v.shape}")
-    if not all_either(v, 0, 1):
-        raise ValueError("bit vector entries must be 0 or 1")
-    if length is not None and v.size != length:
-        raise ValueError(f"expected length {length}, got {v.size}")
-    return v.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -169,104 +151,6 @@ class LinearCode:
     @property
     def rate(self) -> float:
         return self.k / self.n
-
-    @cached_property
-    def codeword_ints(self) -> list[int]:
-        """All 2**k codewords as integers (bit i of the int = codeword bit i)."""
-        return list(_codewords(self))
-
-    @cached_property
-    def _h_column_ints(self) -> list[int]:
-        """Column i of the parity check as an int (bit j = row j): the
-        syndrome of a single error at position i."""
-        return [_bits_to_int(col) for col in self.parity_check.T]
-
-    @cached_property
-    def _syndrome_table(self) -> dict:
-        """Syndrome -> the first error pattern of weight 0 .. t (by weight,
-        then position order) that gives it, both as ints."""
-        cols = self._h_column_ints
-        table = {0: 0}
-        for wgt in range(1, self.t + 1):
-            for pos in itertools.combinations(range(self.n), wgt):
-                s = 0
-                e = 0
-                for p in pos:
-                    s ^= cols[p]
-                    e |= 1 << p
-                table.setdefault(s, e)
-        return table
-
-
-def _bits_to_int(bits) -> int:
-    out = 0
-    for i, b in enumerate(bits):
-        if b:
-            out |= 1 << i
-    return out
-
-
-def _trailing_zeros(i: int) -> int:
-    return (i & -i).bit_length() - 1
-
-
-def encode(message, code: LinearCode) -> np.ndarray:
-    """Multiply a length-k message by the generator matrix over GF(2)."""
-    u = as_bits(message, code.k)
-    return (u @ code.generator % 2).astype(np.uint8)
-
-
-def syndrome(word, code: LinearCode) -> np.ndarray:
-    """word H^T over GF(2); all zeros iff word is a codeword."""
-    w = as_bits(word, code.n)
-    return (w @ code.parity_check.T % 2).astype(np.uint8)
-
-
-def _codewords(code: LinearCode):
-    """Yield all 2**k codewords as integers, zero first, in Gray-code order:
-    each next word XORs in the generator row of the flipped message bit."""
-    if code.k > MAX_ENUM_K:
-        raise ValueError(f"refusing to enumerate 2**{code.k} codewords "
-                         f"(limit k <= {MAX_ENUM_K})")
-    rows = [_bits_to_int(r) for r in code.generator]
-    cur = 0
-    yield cur
-    for i in range(1, 1 << code.k):
-        cur ^= rows[_trailing_zeros(i)]
-        yield cur
-
-
-def min_distance(code: LinearCode) -> int:
-    """Exact minimum distance by enumerating all nonzero codewords (k <= 20)."""
-    return min(cw.bit_count() for cw in itertools.islice(_codewords(code), 1, None))
-
-
-def bounded_distance_decode(word, code: LinearCode) -> np.ndarray | None:
-    """Return the unique codeword within Hamming distance t of word, or None.
-
-    Balls of radius t around codewords are disjoint whenever d_min >= 2t + 1,
-    so at most one codeword can qualify.  Requires k <= 20 (codeword scan) or
-    n - k <= 20 (syndrome table).
-    """
-    w = as_bits(word, code.n)
-    w_int = _bits_to_int(w)
-    if code.k <= MAX_ENUM_K:
-        for cw in code.codeword_ints:
-            if (w_int ^ cw).bit_count() <= code.t:
-                return poly_to_bits(cw, code.n)
-        return None
-    if code.n - code.k <= MAX_TABLE_REDUNDANCY:
-        table = code._syndrome_table
-        cols = code._h_column_ints
-        s = 0
-        for i in np.nonzero(w)[0]:
-            s ^= cols[i]
-        err = table.get(s)
-        if err is None:
-            return None
-        return poly_to_bits(w_int ^ err, code.n)
-    raise ValueError("bounded-distance decoding needs k <= 20 or n - k <= 20, "
-                     f"got [n={code.n}, k={code.k}]")
 
 
 def code_from_parity_check(h, t: int = 0) -> LinearCode:

@@ -53,17 +53,19 @@ FORWARD_ROWS = 2048
 # ---------------------------------------------------------------------------
 
 class Mlp:
-    """Dense ReLU network with a tanh output layer and manual backprop."""
+    """Dense ReLU network with a tanh output layer and manual backprop.
 
-    def __init__(self, layer_sizes, rng, init_std: float = 0.01):
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least an input and an output size")
-        self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        self.weights = []
-        self.biases = []
-        for d_in, d_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            self.weights.append(rng.normal(0.0, init_std, size=(d_in, d_out)))
-            self.biases.append(np.zeros(d_out))
+    Built from its (d_in, d_out) weight matrices and d_out bias vectors in
+    layer order; it keeps the arrays it is given and trains them in place.
+    """
+
+    def __init__(self, weights, biases):
+        if not weights or len(weights) != len(biases):
+            raise ValueError("need at least one layer and one bias per "
+                             "weight matrix")
+        self.layer_sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
+        self.weights = list(weights)
+        self.biases = list(biases)
 
     @property
     def d_in(self) -> int:
@@ -134,7 +136,10 @@ class Mlp:
             if i == last:
                 dz = da * (1.0 - a * a)
             else:
-                dz = da * (a > 0.0)
+                # da is this call's own dz @ W.T product, so it is masked in
+                # place rather than beside a new array
+                da *= a > 0.0
+                dz = da
             grads[2 * i] = acts[i].T @ dz
             grads[2 * i + 1] = dz.sum(axis=0)
             if i > 0:
@@ -155,9 +160,13 @@ class Encoders:
     def build(cls, d_img: int, d_attr: int, code_length: int,
               hidden=(512, 512), init_std: float = 0.01, seed=0) -> "Encoders":
         rng = np.random.default_rng(seed)  # a Generator is used as is
-        image = Mlp((d_img, *hidden, code_length), rng, init_std)
-        attribute = Mlp((d_attr, *hidden, code_length), rng, init_std)
-        return cls(image, attribute)
+        branches = []
+        for d_in in (d_img, d_attr):  # weights drawn layer by layer, image first
+            dims = (d_in, *hidden, code_length)
+            branches.append(Mlp([rng.normal(0.0, init_std, size=(a, b))
+                                 for a, b in zip(dims, dims[1:])],
+                                [np.zeros(b) for b in dims[1:]]))
+        return cls(*branches)
 
     @property
     def code_length(self) -> int:
@@ -337,9 +346,14 @@ def load_encoders(path) -> Encoders:
         raise ValueError(f"{path}: layer sizes need {count} weights ({8 * count} "
                          f"bytes) but {len(data) - offset} bytes follow")
     flat = np.frombuffer(data, dtype="<f8", offset=offset)
-    encoders = Encoders(*(Mlp(dims, np.random.default_rng(0)) for dims in layers))
+    branches = []
     start = 0
-    for param in encoders.image.parameters() + encoders.attribute.parameters():
-        param[...] = flat[start:start + param.size].reshape(param.shape)
-        start += param.size
-    return encoders
+    for dims in layers:
+        weights, biases = [], []
+        for a, b in zip(dims, dims[1:]):
+            # copies: the buffer is read-only, and training updates in place
+            weights.append(flat[start:start + a * b].reshape(a, b).copy())
+            biases.append(flat[start + a * b:start + a * b + b].copy())
+            start += a * b + b
+        branches.append(Mlp(weights, biases))
+    return Encoders(*branches)

@@ -10,13 +10,13 @@ the positive-LLR-means-0 convention.  With every weight at 1.0 the hard
 decisions coincide exactly with plain sum-product decoding.
 
 Sibling weights form per-variable blocks: in layer j >= 1, w_in[j - 1, v,
-a, b] weighs edge slot b of v (a var_pad_edge slot) into slot a, so a
+a, b] weighs edge slot b of v (a var_pad_mask slot) into slot a, so a
 layer's sibling sum is one batched matmul of an (n_var, dv_max, dv_max)
 block with padded (n_var, dv_max, batch) messages.  The diagonal and
-padding entries are not weights: they stay 0, the forward pass masks them
-out, their gradient is 0.  Layer 0 has no sibling weights: the messages
-start at zero, so a first-iteration sibling weight would only ever
-multiply zero and could never train.
+padding entries are not weights: they stay 0, each forward or training
+call masks them out once, their gradient is 0.  Layer 0 has no sibling
+weights: the messages start at zero, so a first-iteration sibling weight
+would only ever multiply zero and could never train.
 
 Weights, in the order of parameters(), weight_vector() and the serialized
 format (decoder.bin version 2): w_chan layer-major in edge order; the real
@@ -40,7 +40,6 @@ from .channel import awgn, bpsk_modulate, llr_from_channel, noise_sigma
 from .gf2 import LinearCode
 from .optim import Adam
 
-DEFAULT_ATANH_CLAMP = 1e-7
 _PRESIGMOID_LIMIT = 36.0
 
 # a batch is split only into pieces of at least this many frames: on
@@ -54,6 +53,9 @@ _MIN_PIECE_FRAMES = 64
 # batch size tried; near-equal blocks (33 + 32, ...) and a trailing block
 # of one frame did not.
 _DECODE_BLOCK = 64
+
+# evaluate_error_rates draws and decodes this many frames at a time
+_RATE_BATCH = 2048
 
 _MAGIC = b"NBPW"
 _VERSION = 2
@@ -89,13 +91,14 @@ class NeuralBpDecoder:
     has 2L hidden layers of width num_edges.  All weights start at 1.0.
     """
 
-    def __init__(self, graph: TannerGraph, iterations: int,
-                 atanh_clamp: float = DEFAULT_ATANH_CLAMP):
+    # check-node products fed to atanh are clipped to +-(1 - atanh_clamp)
+    atanh_clamp = 1e-7
+
+    def __init__(self, graph: TannerGraph, iterations: int):
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         self.graph = graph
         self.iterations = iterations
-        self.atanh_clamp = atanh_clamp
         vmask = graph.var_pad_mask
         # (n_var, dv_max, dv_max): True where slot b of v feeds slot a
         self._sib_mask = vmask[:, :, None] & vmask[:, None, :] & \
@@ -151,14 +154,14 @@ class NeuralBpDecoder:
         table[...] = 0
         return table, table.reshape(shape[0] * shape[1], batch)
 
-    def _forward_t(self, llr_t, keep_cache: bool, ws: _Workspace):
-        """Core forward pass on an (n_var, batch) LLR array, in the calling
-        pass's workspace `ws`."""
+    def _forward_t(self, llr_t, w_in, keep_cache: bool, ws: _Workspace):
+        """Core forward pass on an (n_var, batch) LLR array, with the
+        calling pass's masked sibling weights `w_in` (w_in * _sib_mask)
+        and workspace `ws`."""
         g = self.graph
         batch = llr_t.shape[1]
         lo = 1.0 - self.atanh_clamp
         l_edge = llr_t[g.edge_var]
-        w_in = self.w_in * self._sib_mask
         x = None
         x_pad, x_flat = self._var_table(ws, "x_pad", batch)
         sib, sib_flat = self._var_table(ws, "sib", batch)
@@ -209,11 +212,13 @@ class NeuralBpDecoder:
         outputs = np.empty((n, self.graph.n_var))
         hard = np.empty((n, self.graph.n_var), dtype=np.uint8)
         ws = _Workspace()
+        w_in = self.w_in * self._sib_mask
         blocks = max(1, n // _DECODE_BLOCK)
         for i in range(blocks):
             start = i * _DECODE_BLOCK
             stop = n if i == blocks - 1 else start + _DECODE_BLOCK
-            o, _ = self._forward_t(a[start:stop].T.copy(), keep_cache=False, ws=ws)
+            o, _ = self._forward_t(a[start:stop].T.copy(), w_in, keep_cache=False,
+                                   ws=ws)
             outputs[start:stop] = o.T
             np.greater(o.T, 0.5, out=hard[start:stop])
         if single:
@@ -243,7 +248,8 @@ class NeuralBpDecoder:
         if not ((y == 0.0) | (y == 1.0)).all():
             raise ValueError("targets must be bits (0 or 1)")
         ws = _Workspace()
-        o, cache = self._forward_t(llrs.T.copy(), keep_cache=True, ws=ws)
+        o, cache = self._forward_t(llrs.T.copy(), self.w_in * self._sib_mask,
+                                   keep_cache=True, ws=ws)
         llr_t, l_edge, w_in, layers, x_final, z, z_mask = cache
         y_t = y.T
         count = y_t.size
@@ -349,12 +355,11 @@ def _decode_split(decoder, llrs, pool, pieces: int) -> np.ndarray:
 
 
 def evaluate_error_rates(decoder, code: LinearCode, snr_db: float, frames: int,
-                         seed, zero_codeword: bool = False,
-                         batch_size: int = 2048):
+                         seed):
     """Monte-Carlo bit and frame error rates over an AWGN channel.
 
     `decoder` is anything with decode_batch (a NeuralBpDecoder or a plain
-    BpDecoder).  Transmits random codewords unless zero_codeword is set.
+    BpDecoder).  Transmits random codewords, _RATE_BATCH frames at a time.
     Deterministic for a fixed seed.
 
     Each batch is split in frame order across the cores the process may
@@ -367,26 +372,21 @@ def evaluate_error_rates(decoder, code: LinearCode, snr_db: float, frames: int,
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)  # a Generator is used as is
     bit_errors = 0
     frame_errors = 0
     done = 0
     gen = code.generator.astype(np.int64)
-    workers = _piece_count(_worker_count(), min(batch_size, frames))
+    workers = _piece_count(_worker_count(), min(_RATE_BATCH, frames))
     if workers > 1:
         # imported on first use: it imports logging, about 9 ms that every
         # import of the package would pay otherwise
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
         while done < frames:
-            b = min(batch_size, frames - done)
-            if zero_codeword:
-                words = np.zeros((b, code.n), dtype=np.uint8)
-            else:
-                msgs = rng.integers(0, 2, size=(b, code.k))
-                words = (msgs @ gen % 2).astype(np.uint8)
+            b = min(_RATE_BATCH, frames - done)
+            msgs = rng.integers(0, 2, size=(b, code.k))
+            words = (msgs @ gen % 2).astype(np.uint8)
             received, sigma = awgn(bpsk_modulate(words), snr_db, rng, rate=code.rate)
             llrs = llr_from_channel(received, sigma)
             hard = _decode_split(decoder, llrs, pool, _piece_count(workers, b))

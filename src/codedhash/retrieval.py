@@ -177,17 +177,6 @@ def average_precision(ranked_relevance) -> float:
     return float(precision_at_hits.mean())
 
 
-def mean_average_precision(ranked_relevances) -> float:
-    """Mean AP over queries; queries with no relevant item are skipped."""
-    aps = []
-    for rels in ranked_relevances:
-        if np.asarray(rels).any():
-            aps.append(average_precision(rels))
-    if not aps:
-        raise UndefinedMetricError("no query with a relevant item")
-    return float(np.mean(aps))
-
-
 def ndcg_at_k(ranked_grades, k: int) -> float:
     """NDCG truncated at k for one graded relevance list in rank order.
 
@@ -276,13 +265,13 @@ def score_rankings(binary_lists, grade_lists, k=None) -> QueryEvaluation:
                                                  strict=True)])
 
 
-def evaluate_queries(encode_attributes, index: RetrievalIndex, masks,
-                     k=None) -> QueryEvaluation:
+def evaluate_queries(encode_attributes, index: RetrievalIndex,
+                     masks) -> QueryEvaluation:
     """Run attribute-mask queries through an encoder and the index.
 
     encode_attributes maps a float attribute vector to a real activation
     (it is sign-hashed here).  Each ranking is scored as it is made, as
-    score_rankings scores it; k=None scores NDCG over the whole gallery.
+    score_rankings scores it with k=None: NDCG over the whole gallery.
     """
     masks = np.atleast_2d(np.asarray(masks))
     scores = []
@@ -291,7 +280,7 @@ def evaluate_queries(encode_attributes, index: RetrievalIndex, masks,
         code = sign_hash(encode_attributes(mask.astype(np.float64)))
         ids, _ = rank(code, index)
         grades = _grades(m, index.attribute_words)[ids]
-        scores.append(_score_query(grades == np.count_nonzero(m), grades, k))
+        scores.append(_score_query(grades == np.count_nonzero(m), grades, None))
     return _aggregate(scores)
 
 

@@ -16,7 +16,7 @@ import pytest
 from codedhash.bp import BpDecoder, TannerGraph, bp_decode_batch
 from codedhash.cli import main
 from codedhash.data import SyntheticSpec, generate_synthetic
-from codedhash.gf2 import bch_code_table, bounded_distance_decode, build_bch
+from codedhash.gf2 import bch_code_table, build_bch
 from codedhash.hashing import (
     Encoders,
     gradients,
@@ -36,9 +36,10 @@ from codedhash.retrieval import (
     build_index,
     enumerate_query_masks,
     evaluate_queries,
-    mean_average_precision,
     ndcg_at_k,
+    score_rankings,
 )
+from gf2_oracles import bounded_distance_decode
 
 
 # --------------------------------------------------------------------------
@@ -307,9 +308,11 @@ def test_criterion_8_metric_fixtures():
     assert average_precision(np.array([1, 1, 1])) == 1.0
     assert average_precision(np.array([0, 0, 1, 1])) == pytest.approx(
         (1.0 / 3.0 + 2.0 / 4.0) / 2.0, abs=1e-12)
-    assert mean_average_precision([np.array([1, 0, 1]),
-                                   np.array([0, 1])]) == pytest.approx(
+    two_queries = [np.array([1, 0, 1]), np.array([0, 1])]
+    scored = score_rankings(two_queries, two_queries)
+    assert scored.mean_average_precision == pytest.approx(
         (5.0 / 6.0 + 0.5) / 2.0, abs=1e-12)
+    assert scored.skipped_map == 0
 
     # binary gains (0, 1) at k=2: DCG = 1/log2(3), ideal = 1
     assert ndcg_at_k(np.array([0, 1]), 2) == pytest.approx(

@@ -16,6 +16,7 @@ from codedhash import channel, gf2, pipeline
 from codedhash.bp import (DEFAULT_CLAMP, TannerGraph, _Workspace, bp_decode_batch,
                           check_products_except_self,
                           check_products_except_self_backward, segment_sum)
+from gf2_oracles import encode
 
 H_APPENDIX = np.array(
     [
@@ -81,6 +82,12 @@ def pipeline_code(c=None):
     return pipeline.select_code(config.margin, config.c if c is None else c)
 
 
+def edge_checks(graph):
+    """Each edge's check, rebuilt from h: edges are in (variable, check)
+    lexicographic order."""
+    return np.nonzero(graph.h.T)[1]
+
+
 def check_rows(graph):
     """Each check's edges in degree-major table order, read back from
     check_slot: slot i * n_check + c holds the i-th edge of check c."""
@@ -102,18 +109,20 @@ class TestTannerGraph:
 
     def test_adjacency_sorted_and_consistent(self):
         graph = TannerGraph(H_APPENDIX)
+        checks = edge_checks(graph)
         for v in range(graph.n_var):
-            row = graph.var_pad_edge[v][graph.var_pad_mask[v]]
-            assert (np.diff(row) > 0).all()
+            row = np.arange(graph.var_offsets[v], graph.var_offsets[v + 1])
             np.testing.assert_array_equal(graph.edge_var[row], v)
-            np.testing.assert_array_equal(graph.edge_check[row],
-                                          np.nonzero(graph.h[:, v])[0])
+            np.testing.assert_array_equal(checks[row], np.nonzero(graph.h[:, v])[0])
+            # left-aligned: the edges fill mask slots 0 .. degree - 1
+            np.testing.assert_array_equal(np.flatnonzero(graph.var_pad_mask[v]),
+                                          np.arange(len(row)))
         for c, row in enumerate(check_rows(graph)):
             # left-aligned: the edges fill table rows 0 .. degree - 1
             np.testing.assert_array_equal(graph.check_slot[row] // graph.n_check,
                                           np.arange(len(row)))
             assert (np.diff(row) > 0).all()
-            np.testing.assert_array_equal(graph.edge_check[row], c)
+            np.testing.assert_array_equal(checks[row], c)
             np.testing.assert_array_equal(graph.edge_var[row],
                                           np.nonzero(graph.h[c])[0])
 
@@ -123,9 +132,9 @@ class TestTannerGraph:
         edges = sorted(zip(*np.nonzero(graph.h.T)))
         assert graph.num_edges == len(edges)
         for e, (v, c) in enumerate(edges):
-            assert (graph.edge_var[e], graph.edge_check[e]) == (v, c)
-        np.testing.assert_array_equal(np.sort(graph.var_pad_edge[graph.var_pad_mask]),
-                                      np.arange(graph.num_edges))
+            assert (graph.edge_var[e], graph.check_slot[e] % graph.n_check) == (v, c)
+        np.testing.assert_array_equal(graph.var_offsets,
+                                      np.r_[0, np.cumsum(graph.var_pad_mask.sum(axis=1))])
         np.testing.assert_array_equal(np.sort(np.concatenate(check_rows(graph))),
                                       np.arange(graph.num_edges))
         # edge and padding slots tile the (dc_max, n_check) table exactly once
@@ -161,21 +170,22 @@ class TestKernels:
         rng = np.random.default_rng(42)
         values = rng.uniform(-0.9, 0.9, size=(graph.num_edges, 3))
         got = check_products_except_self(values, graph)
+        checks = edge_checks(graph)
         for e in range(graph.num_edges):
-            c = graph.edge_check[e]
             sibs = [f for f in range(graph.num_edges)
-                    if graph.edge_check[f] == c and f != e]
+                    if checks[f] == checks[e] and f != e]
             expected = np.prod(values[sibs], axis=0)
             np.testing.assert_allclose(got[e], expected, rtol=1e-12)
 
 
 def reference_check_table(graph):
-    """(edge ids, mask), both (n_check, dc_max), rebuilt from edge_check:
-    row c lists the edges of check c ascending and left-aligned."""
-    deg = np.bincount(graph.edge_check, minlength=graph.n_check)
+    """(edge ids, mask), both (n_check, dc_max), rebuilt from h: row c
+    lists the edges of check c ascending and left-aligned."""
+    checks = edge_checks(graph)
+    deg = np.bincount(checks, minlength=graph.n_check)
     mask = np.arange(deg.max()) < deg[:, None]
     edge = np.zeros(mask.shape, dtype=np.int64)
-    edge[mask] = np.argsort(graph.edge_check, kind="stable")
+    edge[mask] = np.argsort(checks, kind="stable")
     return edge, mask
 
 
@@ -322,7 +332,7 @@ class TestBpDecode:
         graph = TannerGraph(code.parity_check)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            cw = gf2.encode(rng.integers(0, 2, size=code.k), code)
+            cw = encode(rng.integers(0, 2, size=code.k), code)
             llr = 8.0 * channel.bpsk_modulate(cw)
             hard, _, conv = bp_decode_batch(llr[None, :], graph, iterations=5)
             np.testing.assert_array_equal(hard[0], cw)

@@ -143,12 +143,6 @@ class TestSimilarityMatrix:
         assert np.array_equal(similarity_matrix(attrs),
                               containment_oracle(attrs))
 
-    def test_rectangular_form(self):
-        rows = np.array([[1, 1], [0, 1]], dtype=np.uint8)
-        cols = np.array([[0, 1], [1, 0], [0, 0]], dtype=np.uint8)
-        s = similarity_matrix(rows, cols)
-        assert s.tolist() == [[1, 1, 1], [1, 0, 1]]
-
 
 class TestDatasetFiles:
     def test_round_trip_exact(self, tmp_path):

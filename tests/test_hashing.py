@@ -316,9 +316,9 @@ class TestEncoders:
         assert (np.abs(batch) < 1).all()
 
     def test_output_width_mismatch_rejected(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            Encoders(Mlp((4, 6), rng), Mlp((4, 7), rng))
+            Encoders(Mlp([np.zeros((4, 6))], [np.zeros(6)]),
+                     Mlp([np.zeros((4, 7))], [np.zeros(7)]))
 
     def test_input_width_checked(self):
         enc = Encoders.build(6, 5, 8, seed=0)

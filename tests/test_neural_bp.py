@@ -15,6 +15,7 @@ from codedhash.neural_bp import (DecoderTrainConfig, NeuralBpDecoder,
                                  evaluate_error_rates, load_decoder,
                                  save_decoder, train_decoder)
 from codedhash.optim import Adam
+from gf2_oracles import encode
 
 H_APPENDIX = np.array(
     [
@@ -133,7 +134,7 @@ class TestUnitWeightEquivalence:
         net = NeuralBpDecoder(TannerGraph(code.parity_check), iterations=5)
         rng = np.random.default_rng(11)
         for _ in range(5):
-            cw = gf2.encode(rng.integers(0, 2, size=code.k), code)
+            cw = encode(rng.integers(0, 2, size=code.k), code)
             _, hard = net.forward(6.0 * channel.bpsk_modulate(cw))
             np.testing.assert_array_equal(hard, cw)
 
@@ -195,7 +196,8 @@ class TestBlockedForward:
     def test_bits_equal_one_unblocked_pass(self, nets, code, n):
         net = nets[code]
         llrs = np.random.default_rng(n).normal(0.0, 2.5, size=(n, net.graph.n_var))
-        want = net._forward_t(llrs.T.copy(), keep_cache=False, ws=_Workspace())[0].T
+        want = net._forward_t(llrs.T.copy(), net.w_in * net._sib_mask,
+                              keep_cache=False, ws=_Workspace())[0].T
         outputs, hard = net.forward(llrs)
         assert outputs.shape == hard.shape == (n, net.graph.n_var)
         assert hard.dtype == np.uint8
@@ -210,16 +212,31 @@ class TestBlockedForward:
     def test_blocks_are_consecutive(self, nets, n, sizes, monkeypatch):
         net = nets["bch15_7"]
         llrs = np.random.default_rng(n).normal(0.0, 2.5, size=(n, net.graph.n_var))
-        seen = []
+        seen, masked = [], []
 
-        def spy(llr_t, keep_cache, ws):
+        def spy(llr_t, w_in, keep_cache, ws):
             seen.append(llr_t)
-            return NeuralBpDecoder._forward_t(net, llr_t, keep_cache, ws)
+            masked.append(w_in)
+            return NeuralBpDecoder._forward_t(net, llr_t, w_in, keep_cache, ws)
 
         monkeypatch.setattr(net, "_forward_t", spy)
         net.forward(llrs)
         assert [t.shape[1] for t in seen] == sizes
         assert np.array_equal(np.concatenate(seen, axis=1), llrs.T)
+        # the sibling weights are masked once per call, not once per block
+        assert all(w is masked[0] for w in masked)
+
+    def test_non_weight_entries_do_not_reach_the_output(self, nets):
+        net = nets["bch63_30"]
+        llrs = np.random.default_rng(8).normal(0.0, 2.5, size=(200, net.graph.n_var))
+        want, _ = net.forward(llrs)
+        w_in = net.w_in.copy()
+        try:
+            net.w_in[:, ~net._sib_mask] = 5.0
+            got, _ = net.forward(llrs)
+        finally:
+            net.w_in[...] = w_in
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGradients:
@@ -387,6 +404,18 @@ class TestTraining:
         for p in (net.w_chan, net.w_out_chan, net.w_out_edge):
             assert (p != 1.0).any()
 
+    def test_sibling_diagonal_and_padding_stay_zero(self):
+        """w_in's diagonal and padding, which are not weights, are still
+        exactly +0.0 after training: Adam steps them by a zero gradient."""
+        code = pipeline_code()
+        net = NeuralBpDecoder(TannerGraph(code.parity_check), 5)
+        assert (~net._sib_mask).any()
+        train_decoder(net, code, DecoderTrainConfig(frames_per_epoch=64,
+                                                    epochs=20, seed=3))
+        assert (net.w_in[:, net._sib_mask] != 1.0).any()
+        assert np.count_nonzero(net.w_in[:, ~net._sib_mask]) == 0
+        assert (net.w_in * net._sib_mask).tobytes() == net.w_in.tobytes()
+
     def test_trained_weights_bit_identical_to_v1_decoder(self):
         """Dropping the first-iteration sibling weights changes no other
         weight's training.  The hash was made with the v1 decoder, whose
@@ -430,14 +459,6 @@ class TestErrorRates:
         net = NeuralBpDecoder(TannerGraph(code.parity_check), 5)
         ber, fer = evaluate_error_rates(net, code, 2.0, frames=2000, seed=42)
         assert ber <= fer <= 1.0
-
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_rejects_nonpositive_batch_size(self, batch_size):
-        code = gf2.build_bch(4, 2)
-        net = NeuralBpDecoder(TannerGraph(code.parity_check), 5)
-        with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            evaluate_error_rates(net, code, 2.0, frames=10, seed=43,
-                                 batch_size=batch_size)
 
 
 class TestSerialization:

@@ -112,20 +112,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="entry 1"):
             Adam(p).step([p[0], np.ones(5)], [np.ones((3, 4)), np.ones(5)])
 
-    @pytest.mark.parametrize("kwargs, message", [
-        (dict(beta1=1.0), "beta1"),
-        (dict(beta1=-0.1), "beta1"),
-        (dict(beta2=1.0), "beta2"),
-        (dict(beta2=1.5), "beta2"),
-        (dict(eps=0.0), "eps"),
-        (dict(eps=-1e-8), "eps"),
-        (dict(lr=0.0), "learning rate"),
-    ])
-    def test_degenerate_settings_rejected(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            Adam(self._params(), **kwargs)
-
-    def test_zero_beta_accepted(self):
-        p = self._params()
-        Adam(p, beta1=0.0, beta2=0.0).step(p, [np.ones((3, 4)), np.ones(4)])
-        assert all(np.isfinite(x).all() for x in p)
+    @pytest.mark.parametrize("lr", [0.0, -1e-3])
+    def test_nonpositive_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            Adam(self._params(), lr=lr)

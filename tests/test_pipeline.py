@@ -3,7 +3,7 @@ import pytest
 
 from codedhash.bp import TannerGraph
 from codedhash.data import SyntheticSpec, generate_synthetic, similarity_matrix
-from codedhash.gf2 import build_bch, encode
+from codedhash.gf2 import build_bch
 from codedhash.hashing import Encoders, gradients, match_probability
 from codedhash.neural_bp import NeuralBpDecoder
 from codedhash.optim import Adam
@@ -23,6 +23,7 @@ from codedhash.pipeline import (
     training_map,
     write_report,
 )
+from gf2_oracles import encode
 
 
 def small_dataset(seed=0):

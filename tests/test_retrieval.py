@@ -14,7 +14,6 @@ from codedhash.retrieval import (
     enumerate_query_masks,
     evaluate_queries,
     graded_relevance,
-    mean_average_precision,
     ndcg_at_k,
     rank,
     read_rankings,
@@ -331,17 +330,23 @@ class TestAveragePrecision:
 
 
 class TestMeanAveragePrecision:
+    """MAP as score_rankings reports it, with binary lists as the grades."""
+
     def test_mean_over_queries(self):
-        value = mean_average_precision([[1, 0, 1], [0, 1, 0]])
-        assert value == pytest.approx((5 / 6 + 0.5) / 2)
+        lists = [[1, 0, 1], [0, 1, 0]]
+        result = score_rankings(lists, lists)
+        assert result.mean_average_precision == pytest.approx((5 / 6 + 0.5) / 2)
+        assert result.skipped_map == 0
 
     def test_skips_queries_without_relevant_items(self):
-        value = mean_average_precision([[1, 0], [0, 0], [0, 1]])
-        assert value == pytest.approx((1.0 + 0.5) / 2)
+        lists = [[1, 0], [0, 0], [0, 1]]
+        result = score_rankings(lists, lists)
+        assert result.mean_average_precision == pytest.approx((1.0 + 0.5) / 2)
+        assert result.skipped_map == 1
 
     def test_all_invalid_raises(self):
         with pytest.raises(UndefinedMetricError):
-            mean_average_precision([[0, 0], [0]])
+            score_rankings([[0, 0], [0]], [[0, 0], [0]])
 
 
 class TestNdcg:
@@ -590,7 +595,8 @@ class TestScoringOracle:
         for arity, group in masks.items():
             binary_lists, grade_lists, expected = self._reference(
                 encode, index, group, k)
-            assert evaluate_queries(encode, index, group, k) == expected
+            if k is None:  # evaluate_queries scores NDCG over the whole gallery
+                assert evaluate_queries(encode, index, group) == expected
             assert score_rankings(binary_lists, grade_lists, k) == expected
             if arity == 2:
                 assert expected.skipped_map > expected.skipped_ndcg > 0
