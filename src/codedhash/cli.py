@@ -34,7 +34,7 @@ from .retrieval import (
     write_metric_report,
     write_rankings,
 )
-from .textio import parse_rows, read_chunks, write_rows
+from .textio import parse_bits, parse_rows, parse_run, read_chunks, write_rows
 
 ENCODERS_FILE = "encoders.bin"
 DECODER_FILE = "decoder.bin"
@@ -55,41 +55,34 @@ def write_codes(path, codes) -> None:
 def read_codes(path) -> np.ndarray:
     """Inverse of write_codes; blank lines and `#` comment lines are
     skipped.  numpy parses each run of lines in one call; a run that fails
-    is rescanned only to name its first bad line."""
-    chunks = []
+    is parsed again line by line to name its first bad line."""
+    chunks, width = [], None
     with open(path) as fh:
         for linenos, lines in read_chunks(fh, comment="#"):
-            width = chunks[0].shape[1] if chunks else None
-            table = parse_rows(lines, np.int8)
-            if (table is None or width not in (None, table.shape[1])
-                    or not all_either(table, -1, 1)):
-                _raise_code_fault(path, linenos, lines, width)
+            table, width = parse_run(path, linenos, lines, _parse_codes, width)
             chunks.append(table)
     if not chunks:
         return np.zeros((0, 0), dtype=np.int8)
     return np.concatenate(chunks)
 
 
-def _raise_code_fault(path, linenos, lines, width):
-    """Raise the error of the first bad line of a rejected run of code lines."""
-    for lineno, line in zip(linenos, lines):
-        row = parse_rows([line], np.int8)
-        if row is None:
-            raise ValueError(f"{path}:{lineno}: unparseable code line")
-        if not all_either(row, -1, 1):
-            raise ValueError(f"{path}:{lineno}: code bits must be +1/-1")
-        if width is None:
-            width = row.shape[1]
-        elif row.shape[1] != width:
-            raise ValueError(f"{path}:{lineno}: inconsistent code length")
-    raise ValueError(f"{path}:{linenos[0]}: malformed code lines")
+def _parse_codes(lines, width):
+    """(int8 table, width) of a run of +1/-1 code lines whose length must
+    equal `width`, or the run's own when that is None."""
+    table = parse_rows(lines, np.int8)
+    if table is None:
+        raise ValueError("unparseable code line")
+    if not all_either(table, -1, 1):
+        raise ValueError("code bits must be +1/-1")
+    if width not in (None, table.shape[1]):
+        raise ValueError("inconsistent code length")
+    return table, table.shape[1]
 
 
 def _parse_mask(text: str, d_attr: int) -> np.ndarray:
-    if set(text) - {"0", "1"}:
+    if (mask := parse_bits(text)) is None:
         raise ValueError(f"query mask must be a 0/1 string, got {text!r}")
-    return check_query_mask(np.frombuffer(text.encode(), dtype=np.uint8)
-                            - ord("0"), d_attr)
+    return check_query_mask(mask, d_attr)
 
 
 # ---------------------------------------------------------------------------

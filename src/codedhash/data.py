@@ -19,10 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import all_either
-from .textio import parse_rows, read_chunks
-
-
-_BITS = frozenset("01")
+from .textio import parse_bits, parse_rows, parse_run, read_chunks
 
 
 class DatasetFormatError(ValueError):
@@ -138,23 +135,21 @@ def read_records(path, *, with_features: bool = True):
     """Yield (subject ids, attributes, features) for each run of CHUNK_ROWS
     lines of a save_dataset file; blank lines are skipped.
 
-    One pass over each run checks its structure (three `|` fields,
-    attribute tokens that are literally 0 or 1, one attribute width across
-    the file), then numpy parses the run's subject ids and features in one
-    call each.  A run that fails is rescanned only to name its first bad
-    line, as `path:lineno`; the runs before it have been yielded by then.
+    One rule checks a run (three `|` fields, attribute tokens that are
+    literally 0 or 1, one width per field across the file) as numpy parses
+    its subject ids and features in one call each; a rejected run meets it
+    again line by line to name its first bad line as `path:lineno`, when
+    the runs before it have been yielded.
 
     With `with_features` false the feature field is neither parsed nor
     checked, and each run carries an (n, 0) feature array: for callers
     that read only subject ids and attributes.
     """
-    widths = None  # (d_attr, d_img) of the first record
+    state = (None, with_features)  # (d_attr, d_img) once a record is read
     with open(path) as fh:
         for linenos, lines in read_chunks(fh):
-            records = _parse_records(lines, widths, with_features)
-            if records is None:
-                _raise_record_fault(path, linenos, lines, widths, with_features)
-            *fields, widths = records
+            fields, state = parse_run(path, linenos, lines, _parse_records,
+                                      state)
             yield fields
 
 
@@ -168,65 +163,42 @@ def load_dataset(path, *, with_features: bool = True) -> Dataset:
     return Dataset(*(np.concatenate(field) for field in zip(*runs)))
 
 
-def _parse_records(lines, widths, with_features):
-    """(subject ids, attributes, features, widths) of a run of record lines,
-    or None when any line is malformed or its (d_attr, d_img) widths differ
-    from `widths`, or from the run's first line when `widths` is None.
-    Without features, d_img reads 0 and the feature field is not looked at."""
+def _parse_records(lines, state):
+    """((subject ids, attributes, features), state) of a run of record
+    lines, for a state of (widths, with_features): every line's (d_attr,
+    d_img) must equal widths, or the first line's when widths is None.
+    Without features, d_img reads 0 and the feature field is not read."""
+    widths, with_features = state
     id_fields, bit_fields, feature_fields = [], [], []
     for line in lines:
         fields = line.split("|")
         if len(fields) != 3:
-            return None
+            raise DatasetFormatError(
+                f"expected 3 '|'-separated fields, got {len(fields)}")
         bits = fields[1].split()
         if widths is None:
             widths = (len(bits),
                       len(fields[2].split()) if with_features else 0)
-        if len(bits) != widths[0] or not _BITS.issuperset(bits):
-            return None
+        if len(bits) != widths[0]:
+            raise DatasetFormatError("inconsistent field widths")
         id_fields.append(fields[0])
-        bit_fields.append("".join(bits))
+        bit_fields.extend(bits)
         feature_fields.append(fields[2])
     ids = parse_rows(id_fields, np.int64)
-    if not with_features:
-        feats = np.zeros((len(lines), 0))
-    elif widths[1]:
+    if ids is None or ids.shape[1] != 1:
+        raise DatasetFormatError("bad subject id")
+    # one character per token, or a token such as "01" reads as two bits
+    attrs = parse_bits("".join(bit_fields))
+    if attrs is None or attrs.size != len(bit_fields):
+        raise DatasetFormatError("attribute values must be 0 or 1")
+    feats = np.zeros((len(lines), 0))
+    if with_features and (widths[1] or "".join(feature_fields).strip()):
         feats = parse_rows(feature_fields, np.float64)
-    else:  # every feature field must be blank
-        feats = (None if "".join(feature_fields).strip()
-                 else np.zeros((len(lines), 0)))
-    if (ids is None or ids.shape[1] != 1 or feats is None
-            or feats.shape[1] != widths[1] or not np.isfinite(feats).all()):
-        return None
-    attrs = np.frombuffer("".join(bit_fields).encode(), dtype=np.uint8)
-    return (ids[:, 0], (attrs - ord("0")).reshape(len(lines), widths[0]),
-            feats, widths)
-
-
-def _raise_record_fault(path, linenos, lines, widths, with_features):
-    """Raise the DatasetFormatError of the first bad line of a rejected run,
-    checking each line as a whole file would be checked up to it."""
-    for lineno, line in zip(linenos, lines):
-        where = f"{path}:{lineno}"
-        fields = line.split("|")
-        if len(fields) != 3:
-            raise DatasetFormatError(
-                f"{where}: expected 3 '|'-separated fields, got {len(fields)}")
-        sid = parse_rows([fields[0]], np.int64)
-        if sid is None or sid.shape != (1, 1):
-            raise DatasetFormatError(
-                f"{where}: bad subject id {fields[0].strip()!r}")
-        bits = fields[1].split()
-        if not _BITS.issuperset(bits):
-            raise DatasetFormatError(f"{where}: attribute values must be 0 or 1")
-        feats = (parse_rows([fields[2]], np.float64)
-                 if with_features and fields[2].strip() else np.zeros((1, 0)))
         if feats is None:
-            raise DatasetFormatError(f"{where}: unparseable feature value")
-        if not np.isfinite(feats).all():
-            raise DatasetFormatError(f"{where}: non-finite feature value")
-        if widths is None:
-            widths = (len(bits), feats.shape[1])
-        elif (len(bits), feats.shape[1]) != widths:
-            raise DatasetFormatError(f"{where}: inconsistent field widths")
-    raise DatasetFormatError(f"{path}:{linenos[0]}: malformed records")
+            raise DatasetFormatError("unparseable feature value")
+    if feats.shape[1] != widths[1]:
+        raise DatasetFormatError("inconsistent field widths")
+    if not np.isfinite(feats).all():
+        raise DatasetFormatError("non-finite feature value")
+    return ((ids[:, 0], attrs.reshape(len(lines), widths[0]), feats),
+            (widths, with_features))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import all_either
+from .textio import parse_bits
 
 # Fixed primitive polynomial for each supported extension degree m.
 PRIMITIVE_POLYS = {
@@ -300,9 +301,10 @@ def load_code(path) -> LinearCode:
             line = line.strip()
             if not line:
                 continue
-            if len(line) != n or set(line) - {"0", "1"}:
+            row = parse_bits(line)
+            if row is None or row.size != n:
                 raise ValueError(f"{path}:{line_no}: bad parity-check row")
-            rows.append([int(ch) for ch in line])
+            rows.append(row)
     if len(rows) != n - k:
         raise ValueError(f"{path}: expected {n - k} parity rows, got {len(rows)}")
     try:

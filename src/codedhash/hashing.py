@@ -29,6 +29,7 @@ differences in float64.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -323,37 +324,45 @@ def save_encoders(encoders: Encoders, path) -> None:
 
 
 def load_encoders(path) -> Encoders:
+    """Inverse of save_encoders: each branch's weights are read once, into
+    one array its network keeps views of."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: not an encoder weight file")
-    try:
-        version, d_img, d_attr, c = struct.unpack_from("<BIII", data, len(_MAGIC))
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise ValueError(f"{path}: not an encoder weight file")
+        size = os.fstat(fh.fileno()).st_size
+
+        def unpack(fmt):
+            raw = fh.read(struct.calcsize(fmt))
+            if len(raw) != struct.calcsize(fmt):
+                raise ValueError(f"{path}: truncated header ({size} bytes)")
+            return struct.unpack(fmt, raw)
+
+        version, d_img, d_attr, c = unpack("<BIII")
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        offset = len(_MAGIC) + 13
         layers = []
         for d_in in (d_img, d_attr):
-            (n_hidden,) = struct.unpack_from("<B", data, offset)
-            hidden = struct.unpack_from(f"<{n_hidden}I", data, offset + 1)
-            offset += 1 + 4 * n_hidden
-            layers.append((d_in, *hidden, c))
-    except struct.error:
-        raise ValueError(f"{path}: truncated header ({len(data)} bytes)") from None
-    # checked before any array is sized by the header
-    count = sum(a * b + b for dims in layers for a, b in zip(dims, dims[1:]))
-    if len(data) - offset != 8 * count:
-        raise ValueError(f"{path}: layer sizes need {count} weights ({8 * count} "
-                         f"bytes) but {len(data) - offset} bytes follow")
-    flat = np.frombuffer(data, dtype="<f8", offset=offset)
-    branches = []
-    start = 0
-    for dims in layers:
-        weights, biases = [], []
-        for a, b in zip(dims, dims[1:]):
-            # copies: the buffer is read-only, and training updates in place
-            weights.append(flat[start:start + a * b].reshape(a, b).copy())
-            biases.append(flat[start + a * b:start + a * b + b].copy())
-            start += a * b + b
-        branches.append(Mlp(weights, biases))
+            (n_hidden,) = unpack("<B")
+            layers.append((d_in, *unpack(f"<{n_hidden}I"), c))
+        # checked before any array is sized by the header
+        counts = [sum(a * b + b for a, b in zip(dims, dims[1:])) for dims in layers]
+        if (payload := size - fh.tell()) != 8 * sum(counts):
+            raise ValueError(f"{path}: layer sizes need {sum(counts)} weights "
+                             f"({8 * sum(counts)} bytes) but {payload} bytes "
+                             "follow")
+        branches = []
+        for dims, count in zip(layers, counts):
+            # aligned and writable, as training updates the views in place;
+            # one array per branch, so a caller keeping one branch frees the
+            # other
+            flat = np.empty(count, dtype="<f8")
+            if fh.readinto(flat) != flat.nbytes:
+                raise ValueError(f"{path}: truncated while reading")
+            weights, biases = [], []
+            start = 0
+            for a, b in zip(dims, dims[1:]):
+                weights.append(flat[start:start + a * b].reshape(a, b))
+                biases.append(flat[start + a * b:start + a * b + b])
+                start += a * b + b
+            branches.append(Mlp(weights, biases))
     return Encoders(*branches)

@@ -30,6 +30,7 @@ from .hashing import (
     HAMMING_MARGIN_SCALE,
     PROB_CLAMP,
     Encoders,
+    dll_loss,
     objective,
     objective_grads,
 )
@@ -261,8 +262,7 @@ def _code_loss_and_grad(activations, target_bits, gamma):
     clamped = np.clip(p_one, PROB_CLAMP, 1.0 - PROB_CLAMP)
     interior = (p_one > PROB_CLAMP) & (p_one < 1.0 - PROB_CLAMP)
     b = target_bits.astype(np.float64)
-    ce = -(b * np.log(clamped) + (1.0 - b) * np.log(1.0 - clamped))
-    loss = gamma * float(ce.sum()) / n
+    loss = gamma * float(dll_loss(p_one, b).sum()) / n
     dp = (-(b / clamped) + (1.0 - b) / (1.0 - clamped)) * interior
     da = gamma * dp * (-0.5) / n
     return loss, da

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._checks import all_either
 from .hashing import sign_hash
-from .textio import parse_rows, write_rows
+from .textio import parse_bits, parse_rows, parse_run, write_rows
 
 
 class UndefinedMetricError(ValueError):
@@ -312,8 +312,8 @@ def read_rankings(path):
 
     The file is read block by block: one pass sorts out the `#` lines, and
     numpy parses each block's rows in one call.  A block that fails to
-    parse or whose ranks are not 1, 2, ... is rescanned only to name its
-    first bad line.
+    parse or whose ranks are not 1, 2, ... is parsed again line by line
+    to name its first bad line.  A query mask must set an attribute.
     """
     blocks = []
     mask = None
@@ -327,10 +327,7 @@ def read_rankings(path):
             return
         if not lines:
             raise ValueError(f"{path}:{query_lineno}: query block with no rows")
-        table = parse_rows(lines, np.int64, delimiter=",")
-        if (table is None or table.shape[1] != 4
-                or (table[:, 0] != np.arange(1, len(lines) + 1)).any()):
-            _raise_ranking_fault(path, linenos, lines)
+        table, _ = parse_run(path, linenos, lines, _parse_rank_rows, 1)
         ids, dists, rels = table[:, 1:].T.copy()
         blocks.append((mask, ids, dists, rels))
 
@@ -341,10 +338,9 @@ def read_rankings(path):
             if "#" in line and (text := line.strip()).startswith("#"):
                 if text.startswith("# query "):
                     flush()
-                    digits = text[len("# query "):].strip()
-                    if not digits or set(digits) - {"0", "1"}:
+                    mask = parse_bits(text[len("# query "):].strip())
+                    if mask is None or not mask.any():
                         raise ValueError(f"{path}:{lineno}: bad query mask")
-                    mask = np.frombuffer(digits.encode(), dtype=np.uint8) - ord("0")
                     query_lineno = lineno
                     linenos, lines = [], []
                 continue
@@ -354,15 +350,15 @@ def read_rankings(path):
     return blocks
 
 
-def _raise_ranking_fault(path, linenos, lines):
-    """Raise the error of the first bad row of a rejected query block."""
-    for pos, (lineno, line) in enumerate(zip(linenos, lines), start=1):
-        row = parse_rows([line], np.int64, delimiter=",")
-        if row is None or row.shape != (1, 4):
-            raise ValueError(f"{path}:{lineno}: malformed ranking line")
-        if row[0, 0] != pos:
-            raise ValueError(f"{path}:{lineno}: rank out of sequence")
-    raise ValueError(f"{path}:{linenos[0]}: malformed query block")
+def _parse_rank_rows(lines, first_rank):
+    """(int64 table, next rank) of a run of `rank, item_id, distance,
+    relevance` rows whose ranks count up from first_rank."""
+    table = parse_rows(lines, np.int64, delimiter=",")
+    if table is None or table.shape[1] != 4:
+        raise ValueError("malformed ranking line")
+    if (table[:, 0] != np.arange(first_rank, first_rank + len(lines))).any():
+        raise ValueError("rank out of sequence")
+    return table, first_rank + len(lines)
 
 
 def write_metric_report(path, rows) -> None:

@@ -1,13 +1,15 @@
 """Bulk parsing and formatting of the line-based text tables behind the
 dataset, code and rankings files.
 
-Readers take a file CHUNK_ROWS lines at a time (`read_chunks`) and hand a
-whole run of lines to numpy's C tokenizer (`parse_rows`), so whether the
-run is well formed is decided once; only a rejected run is rescanned line
-by line, to name the offending line.  Numeric tokens follow numpy's
-parser: ASCII digits with an optional sign, and for floats Python's float
-syntax without underscores; integers must fit their dtype.  Writers format
-CHUNK_ROWS rows of an integer table with one `%` operation (`write_rows`).
+Readers take a file CHUNK_ROWS lines at a time (`read_chunks`) and run
+each format's one rule, a `parse(lines, state)` that raises its reason, on
+a whole run (`parse_run`); numeric fields go to numpy's C tokenizer in one
+call (`parse_rows`) and 0/1 strings to `parse_bits`.  Only a rejected run
+meets the same rule again, one line at a time, to name its bad line.
+Numeric tokens follow numpy's parser: ASCII digits with an optional sign,
+and for floats Python's float syntax without underscores; integers must
+fit their dtype.  Writers format CHUNK_ROWS rows of an integer table with
+one `%` operation (`write_rows`).
 """
 
 from __future__ import annotations
@@ -46,6 +48,29 @@ def parse_rows(lines, dtype, delimiter=None):
         except (ValueError, Warning):
             return None
     return table if table.shape[0] == len(lines) else None
+
+
+def parse_run(path, linenos, lines, parse, state):
+    """parse(lines, state) of a whole run.  When that raises a ValueError,
+    parse runs again line by line from the same state, and its first
+    rejection is raised with its type as `path:lineno: reason`; the run's
+    first line takes the bulk reason if every line passes alone."""
+    try:
+        return parse(lines, state)
+    except ValueError as bulk:
+        for lineno, line in zip(linenos, lines):
+            try:
+                _, state = parse([line], state)
+            except ValueError as err:
+                raise type(err)(f"{path}:{lineno}: {err}") from None
+        raise type(bulk)(f"{path}:{linenos[0]}: {bulk}") from None
+
+
+def parse_bits(text: str):
+    """The uint8 0/1 vector of a string of '0' and '1' characters, or None
+    when it holds any other character."""
+    bits = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
+    return bits if (bits <= 1).all() else None
 
 
 def write_rows(fh, row_format: str, table) -> None:

@@ -436,6 +436,20 @@ class TestSerialization:
                 back.image.parameters() + back.attribute.parameters()):
             assert np.array_equal(a, b)
 
+    def test_loaded_branch_is_views_of_one_writable_array(self, tmp_path):
+        path = tmp_path / "enc.bin"
+        save_encoders(Encoders.build(7, 3, 5, hidden=(4,), seed=1), path)
+        back = load_encoders(path)
+        for net in (back.image, back.attribute):
+            params = net.parameters()
+            base = params[0].base
+            assert base is not None and base.size == sum(p.size for p in params)
+            for p in params:
+                assert p.base is base
+                assert (p.flags.writeable and p.flags.aligned
+                        and p.flags.c_contiguous)
+        assert back.image.weights[0].base is not back.attribute.weights[0].base
+
     def test_no_hidden_layers_round_trip(self, tmp_path):
         enc = Encoders.build(5, 4, 6, hidden=(), init_std=0.3, seed=2)
         path = tmp_path / "flat.bin"

@@ -14,7 +14,8 @@ import pytest
 from codedhash import cli, pipeline
 from codedhash.bp import TannerGraph
 from codedhash.data import Dataset, SyntheticSpec, generate_synthetic, save_dataset
-from codedhash.hashing import FORWARD_ROWS, Encoders, save_encoders, sign_hash
+from codedhash.hashing import (FORWARD_ROWS, Encoders, load_encoders, save_encoders,
+                              sign_hash)
 from codedhash.neural_bp import NeuralBpDecoder
 from codedhash.retrieval import build_index
 
@@ -124,3 +125,14 @@ def test_encode_command_streams_the_gallery(tmp_path, modality):
         assert peak <= piece + 2 * codes + 8 * MiB
         peaks[rows] = peak
     assert peaks[40_000] - peaks[10_000] <= 2 * 30_000 * 63 + MiB
+
+
+def test_load_encoders_holds_one_copy(tmp_path):
+    path = tmp_path / "enc.bin"
+    save_encoders(Encoders.build(128, 40, 63, seed=0), path)
+    peak, enc = traced_peak(load_encoders, path)
+    params = enc.image.parameters() + enc.attribute.parameters()
+    payload = sum(p.nbytes for p in params)
+    assert payload > 5 * MiB
+    # the weights once: no second copy of the file's bytes or the arrays
+    assert peak <= payload + MiB

@@ -4,7 +4,7 @@ import pytest
 from codedhash.bp import TannerGraph
 from codedhash.data import SyntheticSpec, generate_synthetic, similarity_matrix
 from codedhash.gf2 import build_bch
-from codedhash.hashing import Encoders, gradients, match_probability
+from codedhash.hashing import PROB_CLAMP, Encoders, gradients, match_probability
 from codedhash.neural_bp import NeuralBpDecoder
 from codedhash.optim import Adam
 from codedhash.pipeline import (
@@ -238,6 +238,16 @@ class TestCodeLoss:
         loss, grad = _code_loss_and_grad(acts, bits, gamma=1.0)
         assert loss < 1e-10
         assert np.array_equal(grad, np.zeros_like(grad))
+
+    def test_loss_is_the_clamped_cross_entropy_written_out(self):
+        rng = np.random.default_rng(8)
+        acts = rng.uniform(-1, 1, size=(400, 63))
+        acts[0, :4] = (-1.0, 1.0, 0.0, 1 - 1e-13)
+        bits = rng.integers(0, 2, size=acts.shape)
+        p = np.clip((1.0 - acts) / 2.0, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        ce = -(bits * np.log(p) + (1.0 - bits) * np.log(1.0 - p))
+        loss, _ = _code_loss_and_grad(acts, bits, gamma=1.7)
+        assert loss == 1.7 * float(ce.sum()) / 400
 
     def test_gamma_zero(self):
         acts = np.array([[0.3, -0.4]])

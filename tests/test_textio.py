@@ -13,7 +13,8 @@ from codedhash.cli import main, read_codes, write_codes
 from codedhash.data import (DatasetFormatError, SyntheticSpec,
                             generate_synthetic, load_dataset, save_dataset)
 from codedhash.retrieval import read_rankings, write_rankings
-from codedhash.textio import CHUNK_ROWS, parse_rows, read_chunks, write_rows
+from codedhash.textio import (CHUNK_ROWS, parse_bits, parse_rows, parse_run,
+                              read_chunks, write_rows)
 
 MIB = 1 << 20
 
@@ -87,6 +88,47 @@ class TestHelpers:
             assert parse_rows(bad, np.int64, ",") is None, bad
         assert parse_rows(["128"], np.int8) is None
         assert parse_rows(["1_0.5"], np.float64) is None
+
+    def test_parse_run_names_first_bad_line_across_runs(self):
+        class SequenceError(ValueError):
+            pass
+
+        def parse(lines, first):
+            """One integer per line, counting up from the state."""
+            values = [int(line) for line in lines]
+            if values != list(range(first, first + len(values))):
+                raise SequenceError("out of sequence")
+            return values, first + len(values)
+
+        assert parse_run("t.txt", (1, 2), ["1\n", "2\n"], parse, 1) == (
+            [1, 2], 3)
+        # the second run is in sequence on its own, but not after the first
+        runs = [((1, 2), ["1\n", "2\n"]), ((4, 5, 7), ["3\n", "4\n", "6\n"])]
+        state = 1
+        with pytest.raises(SequenceError, match=r"^t\.txt:7: out of sequence$"):
+            for linenos, lines in runs:
+                _, state = parse_run("t.txt", linenos, lines, parse, state)
+        assert state == 3
+        # the rule's own ValueError keeps its type and reason
+        with pytest.raises(ValueError, match=r"^t\.txt:5: invalid literal") as err:
+            parse_run("t.txt", (4, 5), ["3\n", "x\n"], parse, 3)
+        assert type(err.value) is ValueError
+
+    def test_parse_run_names_first_line_when_every_line_passes(self):
+        def parse(lines, state):
+            if len(set(lines)) != len(lines):
+                raise ValueError("repeated line")
+            return list(lines), state
+
+        with pytest.raises(ValueError, match=r"^t\.txt:3: repeated line$"):
+            parse_run("t.txt", (3, 4, 9), ["a\n", "b\n", "a\n"], parse, None)
+
+    def test_parse_bits(self):
+        bits = parse_bits("0110")
+        assert bits.dtype == np.uint8 and bits.tolist() == [0, 1, 1, 0]
+        assert parse_bits("").shape == (0,)
+        for bad in ("012", "0 1", "01\n", "-1", "1/0", "٠1", "a"):
+            assert parse_bits(bad) is None, bad
 
     @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2500])
     def test_write_rows_over_chunk_boundaries(self, tmp_path, n):
@@ -229,6 +271,7 @@ RANKING_FAULTS = [
     ("# query 10\n1, 5, 0, 1\n2, x, 0, 1\n4, 6, 1, 0\n", 3),
     ("# query 10\n1, 5, 0, 1\n3, 6, 0, 1\n2, x, 1, 0\n", 3),
     ("# query 10\n1, 5, 0, 1\n# query 2\n", 3),
+    ("# query 00\n1, 5, 0, 1\n", 1),                     # selects no attribute
     ("# query 10\n" + "".join(f"{r}, {r}, 0, 1\n" for r in range(1, 1501))
      + "1501, 7, 0\n", 1502),
     ("# query 10\n1, 5, 0, 1\n# query 01\n"
