@@ -26,6 +26,7 @@ from .pipeline import (
 )
 from .retrieval import (
     _grades,
+    _pack_words,
     build_index,
     rank,
     read_rankings,
@@ -194,7 +195,8 @@ def _cmd_retrieve(args) -> int:
         mask = _parse_mask(text, dataset.d_attr)
         code = sign_hash(encoders.encode_attributes(mask.astype(np.float64)))
         ids, dists = rank(code, index)
-        grades = _grades(mask, index.attribute_words)[ids]
+        grades = _grades(_pack_words(mask[None, :]), index.attribute_words,
+                         index.d_attr)[ids]
         blocks.append((mask, ids, dists, grades))
     write_rankings(args.out, blocks)
     return 0

@@ -8,14 +8,18 @@ gallery by Hamming distance ascending, breaking ties by ascending item id so
 results are reproducible.  The index packs each code and each attribute
 vector into uint64 words once, so a query's distances are XOR + popcount over
 the code words and its grades are AND + popcount over the attribute words.
-Each query is scored on the spot: one mask check, one popcount and one gather
-give its grades, binary relevance is grades == arity, and only its AP and
-NDCG are kept.  The NDCG normalizer comes from the grade histogram, not from
-sorting the gains.
+evaluate_queries checks, packs and float-converts its masks once per call.
+Each query is then scored on the spot: one XOR popcount and one stable radix
+sort give its order, one AND popcount and one gather give its grades in the
+popcount's uint8, binary relevance is grades == arity, and only its AP and
+NDCG are kept; no int64 copy of a distance or grade list is made.  The NDCG
+normalizer comes from the count of each nonzero grade, not from sorting the
+gains, and the discounts of a depth are computed once and reused.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -106,13 +110,10 @@ def build_index(values, subject_ids, attributes) -> RetrievalIndex:
                           _pack_words(attributes))
 
 
-def rank(query_code, index: RetrievalIndex):
-    """Full-gallery ranking: (item ids, Hamming distances), distance
-    ascending with ties broken by ascending id.
-
-    Distances are summed in the smallest unsigned dtype that holds the
-    code length, so the stable sort takes numpy's radix path for small keys.
-    """
+def _order(query_code, index: RetrievalIndex):
+    """(item ids in rank order, unsorted Hamming distances) of a checked
+    query code: XOR + popcount summed in the smallest unsigned dtype that
+    holds the code length, so the stable sort takes numpy's radix path."""
     q = np.asarray(query_code)
     if q.shape != (index.code_length,):
         raise ValueError(f"query length {q.shape} does not match "
@@ -121,8 +122,15 @@ def rank(query_code, index: RetrievalIndex):
         raise ValueError("query code entries must be in {-1, +1}")
     distances = _popcount_rows(np.bitwise_xor, index.words, _pack_words(q[None, :]),
                                np.min_scalar_type(index.code_length))
-    order = np.argsort(distances, kind="stable")
-    return order.astype(np.int64), distances[order].astype(np.int64)
+    return np.argsort(distances, kind="stable"), distances
+
+
+def rank(query_code, index: RetrievalIndex):
+    """Full-gallery ranking: int64 (item ids, Hamming distances), distance
+    ascending with ties broken by ascending id."""
+    order, distances = _order(query_code, index)
+    return (order.astype(np.int64, copy=False),
+            distances.take(order).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -131,36 +139,47 @@ def rank(query_code, index: RetrievalIndex):
 
 def check_query_mask(mask, d_attr: int | None = None) -> np.ndarray:
     m = np.asarray(mask)
-    if m.ndim != 1 or not all_either(m, 0, 1):
+    if m.ndim != 1:
         raise ValueError("query mask must be a 1-D 0/1 vector")
-    if not m.any():
+    return _check_masks(m[None, :], d_attr)[0]
+
+
+def _check_masks(masks: np.ndarray, d_attr: int | None) -> np.ndarray:
+    """uint8 copy of a 2-D array with one query mask per row, each checked
+    as check_query_mask checks one."""
+    if masks.ndim != 2 or not all_either(masks, 0, 1):
+        raise ValueError("query mask must be a 1-D 0/1 vector")
+    if not masks.any(axis=1).all():
         raise ValueError("query mask must select at least one attribute")
-    if d_attr is not None and m.size != d_attr:
-        raise ValueError(f"query mask length {m.size} does not match "
+    if d_attr is not None and masks.shape[1] != d_attr:
+        raise ValueError(f"query mask length {masks.shape[1]} does not match "
                          f"attribute dimension {d_attr}")
-    return m.astype(np.uint8)
+    return masks.astype(np.uint8)
 
 
-def _grades(mask: np.ndarray, attribute_words: np.ndarray) -> np.ndarray:
-    """Number of a checked mask's attributes each item possesses, counted
-    as AND + popcount over the items' packed attribute words."""
-    return _popcount_rows(np.bitwise_and, attribute_words,
-                          _pack_words(mask[None, :]), np.int64)
+def _grades(mask_words: np.ndarray, attribute_words: np.ndarray,
+            d_attr: int) -> np.ndarray:
+    """Number of a packed mask's attributes each item possesses, counted
+    as AND + popcount over the items' packed attribute words in the
+    smallest unsigned dtype that holds d_attr."""
+    return _popcount_rows(np.bitwise_and, attribute_words, mask_words,
+                          np.min_scalar_type(d_attr))
 
 
 def relevance(mask, attributes) -> np.ndarray:
     """1 for items possessing every queried attribute, else 0."""
     attributes = np.asarray(attributes)
     m = check_query_mask(mask, attributes.shape[1])
-    arity = np.count_nonzero(m)
-    return (_grades(m, _pack_words(attributes)) == arity).astype(np.uint8)
+    grades = _grades(_pack_words(m[None, :]), _pack_words(attributes), m.size)
+    return (grades == np.count_nonzero(m)).astype(np.uint8)
 
 
 def graded_relevance(mask, attributes) -> np.ndarray:
     """Number of queried attributes each item possesses."""
     attributes = np.asarray(attributes)
     m = check_query_mask(mask, attributes.shape[1])
-    return _grades(m, _pack_words(attributes))
+    return _grades(_pack_words(m[None, :]), _pack_words(attributes),
+                   m.size).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -177,35 +196,56 @@ def average_precision(ranked_relevance) -> float:
     return float(precision_at_hits.mean())
 
 
+@functools.lru_cache(maxsize=4)
+def _discounts(depth: int) -> np.ndarray:
+    """The read-only 1/log2(rank+1) discounts of ranks 1..depth."""
+    discounts = 1.0 / np.log2(np.arange(2, depth + 2, dtype=np.float64))
+    discounts.flags.writeable = False
+    return discounts
+
+
 def ndcg_at_k(ranked_grades, k: int) -> float:
     """NDCG truncated at k for one graded relevance list in rank order.
 
     Gains are 2^grade - 1 with 1/log2(rank+1) discounts; the normalizer is
-    the same sum over the descending-sorted grades, read off the grade
-    histogram.  Grades must lie in [0, 1023]: 2^1024 overflows a float.
+    the same sum over the descending-sorted grades, read off the count of
+    each nonzero grade: one pass over the list per value up to the largest
+    grade, which suits grades bounded by a query's arity.  Grades must lie
+    in [0, 1023]: 2^1024 overflows a float.  Unsigned grades are read as
+    they are; others go through int64.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    grades = np.asarray(ranked_grades, dtype=np.int64)
-    if (grades < 0).any():
-        raise ValueError("relevance grades must be nonnegative")
-    if (grades > 1023).any():
+    grades = np.asarray(ranked_grades)
+    if grades.dtype.kind != "u" or not np.can_cast(grades.dtype, np.int64):
+        grades = np.asarray(grades, dtype=np.int64)
+        if (grades < 0).any():
+            raise ValueError("relevance grades must be nonnegative")
+    top = int(grades.max(initial=0))
+    if top > 1023:
         raise ValueError("relevance grades must be at most 1023")
-    counts = np.bincount(grades)
-    if counts.size < 2:  # no grade above 0
+    if top == 0:
         raise UndefinedMetricError("all relevance grades are zero")
     depth = min(k, grades.size)
-    discounts = 1.0 / np.log2(np.arange(2, depth + 2, dtype=np.float64))
-    gain_of = 2.0 ** np.arange(counts.size) - 1.0
-    # the gains repeated over the histogram are the per-item gains sorted
-    # ascending.  Dotted through the reversed, negative-stride view, numpy
-    # sums them one by one in rank order; a contiguous copy would go
-    # through BLAS, which sums in another order and changes the last bits
+    discounts = _discounts(depth)
+    gain_of = 2.0 ** np.arange(top + 1) - 1.0
+    # a compare-and-count pass per grade value beats bincount, whose serial
+    # increments of a few bins wait on each other.  The nonzero gains
+    # repeated by their counts are the per-item gains sorted ascending,
+    # less the zeros, which would only add 0.0 after them.  Dotted through
+    # the reversed, negative-stride view, numpy sums them one by one in
+    # rank order; a contiguous copy would go through BLAS, which sums in
+    # another order and changes the last bits
+    counts = [np.count_nonzero(grades == g) for g in range(1, top + 1)]
+    ideal_gains = np.repeat(gain_of[1:], counts)[::-1][:depth]
     with np.errstate(over="ignore"):
-        ideal = float(np.repeat(gain_of, counts)[::-1][:depth] @ discounts)
+        ideal = float(ideal_gains @ discounts[:ideal_gains.size])
     if not np.isfinite(ideal):
         raise ValueError("ideal DCG overflows a float; grades are too large")
-    return float(gain_of.take(grades[:depth]) @ discounts) / ideal
+    # 2^g exactly, as gain_of holds it; faster than gathering gain_of
+    gains = np.ldexp(1.0, grades[:depth])
+    gains -= 1.0
+    return float(gains @ discounts) / ideal
 
 
 def enumerate_query_masks(d_attr: int, arity: int, max_queries=None,
@@ -273,14 +313,16 @@ def evaluate_queries(encode_attributes, index: RetrievalIndex,
     (it is sign-hashed here).  Each ranking is scored as it is made, as
     score_rankings scores it with k=None: NDCG over the whole gallery.
     """
-    masks = np.atleast_2d(np.asarray(masks))
+    masks = _check_masks(np.atleast_2d(np.asarray(masks)), index.d_attr)
+    arities = np.count_nonzero(masks, axis=1)
     scores = []
-    for mask in masks:
-        m = check_query_mask(mask, index.d_attr)
-        code = sign_hash(encode_attributes(mask.astype(np.float64)))
-        ids, _ = rank(code, index)
-        grades = _grades(m, index.attribute_words)[ids]
-        scores.append(_score_query(grades == np.count_nonzero(m), grades, None))
+    for mask, mask_words, arity in zip(masks.astype(np.float64),
+                                       _pack_words(masks)[:, None],
+                                       arities.tolist()):
+        order, _ = _order(sign_hash(encode_attributes(mask)), index)
+        grades = _grades(mask_words, index.attribute_words,
+                         index.d_attr).take(order)
+        scores.append(_score_query(grades == arity, grades, None))
     return _aggregate(scores)
 
 
@@ -312,11 +354,14 @@ def read_rankings(path):
 
     The file is read block by block: one pass sorts out the `#` lines, and
     numpy parses each block's rows in one call.  A block that fails to
-    parse or whose ranks are not 1, 2, ... is parsed again line by line
-    to name its first bad line.  A query mask must set an attribute.
+    parse or breaks a value rule (ranks 1, 2, ...; distances >= 0; grades
+    in 0..arity; no item id twice) is parsed again line by line to name
+    its first bad line.  A query mask must set an attribute and have the
+    first mask's length.
     """
     blocks = []
     mask = None
+    d_attr = None
     query_lineno = None
     linenos, lines = [], []
 
@@ -327,7 +372,8 @@ def read_rankings(path):
             return
         if not lines:
             raise ValueError(f"{path}:{query_lineno}: query block with no rows")
-        table, _ = parse_run(path, linenos, lines, _parse_rank_rows, 1)
+        table, _ = parse_run(path, linenos, lines, _parse_rank_rows,
+                             (1, int(mask.sum()), set()))
         ids, dists, rels = table[:, 1:].T.copy()
         blocks.append((mask, ids, dists, rels))
 
@@ -341,6 +387,11 @@ def read_rankings(path):
                     mask = parse_bits(text[len("# query "):].strip())
                     if mask is None or not mask.any():
                         raise ValueError(f"{path}:{lineno}: bad query mask")
+                    d_attr = mask.size if d_attr is None else d_attr
+                    if mask.size != d_attr:
+                        raise ValueError(
+                            f"{path}:{lineno}: query mask length {mask.size} "
+                            f"does not match the first mask's {d_attr}")
                     query_lineno = lineno
                     linenos, lines = [], []
                 continue
@@ -350,15 +401,27 @@ def read_rankings(path):
     return blocks
 
 
-def _parse_rank_rows(lines, first_rank):
-    """(int64 table, next rank) of a run of `rank, item_id, distance,
-    relevance` rows whose ranks count up from first_rank."""
+def _parse_rank_rows(lines, state):
+    """(int64 table, next state) of a run of `rank, item_id, distance,
+    relevance` rows.  The state is (first rank, query arity, set of the
+    block's item ids before the run); the run's ids join that set in place
+    only when the run is accepted, so a rejected run leaves it as it was."""
+    first_rank, arity, seen = state
     table = parse_rows(lines, np.int64, delimiter=",")
     if table is None or table.shape[1] != 4:
         raise ValueError("malformed ranking line")
-    if (table[:, 0] != np.arange(first_rank, first_rank + len(lines))).any():
+    ranks, ids, distances, grades = table.T
+    if (ranks != np.arange(first_rank, first_rank + len(lines))).any():
         raise ValueError("rank out of sequence")
-    return table, first_rank + len(lines)
+    if (distances < 0).any():
+        raise ValueError("negative Hamming distance")
+    if ((grades < 0) | (grades > arity)).any():
+        raise ValueError(f"relevance grade outside 0..{arity}")
+    new = set(ids.tolist())
+    if len(new) < len(lines) or not seen.isdisjoint(new):
+        raise ValueError("item id repeated in the query block")
+    seen |= new
+    return table, (first_rank + len(lines), arity, seen)
 
 
 def write_metric_report(path, rows) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 # imported before the tracer installs, so every binding gets wrapped
-from codedhash import cli, neural_bp, pipeline  # noqa: F401
+from codedhash import cli, neural_bp, pipeline, retrieval  # noqa: F401
 from codedhash.hashing import Encoders
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -48,3 +48,29 @@ def test_forward_only_encode_is_traced_with_its_rows(monkeypatch):
         enc.encode_attributes(np.zeros((0, 4)))
     assert [span[0] for span in tracer.spans] == ["hashing.forward"] * 3
     assert tracer.counts[0]["hashing.forward.rows"] == 8
+
+
+def test_retrieval_scoring_spans(monkeypatch):
+    """retrieve-1e5 expects spans of rank, evaluate_queries and the two
+    per-query metrics; a refactor that scores without calling them through
+    the module drops those spans."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    from tracer import Tracer
+
+    rng = np.random.default_rng(3)
+    attributes = rng.integers(0, 2, size=(30, 4)).astype(np.uint8)
+    attributes[0] = 1
+    index = retrieval.build_index(rng.normal(size=(30, 8)), np.arange(30),
+                                  attributes)
+    weights = rng.normal(size=(8, 4))
+    masks = retrieval.enumerate_query_masks(4, 1)
+    tracer = Tracer()
+    with tracer.recording(0):
+        retrieval.rank(np.ones(8), index)
+        retrieval.evaluate_queries(lambda m: weights @ m, index, masks)
+    calls = {name: calls for name, (calls, _, _) in tracer.span_totals(0).items()}
+    assert calls["retrieval.rank"] >= 1
+    assert calls["retrieval.evaluate_queries"] == 1
+    assert calls["retrieval.average_precision"] == len(masks)
+    assert calls["retrieval.ndcg_at_k"] == len(masks)

@@ -424,6 +424,60 @@ class TestNdcg:
             checked += 1
 
 
+class TestUnsignedGrades:
+    """Grades in the popcount's unsigned dtype score to the bits of their
+    int64 copies, and the discounts kept between calls to those of fresh
+    vectors."""
+
+    @staticmethod
+    def _grade_lists():
+        rng = np.random.default_rng(21)
+        for n, top in ((1, 3), (7, 2), (60, 11), (1000, 4), (100_000, 3)):
+            grades = rng.integers(0, top + 1, size=n)
+            grades[rng.integers(0, n)] = top
+            yield grades
+
+    def test_uint8_and_int64_give_same_bits(self):
+        grade_lists = list(self._grade_lists())
+        for grades in grade_lists:
+            small = grades.astype(np.uint8)
+            for k in (1, max(1, grades.size // 3), grades.size, grades.size + 5):
+                assert ndcg_at_k(small, k) == ndcg_at_k(grades, k)
+                if grades.size <= 1000:
+                    assert ndcg_at_k(small, k) == reference_ndcg(grades, k)
+            top = grades.max()
+            assert (average_precision((small == top).astype(np.uint8))
+                    == average_precision((grades == top).astype(np.int64)))
+        binary = [grades == grades.max() for grades in grade_lists]
+        for k in (None, 7):
+            assert (score_rankings(binary, [g.astype(np.uint8) for g in grade_lists], k)
+                    == score_rankings(binary, grade_lists, k))
+
+    def test_alternating_depths_match_fresh_discounts(self):
+        grades = list(self._grade_lists())[-1].astype(np.uint8)
+        results = [ndcg_at_k(grades, k) for k in (7, 100_000, 7, 100_000, 3)]
+        for k, got in zip((7, 100_000, 7, 100_000, 3), results):
+            assert got == reference_ndcg(grades, k)
+        assert results[0] == results[2] and results[1] == results[3]
+
+    @pytest.mark.parametrize("kind", ["list", "int64"])
+    def test_range_errors_for_signed_inputs(self, kind):
+        def wrap(values):
+            return values if kind == "list" else np.array(values, dtype=np.int64)
+
+        with pytest.raises(ValueError, match="nonnegative"):
+            ndcg_at_k(wrap([1, -1]), k=2)
+        with pytest.raises(ValueError, match="at most 1023"):
+            ndcg_at_k(wrap([1024, 0]), k=2)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.uint64])
+    def test_wide_unsigned_grades_checked(self, dtype):
+        with pytest.raises(ValueError, match="at most 1023"):
+            ndcg_at_k(np.array([1024, 0], dtype=dtype), k=2)
+        assert ndcg_at_k(np.array([0, 3], dtype=dtype), k=2) == reference_ndcg(
+            [0, 3], 2)
+
+
 class TestEnumerateQueryMasks:
     def test_single_arity_is_identity_like(self):
         masks = enumerate_query_masks(5, 1)

@@ -277,6 +277,16 @@ RANKING_FAULTS = [
     ("# query 10\n1, 5, 0, 1\n# query 01\n"
      + "".join(f"{r}, {r}, 0, 1\n" for r in range(1, 2001))
      + "2002, 1, 1, 1\n", 2004),
+    ("# query 10\n1, 5, -4, 1\n2, 5, 1, 3\n", 2),      # negative distance
+    ("# query 10\n1, 5, 0, 1\n2, 6, 1, 2\n", 3),       # grade above arity
+    ("# query 11\n1, 5, 0, 2\n2, 6, 1, 3\n", 3),
+    ("# query 10\n1, 5, 0, -1\n", 2),                   # grade below 0
+    ("# query 10\n1, 5, 0, 1\n2, 6, 1, 0\n3, 5, 2, 0\n", 4),  # repeated id
+    ("# query 10\n" + "".join(f"{r}, {r}, 0, 1\n" for r in range(1, 1501))
+     + "1501, 3, 1, 0\n", 1502),
+    ("# query 10\n1, 5, 0, 1\n# query 01\n1, 5, 0, 1\n2, 5, 0, 1\n", 5),
+    ("# query 10\n1, 5, 0, 1\n# query 011\n1, 5, 0, 1\n", 3),  # mask length
+    ("# query 101\n1, 5, 0, 1\n# query 01\n1, 5, 0, 1\n", 3),
 ]
 
 CODE_FAULTS = [
