@@ -25,9 +25,8 @@ from .pipeline import (
     write_report,
 )
 from .retrieval import (
-    _grades,
-    _pack_words,
     build_index,
+    graded_relevance,
     rank,
     read_rankings,
     check_query_mask,
@@ -195,8 +194,7 @@ def _cmd_retrieve(args) -> int:
         mask = _parse_mask(text, dataset.d_attr)
         code = sign_hash(encoders.encode_attributes(mask.astype(np.float64)))
         ids, dists = rank(code, index)
-        grades = _grades(_pack_words(mask[None, :]), index.attribute_words,
-                         index.d_attr)[ids]
+        grades = graded_relevance(mask, index.attributes)[ids]
         blocks.append((mask, ids, dists, grades))
     write_rankings(args.out, blocks)
     return 0

@@ -124,11 +124,10 @@ def similarity_matrix(attributes) -> np.ndarray:
 def save_dataset(dataset: Dataset, path) -> None:
     """Lines of `subject_id | 0/1 attributes | full-precision features`."""
     with open(path, "w") as fh:
-        for sid, attrs, feats in zip(dataset.subject_ids,
+        for sid, attrs, feats in zip(dataset.subject_ids.tolist(),
                                      dataset.attributes, dataset.features):
-            attr_part = " ".join(str(int(a)) for a in attrs)
-            feat_part = " ".join(repr(float(v)) for v in feats)
-            fh.write(f"{int(sid)} | {attr_part} | {feat_part}\n")
+            fh.write(f"{sid} | {' '.join(map(str, attrs.tolist()))} | "
+                     f"{' '.join(map(repr, feats.tolist()))}\n")
 
 
 def read_records(path, *, with_features: bool = True):

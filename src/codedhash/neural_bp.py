@@ -9,19 +9,18 @@ and applies a sigmoid, yielding the probability that the bit is 1 under
 the positive-LLR-means-0 convention.  With every weight at 1.0 the hard
 decisions coincide exactly with plain sum-product decoding.
 
-Sibling weights form per-variable blocks: in layer j >= 1, w_in[j - 1, v,
-a, b] weighs edge slot b of v (a var_pad_mask slot) into slot a, so a
-layer's sibling sum is one batched matmul of an (n_var, dv_max, dv_max)
-block with padded (n_var, dv_max, batch) messages.  The diagonal and
-padding entries are not weights: they stay 0, each forward or training
-call masks them out once, their gradient is 0.  Layer 0 has no sibling
-weights: the messages start at zero, so a first-iteration sibling weight
-would only ever multiply zero and could never train.
+Sibling weights: w_in[j - 1] holds layer j's deg(v) (deg(v) - 1) weights
+per variable v; the one at (v, a, b) weighs edge slot b of v (a
+var_pad_mask slot) into slot a.  Each forward or training call scatters
+w_in once into zeroed (n_var, dv_max, dv_max) blocks, so a layer's sibling
+sum is one batched matmul with padded (n_var, dv_max, batch) messages.
+Layer 0 has no sibling weights: the messages start at zero, so a
+first-iteration sibling weight would only ever multiply zero.
 
 Weights, in the order of parameters(), weight_vector() and the serialized
-format (decoder.bin version 2): w_chan layer-major in edge order; the real
-w_in entries in (layer, variable, slot, sibling slot) order; w_out_chan per
-variable; then w_out_edge in edge order.
+format (decoder.bin version 2): w_chan layer-major in edge order; w_in in
+(layer, variable, slot, sibling slot) order; w_out_chan per variable; then
+w_out_edge in edge order.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ class NeuralBpDecoder:
     """Trainable unrolled decoder over a fixed Tanner graph.
 
     iterations is the number of unrolled flooding iterations L; the network
-    has 2L hidden layers of width num_edges.  All weights start at 1.0.
+    has 2L hidden layers of width graph.num_edges.  All weights start at 1.0.
     """
 
     # check-node products fed to atanh are clipped to +-(1 - atanh_clamp)
@@ -106,43 +105,37 @@ class NeuralBpDecoder:
         # flat slot of each edge in an (n_var * dv_max, batch) view
         self._var_slot = np.flatnonzero(vmask)
         self.w_chan = np.ones((iterations, graph.num_edges))
-        self.w_in = np.broadcast_to(self._sib_mask, (iterations - 1,) + self._sib_mask.shape
-                                    ).astype(np.float64)
+        self.w_in = np.ones((iterations - 1, np.count_nonzero(self._sib_mask)))
         self.w_out_chan = np.ones(graph.n_var)
         self.w_out_edge = np.ones(graph.num_edges)
 
     # -- parameter plumbing -------------------------------------------------
-
-    @property
-    def num_edges(self) -> int:
-        return self.graph.num_edges
 
     def parameters(self):
         return [self.w_chan, self.w_in, self.w_out_chan, self.w_out_edge]
 
     @property
     def num_weights(self) -> int:
-        """Length of weight_vector(): the diagonal and padding of w_in are
-        not weights."""
         return _weight_count(self.graph, self.iterations)
 
     def weight_vector(self) -> np.ndarray:
         """All weights in serialization order (see module docstring)."""
-        return np.concatenate([self.w_chan.ravel(), self.w_in[:, self._sib_mask].ravel(),
-                               self.w_out_chan, self.w_out_edge])
+        return np.concatenate([p.ravel() for p in self.parameters()])
 
     def set_weight_vector(self, vec) -> None:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.num_weights,):
             raise ValueError(f"expected {self.num_weights} weights, got {vec.shape}")
-        e, n = self.num_edges, self.graph.n_var
-        chan, sib, out_chan, out_edge = np.split(
-            vec, [self.w_chan.size, vec.size - n - e, vec.size - e])
-        self.w_chan[...] = chan.reshape(self.w_chan.shape)
-        self.w_in[:, self._sib_mask] = sib.reshape(len(self.w_in),
-                                                   np.count_nonzero(self._sib_mask))
-        self.w_out_chan[...] = out_chan
-        self.w_out_edge[...] = out_edge
+        start = 0
+        for p in self.parameters():
+            p[...] = vec[start:start + p.size].reshape(p.shape)
+            start += p.size
+
+    def _sib_blocks(self) -> np.ndarray:
+        """w_in scattered into zeroed (L-1, n_var, dv_max, dv_max) blocks."""
+        blocks = np.zeros((len(self.w_in),) + self._sib_mask.shape)
+        blocks[:, self._sib_mask] = self.w_in
+        return blocks
 
     # -- forward ------------------------------------------------------------
 
@@ -154,10 +147,9 @@ class NeuralBpDecoder:
         table[...] = 0
         return table, table.reshape(shape[0] * shape[1], batch)
 
-    def _forward_t(self, llr_t, w_in, keep_cache: bool, ws: _Workspace):
+    def _forward_t(self, llr_t, w_blocks, keep_cache: bool, ws: _Workspace):
         """Core forward pass on an (n_var, batch) LLR array, with the
-        calling pass's masked sibling weights `w_in` (w_in * _sib_mask)
-        and workspace `ws`."""
+        calling pass's sibling blocks `w_blocks` and workspace `ws`."""
         g = self.graph
         batch = llr_t.shape[1]
         lo = 1.0 - self.atanh_clamp
@@ -171,7 +163,7 @@ class NeuralBpDecoder:
             pre = self.w_chan[j][:, None] * l_edge
             if j > 0:
                 x_flat[self._var_slot] = x_prev
-                np.matmul(w_in[j - 1], x_pad, out=sib)
+                np.matmul(w_blocks[j - 1], x_pad, out=sib)
                 pre += np.take(sib_flat, self._var_slot, axis=0)
             pre *= 0.5
             x_odd = np.tanh(pre, out=pre)
@@ -188,7 +180,7 @@ class NeuralBpDecoder:
         z = np.clip(-s, -_PRESIGMOID_LIMIT, _PRESIGMOID_LIMIT)
         z_mask = np.abs(s) < _PRESIGMOID_LIMIT
         o = _sigmoid(z)
-        cache = (llr_t, l_edge, w_in, layers, x, z, z_mask) if keep_cache else None
+        cache = (llr_t, l_edge, w_blocks, layers, x, z, z_mask) if keep_cache else None
         return o, cache
 
     def forward(self, llr):
@@ -212,12 +204,12 @@ class NeuralBpDecoder:
         outputs = np.empty((n, self.graph.n_var))
         hard = np.empty((n, self.graph.n_var), dtype=np.uint8)
         ws = _Workspace()
-        w_in = self.w_in * self._sib_mask
+        w_blocks = self._sib_blocks()
         blocks = max(1, n // _DECODE_BLOCK)
         for i in range(blocks):
             start = i * _DECODE_BLOCK
             stop = n if i == blocks - 1 else start + _DECODE_BLOCK
-            o, _ = self._forward_t(a[start:stop].T.copy(), w_in, keep_cache=False,
+            o, _ = self._forward_t(a[start:stop].T.copy(), w_blocks, keep_cache=False,
                                    ws=ws)
             outputs[start:stop] = o.T
             np.greater(o.T, 0.5, out=hard[start:stop])
@@ -248,9 +240,9 @@ class NeuralBpDecoder:
         if not ((y == 0.0) | (y == 1.0)).all():
             raise ValueError("targets must be bits (0 or 1)")
         ws = _Workspace()
-        o, cache = self._forward_t(llrs.T.copy(), self.w_in * self._sib_mask,
+        o, cache = self._forward_t(llrs.T.copy(), self._sib_blocks(),
                                    keep_cache=True, ws=ws)
-        llr_t, l_edge, w_in, layers, x_final, z, z_mask = cache
+        llr_t, l_edge, w_blocks, layers, x_final, z, z_mask = cache
         y_t = y.T
         count = y_t.size
         loss = float(np.mean(np.logaddexp(0.0, z) - y_t * z))
@@ -277,8 +269,8 @@ class NeuralBpDecoder:
             if j > 0:
                 dpre_flat[self._var_slot] = dpre
                 x_flat[self._var_slot] = x_prev
-                d_in[j - 1] = np.matmul(dpre_pad, x_pad.transpose(0, 2, 1)) * self._sib_mask
-                np.matmul(w_in[j - 1].transpose(0, 2, 1), dpre_pad, out=sib)
+                d_in[j - 1] = np.matmul(dpre_pad, x_pad.transpose(0, 2, 1))[self._sib_mask]
+                np.matmul(w_blocks[j - 1].transpose(0, 2, 1), dpre_pad, out=sib)
                 dx = np.take(sib_flat, self._var_slot, axis=0)
         return loss, [d_chan, d_in, d_out_chan, d_out_edge]
 

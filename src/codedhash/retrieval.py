@@ -332,7 +332,8 @@ def evaluate_queries(encode_attributes, index: RetrievalIndex,
 
 def write_rankings(path, blocks) -> None:
     """One block per query: a `# query <mask>` line, then one
-    `rank, item_id, hamming_distance, relevance` line per gallery item."""
+    `rank, item_id, hamming_distance, relevance` line per item, under
+    read_rankings' value rules."""
     with open(path, "w") as fh:
         fh.write("# columns: rank, item_id, hamming_distance, relevance\n")
         for mask, item_ids, distances, relevances in blocks:
@@ -343,6 +344,7 @@ def write_rankings(path, blocks) -> None:
                    for col in columns):
                 raise ValueError("item ids, distances and relevances must be "
                                  "1-D with one entry per ranked item")
+            _check_rank_values(*columns, int(mask.sum()), set())
             ranks = np.arange(1, columns[0].size + 1, dtype=np.int64)
             fh.write("# query " + "".join(str(int(b)) for b in mask) + "\n")
             write_rows(fh, "%d, %d, %d, %d\n", np.column_stack([ranks, *columns]))
@@ -413,15 +415,21 @@ def _parse_rank_rows(lines, state):
     ranks, ids, distances, grades = table.T
     if (ranks != np.arange(first_rank, first_rank + len(lines))).any():
         raise ValueError("rank out of sequence")
+    seen |= _check_rank_values(ids, distances, grades, arity, seen)
+    return table, (first_rank + len(lines), arity, seen)
+
+
+def _check_rank_values(ids, distances, grades, arity, seen) -> set:
+    """The rows' ids as a set, after the value rules: a distance < 0, a
+    grade outside 0..arity, or an id twice or in `seen` raises its reason."""
     if (distances < 0).any():
         raise ValueError("negative Hamming distance")
     if ((grades < 0) | (grades > arity)).any():
         raise ValueError(f"relevance grade outside 0..{arity}")
     new = set(ids.tolist())
-    if len(new) < len(lines) or not seen.isdisjoint(new):
+    if len(new) < len(ids) or not seen.isdisjoint(new):
         raise ValueError("item id repeated in the query block")
-    seen |= new
-    return table, (first_rank + len(lines), arity, seen)
+    return new
 
 
 def write_metric_report(path, rows) -> None:

@@ -79,10 +79,17 @@ def naive_weighted_bp(llrs, h, vec, iterations, clamp):
     return post.T
 
 
+# the codes whose graphs the decoder oracles run on: BCH(15,7), the
+# pipeline's BCH(63,30), and length 127
+PIPELINE_CODES = {"bch15_7": lambda: gf2.build_bch(4, 2),
+                  "bch63_30": pipeline_code,
+                  "bch127_64": lambda: gf2.build_bch(7, 10)}
+
+
 class TestStructure:
     def test_hidden_width_is_edge_count(self):
         net = appendix_net()
-        assert net.num_edges == 16
+        assert net.w_chan.shape == (2, 16)
 
     @pytest.mark.parametrize("iterations, count", [(1, 40), (2, 72)])
     def test_weight_count(self, iterations, count):
@@ -102,6 +109,23 @@ class TestStructure:
         vec = rng.normal(1.0, 0.1, size=net.num_weights)
         net.set_weight_vector(vec)
         np.testing.assert_array_equal(net.weight_vector(), vec)
+
+    @pytest.mark.parametrize("code", list(PIPELINE_CODES))
+    def test_parameters_are_exactly_the_weights(self, code):
+        net = NeuralBpDecoder(TannerGraph(PIPELINE_CODES[code]().parity_check), 5)
+        assert sum(p.size for p in net.parameters()) == net.num_weights \
+            == net.weight_vector().size
+
+    @pytest.mark.parametrize("code", list(PIPELINE_CODES))
+    def test_set_weight_vector_writes_in_place(self, code):
+        """Each parameter array stays the same object, so an optimizer
+        holding them sees the new weights; the round trip is bit-exact."""
+        net = NeuralBpDecoder(TannerGraph(PIPELINE_CODES[code]().parity_check), 5)
+        params = net.parameters()
+        vec = np.random.default_rng(1).normal(1.0, 0.1, size=net.num_weights)
+        net.set_weight_vector(vec)
+        assert all(a is b for a, b in zip(net.parameters(), params, strict=True))
+        assert net.weight_vector().tobytes() == vec.tobytes()
 
     def test_bad_iterations_rejected(self):
         with pytest.raises(ValueError):
@@ -171,10 +195,7 @@ class TestWeightedForward:
         np.testing.assert_allclose(logit, post[ok], rtol=0, atol=1e-9)
 
 
-BLOCK_CODES = {"bch15_7": lambda: gf2.build_bch(4, 2),
-               "bch31_21": lambda: gf2.build_bch(5, 2),
-               "bch63_30": pipeline_code,
-               "bch127_64": lambda: gf2.build_bch(7, 10)}
+BLOCK_CODES = {**PIPELINE_CODES, "bch31_21": lambda: gf2.build_bch(5, 2)}
 
 
 class TestBlockedForward:
@@ -196,7 +217,7 @@ class TestBlockedForward:
     def test_bits_equal_one_unblocked_pass(self, nets, code, n):
         net = nets[code]
         llrs = np.random.default_rng(n).normal(0.0, 2.5, size=(n, net.graph.n_var))
-        want = net._forward_t(llrs.T.copy(), net.w_in * net._sib_mask,
+        want = net._forward_t(llrs.T.copy(), net._sib_blocks(),
                               keep_cache=False, ws=_Workspace())[0].T
         outputs, hard = net.forward(llrs)
         assert outputs.shape == hard.shape == (n, net.graph.n_var)
@@ -212,31 +233,19 @@ class TestBlockedForward:
     def test_blocks_are_consecutive(self, nets, n, sizes, monkeypatch):
         net = nets["bch15_7"]
         llrs = np.random.default_rng(n).normal(0.0, 2.5, size=(n, net.graph.n_var))
-        seen, masked = [], []
+        seen, scattered = [], []
 
-        def spy(llr_t, w_in, keep_cache, ws):
+        def spy(llr_t, w_blocks, keep_cache, ws):
             seen.append(llr_t)
-            masked.append(w_in)
-            return NeuralBpDecoder._forward_t(net, llr_t, w_in, keep_cache, ws)
+            scattered.append(w_blocks)
+            return NeuralBpDecoder._forward_t(net, llr_t, w_blocks, keep_cache, ws)
 
         monkeypatch.setattr(net, "_forward_t", spy)
         net.forward(llrs)
         assert [t.shape[1] for t in seen] == sizes
         assert np.array_equal(np.concatenate(seen, axis=1), llrs.T)
-        # the sibling weights are masked once per call, not once per block
-        assert all(w is masked[0] for w in masked)
-
-    def test_non_weight_entries_do_not_reach_the_output(self, nets):
-        net = nets["bch63_30"]
-        llrs = np.random.default_rng(8).normal(0.0, 2.5, size=(200, net.graph.n_var))
-        want, _ = net.forward(llrs)
-        w_in = net.w_in.copy()
-        try:
-            net.w_in[:, ~net._sib_mask] = 5.0
-            got, _ = net.forward(llrs)
-        finally:
-            net.w_in[...] = w_in
-        assert got.tobytes() == want.tobytes()
+        # the sibling weights are scattered once per call, not once per block
+        assert all(w is scattered[0] for w in scattered)
 
 
 class TestGradients:
@@ -389,32 +398,17 @@ class TestTraining:
 
     def test_every_weight_group_trains(self):
         """Each parameter array, w_in included, moves off its unit start in
-        place; a fresh decoder's w_in is not contiguous, so an optimizer that
-        steps a reshaped copy would leave it at 1.0."""
+        place."""
         code = gf2.build_bch(4, 2)
         net = NeuralBpDecoder(TannerGraph(code.parity_check), 3)
         params = net.parameters()
-        assert not net.w_in.flags.c_contiguous
         train_decoder(net, code, DecoderTrainConfig(frames_per_epoch=32,
                                                     epochs=3, seed=2))
         for before, after in zip(params, net.parameters()):
             assert after is before
-        real_in = net.w_in[:, net._sib_mask]
-        assert real_in.size and (real_in != 1.0).all()
+        assert net.w_in.size and (net.w_in != 1.0).all()
         for p in (net.w_chan, net.w_out_chan, net.w_out_edge):
             assert (p != 1.0).any()
-
-    def test_sibling_diagonal_and_padding_stay_zero(self):
-        """w_in's diagonal and padding, which are not weights, are still
-        exactly +0.0 after training: Adam steps them by a zero gradient."""
-        code = pipeline_code()
-        net = NeuralBpDecoder(TannerGraph(code.parity_check), 5)
-        assert (~net._sib_mask).any()
-        train_decoder(net, code, DecoderTrainConfig(frames_per_epoch=64,
-                                                    epochs=20, seed=3))
-        assert (net.w_in[:, net._sib_mask] != 1.0).any()
-        assert np.count_nonzero(net.w_in[:, ~net._sib_mask]) == 0
-        assert (net.w_in * net._sib_mask).tobytes() == net.w_in.tobytes()
 
     def test_trained_weights_bit_identical_to_v1_decoder(self):
         """Dropping the first-iteration sibling weights changes no other
@@ -479,7 +473,7 @@ class TestSerialization:
         """BCH(63,30) at L = 5: four sibling layers and a 29-byte header."""
         code = pipeline_code()
         net = NeuralBpDecoder(TannerGraph(code.parity_check), 5)
-        assert net.w_in.shape == (4, 63, 21, 21)
+        assert net.w_in.shape == (4, 7978)
         assert net.num_weights == 35167
         path = tmp_path / "decoder.bin"
         save_decoder(net, code, path)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from codedhash.cli import main, read_codes, write_codes
-from codedhash.data import (DatasetFormatError, SyntheticSpec,
+from codedhash.data import (Dataset, DatasetFormatError, SyntheticSpec,
                             generate_synthetic, load_dataset, save_dataset)
 from codedhash.retrieval import read_rankings, write_rankings
 from codedhash.textio import (CHUNK_ROWS, parse_bits, parse_rows, parse_run,
@@ -34,6 +34,15 @@ def reference_write_rankings(path, blocks):
             for pos, (item, dist, rel) in enumerate(
                     zip(item_ids, distances, relevances), start=1):
                 fh.write(f"{pos}, {int(item)}, {int(dist)}, {int(rel)}\n")
+
+
+def reference_save_dataset(path, dataset):
+    with open(path, "w") as fh:
+        for sid, attrs, feats in zip(dataset.subject_ids, dataset.attributes,
+                                     dataset.features):
+            attr_part = " ".join(str(int(a)) for a in attrs)
+            feat_part = " ".join(repr(float(v)) for v in feats)
+            fh.write(f"{int(sid)} | {attr_part} | {feat_part}\n")
 
 
 def random_codes(n, c, seed):
@@ -174,6 +183,43 @@ class TestByteIdentity:
         block = (np.array([1, 0]), np.arange(3), np.arange(3), np.arange(2))
         with pytest.raises(ValueError, match="one entry per ranked item"):
             write_rankings(tmp_path / "r.txt", [block])
+
+    @pytest.mark.parametrize("column, values, reason", [
+        (1, [5, 5], "item id repeated in the query block"),
+        (2, [-1, 2], "negative Hamming distance"),
+        (3, [3, 0], r"relevance grade outside 0\.\.1"),
+    ], ids=["repeated_id", "negative_distance", "grade_above_arity"])
+    def test_write_rankings_keeps_the_readers_value_rules(self, tmp_path, column,
+                                                          values, reason):
+        """A block under `# query 10` that read_rankings would reject is not
+        written, and the writer gives the reader's reason."""
+        block = [np.array([1, 0]), np.array([5, 6]), np.array([0, 2]),
+                 np.array([1, 0])]
+        block[column] = np.array(values)
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            write_rankings(tmp_path / "w.txt", [tuple(block)])
+        rows = "".join(f"{r}, {i}, {d}, {g}\n"
+                       for r, (i, d, g) in enumerate(zip(*block[1:]), start=1))
+        (tmp_path / "r.txt").write_text("# query 10\n" + rows)
+        with pytest.raises(ValueError, match=rf"r\.txt:\d: {reason}$"):
+            read_rankings(tmp_path / "r.txt")
+
+    @pytest.mark.parametrize("dataset", [
+        Dataset(np.array([0, 7, -3], dtype=np.int64),
+                np.array([[1, 0], [0, 0], [1, 1]], dtype=np.uint8),
+                np.array([[-0.0, 5e-324, 1e308, 0.1, 1e16],
+                          [0.0, -5e-324, -1e308, -0.1, -1e16],
+                          [1e16 + 2.0, 0.1 + 0.2, 1e-310, 1.0, 123456789.0]])),
+        generate_synthetic(SyntheticSpec(n_subjects=40, images_per_subject=3,
+                                         d_attr=7, d_img=5, seed=4)),
+    ], ids=["edge_floats", "synthetic"])
+    def test_save_dataset(self, tmp_path, dataset):
+        """Every feature keeps its own repr's shortest round-trip digits:
+        signed zero, subnormals, 1e308 and 1e16 (printed as 1e+16)."""
+        save_dataset(dataset, tmp_path / "new.txt")
+        reference_save_dataset(tmp_path / "old.txt", dataset)
+        assert ((tmp_path / "new.txt").read_bytes()
+                == (tmp_path / "old.txt").read_bytes())
 
     def test_dataset_round_trip_across_chunks(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(n_subjects=250,
@@ -405,6 +451,9 @@ class TestMemoryAtCliSizes:
         assert peak_bytes(read_codes, root / "codes.txt") < 8 * MIB
 
     def test_writers(self, files, tmp_path):
-        _, codes, blocks = files
+        root, codes, blocks = files
         assert peak_bytes(write_codes, tmp_path / "c.txt", codes) < 4 * MIB
         assert peak_bytes(write_rankings, tmp_path / "r.txt", blocks) < 4 * MIB
+        # a 25 MiB text file, formatted a row at a time
+        gallery = load_dataset(root / "gallery.txt")
+        assert peak_bytes(save_dataset, gallery, tmp_path / "g.txt") < 1 * MIB
