@@ -194,7 +194,7 @@ def _cmd_retrieve(args) -> int:
         mask = _parse_mask(text, dataset.d_attr)
         code = sign_hash(encoders.encode_attributes(mask.astype(np.float64)))
         ids, dists = rank(code, index)
-        grades = graded_relevance(mask, index.attributes)[ids]
+        grades = graded_relevance(mask, index)[ids]
         blocks.append((mask, ids, dists, grades))
     write_rankings(args.out, blocks)
     return 0

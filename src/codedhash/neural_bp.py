@@ -11,11 +11,21 @@ decisions coincide exactly with plain sum-product decoding.
 
 Sibling weights: w_in[j - 1] holds layer j's deg(v) (deg(v) - 1) weights
 per variable v; the one at (v, a, b) weighs edge slot b of v (a
-var_pad_mask slot) into slot a.  Each forward or training call scatters
-w_in once into zeroed (n_var, dv_max, dv_max) blocks, so a layer's sibling
-sum is one batched matmul with padded (n_var, dv_max, batch) messages.
-Layer 0 has no sibling weights: the messages start at zero, so a
-first-iteration sibling weight would only ever multiply zero.
+var_pad_mask slot) into slot a.  Only the n_sib variables of degree >= 2
+have siblings (30 of 63 on BCH(63,30)), and the sibling tables span only
+them.  Each forward or training call scatters w_in once into zeroed
+(n_sib, dv_max, dv_max) blocks, so a layer's sibling sum is one batched
+matmul with padded (n_sib, dv_max, batch) messages.  A table's flat view
+has one extra row: edges of degree-1 variables scatter into it and gather
+from it, and in a matmul's output it stays zero, so the edge scatter and
+gather stay dense.  Layer 0 has no sibling weights: the messages start at
+zero, so a first-iteration sibling weight would only ever multiply zero.
+
+loss_and_grads caches three (num_edges, batch) arrays per layer and drops
+each layer's once the backward step has used it; the backward writes its
+intermediates into workspace tables, and rebuilds each layer's clip mask
+from the clipped product (a value is unclipped exactly when its magnitude
+is below 1 - atanh_clamp).
 
 Weights, in the order of parameters(), weight_vector() and the serialized
 format (decoder.bin version 2): w_chan layer-major in edge order; w_in in
@@ -99,11 +109,19 @@ class NeuralBpDecoder:
         self.graph = graph
         self.iterations = iterations
         vmask = graph.var_pad_mask
-        # (n_var, dv_max, dv_max): True where slot b of v feeds slot a
-        self._sib_mask = vmask[:, :, None] & vmask[:, None, :] & \
-            ~np.eye(vmask.shape[1], dtype=bool)
-        # flat slot of each edge in an (n_var * dv_max, batch) view
-        self._var_slot = np.flatnonzero(vmask)
+        n_slots = vmask.shape[1]
+        has_sib = vmask.sum(axis=1) >= 2
+        sib_vmask = vmask[has_sib]
+        # (n_sib, dv_max, dv_max) over the variables of degree >= 2: True
+        # where slot b of the variable feeds slot a
+        self._sib_mask = sib_vmask[:, :, None] & sib_vmask[:, None, :] & \
+            ~np.eye(n_slots, dtype=bool)
+        # each edge's row in a sibling table's flat (n_sib * dv_max + 1,
+        # batch) view: its slot, or the extra last row for an edge of a
+        # variable of degree 1
+        rows = np.full(vmask.shape, sib_vmask.size)
+        rows[has_sib] = np.arange(sib_vmask.size).reshape(sib_vmask.shape)
+        self._var_slot = rows[vmask]
         self.w_chan = np.ones((iterations, graph.num_edges))
         self.w_in = np.ones((iterations - 1, np.count_nonzero(self._sib_mask)))
         self.w_out_chan = np.ones(graph.n_var)
@@ -132,7 +150,7 @@ class NeuralBpDecoder:
             start += p.size
 
     def _sib_blocks(self) -> np.ndarray:
-        """w_in scattered into zeroed (L-1, n_var, dv_max, dv_max) blocks."""
+        """w_in scattered into zeroed (L-1, n_sib, dv_max, dv_max) blocks."""
         blocks = np.zeros((len(self.w_in),) + self._sib_mask.shape)
         blocks[:, self._sib_mask] = self.w_in
         return blocks
@@ -140,12 +158,14 @@ class NeuralBpDecoder:
     # -- forward ------------------------------------------------------------
 
     def _var_table(self, ws: _Workspace, name: str, batch: int):
-        """A zeroed (n_var, dv_max, batch) workspace table and its flat
-        (n_var * dv_max, batch) view, indexed by _var_slot."""
-        shape = self.graph.var_pad_mask.shape + (batch,)
-        table = ws.table(name, shape)
-        table[...] = 0
-        return table, table.reshape(shape[0] * shape[1], batch)
+        """A zeroed sibling table: its (n_sib, dv_max, batch) blocks and
+        their flat (n_sib * dv_max + 1, batch) view, indexed by _var_slot.
+        The extra last row takes the scatter of degree-1 edges and stays
+        zero in a matmul's output, so their gather reads 0."""
+        n_sib, n_slots = self._sib_mask.shape[:2]
+        flat = ws.table(name, (n_sib * n_slots + 1, batch))
+        flat[...] = 0
+        return flat[:-1].reshape(n_sib, n_slots, batch), flat
 
     def _forward_t(self, llr_t, w_blocks, keep_cache: bool, ws: _Workspace):
         """Core forward pass on an (n_var, batch) LLR array, with the
@@ -168,13 +188,11 @@ class NeuralBpDecoder:
             pre *= 0.5
             x_odd = np.tanh(pre, out=pre)
             prod = check_products_except_self(x_odd, g, _workspace=ws)
-            if keep_cache:  # a forward-only pass skips the mask and its temporaries
-                clip_mask = np.abs(prod) < lo
             p_clip = np.clip(prod, -lo, lo, out=prod)
             x = np.arctanh(p_clip)
             x *= 2.0
             if keep_cache:
-                layers.append((x_prev, x_odd, p_clip, clip_mask))
+                layers.append((x_prev, x_odd, p_clip))
         s = self.w_out_chan[:, None] * llr_t + \
             segment_sum(self.w_out_edge[:, None] * x, g.var_offsets)
         z = np.clip(-s, -_PRESIGMOID_LIMIT, _PRESIGMOID_LIMIT)
@@ -240,9 +258,8 @@ class NeuralBpDecoder:
         if not ((y == 0.0) | (y == 1.0)).all():
             raise ValueError("targets must be bits (0 or 1)")
         ws = _Workspace()
-        o, cache = self._forward_t(llrs.T.copy(), self._sib_blocks(),
-                                   keep_cache=True, ws=ws)
-        llr_t, l_edge, w_blocks, layers, x_final, z, z_mask = cache
+        o, (llr_t, l_edge, w_blocks, layers, x_final, z, z_mask) = self._forward_t(
+            llrs.T.copy(), self._sib_blocks(), keep_cache=True, ws=ws)
         y_t = y.T
         count = y_t.size
         loss = float(np.mean(np.logaddexp(0.0, z) - y_t * z))
@@ -250,28 +267,49 @@ class NeuralBpDecoder:
         dz = (o - y_t) / count
         ds = -dz * z_mask
         d_out_chan = (ds * llr_t).sum(axis=1)
-        ds_edge = ds[g.edge_var]
-        d_out_edge = (ds_edge * x_final).sum(axis=1)
-        dx = self.w_out_edge[:, None] * ds_edge
+        shape = x_final.shape
+        tmp = ws.table("tmp_edge", shape)
+        clip_mask = ws.table("clip_mask", shape, bool)
+        # dx = w_out_edge * ds_edge, formed in place after d_out_edge
+        dx = np.take(ds, g.edge_var, axis=0, out=ws.table("dx", shape), mode="clip")
+        d_out_edge = np.multiply(dx, x_final, out=tmp).sum(axis=1)
+        del x_final
+        dx *= self.w_out_edge[:, None]
 
         d_chan = np.zeros_like(self.w_chan)
         d_in = np.zeros_like(self.w_in)
-        batch = llr_t.shape[1]
-        x_pad, x_flat = self._var_table(ws, "x_pad", batch)
-        dpre_pad, dpre_flat = self._var_table(ws, "dpre_pad", batch)
-        sib, sib_flat = self._var_table(ws, "sib", batch)
+        lo = 1.0 - self.atanh_clamp
+        x_pad, x_flat = self._var_table(ws, "x_pad", shape[1])
+        dpre_pad, dpre_flat = self._var_table(ws, "dpre_pad", shape[1])
+        sib, sib_flat = self._var_table(ws, "sib", shape[1])
+        d_block = ws.table("d_block", self._sib_mask.shape)
+        # each layer's cache is dropped once its step is done
         for j in reversed(range(self.iterations)):
-            x_prev, x_odd, p_clip, clip_mask = layers[j]
-            dp = dx * (2.0 / (1.0 - p_clip * p_clip)) * clip_mask
-            dx_odd = check_products_except_self_backward(x_odd, dp, g, _workspace=ws)
-            dpre = dx_odd * 0.5 * (1.0 - x_odd * x_odd)
-            d_chan[j] = (dpre * l_edge).sum(axis=1)
+            x_prev, x_odd, p_clip = layers.pop()
+            # dp = dx * (2 / (1 - p_clip^2)) * [unclipped]
+            dp = np.multiply(p_clip, p_clip, out=tmp)
+            np.subtract(1.0, dp, out=dp)
+            np.divide(2.0, dp, out=dp)
+            np.multiply(dx, dp, out=dp)
+            # unclipped exactly where |p_clip| < lo; p_clip is not read again
+            np.less(np.abs(p_clip, out=p_clip), lo, out=clip_mask)
+            dp *= clip_mask
+            dpre = check_products_except_self_backward(x_odd, dp, g, _workspace=ws)
+            # dpre = dx_odd * 0.5 * (1 - x_odd^2)
+            dpre *= 0.5
+            np.multiply(x_odd, x_odd, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            dpre *= tmp
+            np.multiply(dpre, l_edge, out=tmp)
+            tmp.sum(axis=1, out=d_chan[j])
             if j > 0:
                 dpre_flat[self._var_slot] = dpre
                 x_flat[self._var_slot] = x_prev
-                d_in[j - 1] = np.matmul(dpre_pad, x_pad.transpose(0, 2, 1))[self._sib_mask]
+                np.matmul(dpre_pad, x_pad.transpose(0, 2, 1), out=d_block)
+                d_in[j - 1] = d_block[self._sib_mask]
                 np.matmul(w_blocks[j - 1].transpose(0, 2, 1), dpre_pad, out=sib)
-                dx = np.take(sib_flat, self._var_slot, axis=0)
+                # mode="clip" keeps take from buffering `out`; every slot is valid
+                np.take(sib_flat, self._var_slot, axis=0, out=dx, mode="clip")
         return loss, [d_chan, d_in, d_out_chan, d_out_edge]
 
 

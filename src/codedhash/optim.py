@@ -2,11 +2,39 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 BETA1 = 0.9     # first-moment decay
 BETA2 = 0.999   # second-moment decay
 EPS = 1e-8      # stability constant
+
+# entries per scratch vector: a step updates each parameter in consecutive
+# views of at most this many entries.  On a 2-core host, one step of the
+# 128 -> 512-512 -> 63 image branch took 2.8 ms at 32 768, 2.9-3.0 ms at
+# 16 384 and 65 536, 3.7 ms at 8 192 and 3.6 ms unblocked (6.6 ms with two
+# new full-size temporaries per parameter).
+_BLOCK = 32768
+
+
+def _row_blocks(shape, limit: int):
+    """Index tuples that cover an array of `shape` in C order with
+    consecutive views of at most `limit` entries: runs of whole rows of the
+    first axis, or, where one row is larger than `limit`, the blocks of
+    each row in turn."""
+    if not shape:
+        yield (Ellipsis,)  # a 0-d view, where () would give a scalar
+        return
+    row = math.prod(shape[1:])
+    if row <= limit:
+        step = limit // row if row else shape[0]
+        for start in range(0, shape[0], step):
+            yield (slice(start, start + step),)
+    else:
+        for i in range(shape[0]):
+            for rest in _row_blocks(shape[1:], limit):
+                yield (i,) + rest
 
 
 class Adam:
@@ -23,13 +51,17 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        size = min(_BLOCK, max((m.size for m in self.m), default=0))
+        self._a, self._b = np.empty(size), np.empty(size)
 
     def step(self, params, grads) -> None:
         """One update of every parameter from its gradient.
 
         Evaluates ``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)`` one
-        operation at a time in that order, through two scratch arrays per
-        parameter, so the result is bit-identical to the one-line form.
+        operation at a time in that order, so the result is bit-identical
+        to the one-line form.  Each parameter is updated in consecutive
+        views of at most _BLOCK entries through the optimizer's two scratch
+        vectors, so a step allocates no array.
         """
         if len(params) != len(self.m) or len(grads) != len(self.m):
             raise ValueError(f"expected {len(self.m)} parameters and "
@@ -42,18 +74,22 @@ class Adam:
         self.t += 1
         b1c = 1.0 - BETA1 ** self.t
         b2c = 1.0 - BETA2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            a, b = np.empty_like(m), np.empty_like(v)
-            m *= BETA1
-            m += np.multiply(1.0 - BETA1, g, out=a)
-            v *= BETA2
-            np.multiply(1.0 - BETA2, g, out=b)
-            b *= g
-            v += b
-            np.divide(m, b1c, out=a)
-            a *= self.lr
-            np.divide(v, b2c, out=b)
-            np.sqrt(b, out=b)
-            b += EPS
-            a /= b
-            p -= a
+        for p_all, g_all, m_all, v_all in zip(params, grads, self.m, self.v):
+            g_all = np.asarray(g_all)
+            for idx in _row_blocks(m_all.shape, _BLOCK):
+                p, g, m, v = p_all[idx], g_all[idx], m_all[idx], v_all[idx]
+                a = self._a[:m.size].reshape(m.shape)
+                b = self._b[:m.size].reshape(m.shape)
+                m *= BETA1
+                m += np.multiply(1.0 - BETA1, g, out=a)
+                v *= BETA2
+                np.multiply(1.0 - BETA2, g, out=b)
+                b *= g
+                v += b
+                np.divide(m, b1c, out=a)
+                a *= self.lr
+                np.divide(v, b2c, out=b)
+                np.sqrt(b, out=b)
+                b += EPS
+                a /= b
+                p -= a

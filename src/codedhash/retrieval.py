@@ -174,11 +174,11 @@ def relevance(mask, attributes) -> np.ndarray:
     return (grades == np.count_nonzero(m)).astype(np.uint8)
 
 
-def graded_relevance(mask, attributes) -> np.ndarray:
-    """Number of queried attributes each item possesses."""
-    attributes = np.asarray(attributes)
-    m = check_query_mask(mask, attributes.shape[1])
-    return _grades(_pack_words(m[None, :]), _pack_words(attributes),
+def graded_relevance(mask, index: RetrievalIndex) -> np.ndarray:
+    """Number of queried attributes each item of the index possesses,
+    counted over the index's packed attribute words."""
+    m = check_query_mask(mask, index.d_attr)
+    return _grades(_pack_words(m[None, :]), index.attribute_words,
                    m.size).astype(np.int64)
 
 

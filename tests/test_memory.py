@@ -102,6 +102,23 @@ def test_decode_holds_one_block():
     assert peak <= llrs.size * (8 + 1 + 1) + block + MiB
 
 
+def test_loss_and_grads_holds_its_layer_cache_and_workspace():
+    config = pipeline.TrainConfig()
+    code = pipeline.select_code(config.margin, config.c)
+    net = NeuralBpDecoder(TannerGraph(code.parity_check), iterations=5)
+    rng = np.random.default_rng(8)
+    llrs = rng.normal(0.0, 2.5, size=(128, code.n))
+    targets = rng.integers(0, 2, size=llrs.shape)
+    peak, _ = traced_peak(net.loss_and_grads, llrs, targets)
+    # the layer cache is three (edges, frames) float64 arrays per layer;
+    # the workspace tables, of which the sibling tables span only the
+    # variables of degree >= 2, and the backward's temporaries take less
+    # than the cache again (a bound of 15.6 MiB on BCH(63,30) at 128
+    # frames)
+    cache = 3 * net.iterations * net.graph.num_edges * llrs.shape[0] * 8
+    assert peak <= 2 * cache
+
+
 @pytest.mark.parametrize("modality", ["image", "attribute"])
 def test_encode_command_streams_the_gallery(tmp_path, modality):
     block = tmp_path / "block.txt"

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from codedhash import channel, gf2, pipeline
-from codedhash.bp import TannerGraph, _Workspace, bp_decode_batch
-from codedhash.neural_bp import (DecoderTrainConfig, NeuralBpDecoder,
+from codedhash.bp import (TannerGraph, _Workspace, bp_decode_batch,
+                          check_products_except_self,
+                          check_products_except_self_backward, segment_sum)
+from codedhash.neural_bp import (DecoderTrainConfig, NeuralBpDecoder, _sigmoid,
                                  evaluate_error_rates, load_decoder,
                                  save_decoder, train_decoder)
 from codedhash.optim import Adam
@@ -79,6 +81,68 @@ def naive_weighted_bp(llrs, h, vec, iterations, clamp):
     return post.T
 
 
+def padded_all_variable_pass(net, llrs, targets):
+    """Reference for the decoder's kernels: one unblocked pass through
+    sibling tables padded to all n_var variables, with each layer's clip
+    mask cached and a new array for every intermediate.  Returns the soft
+    outputs (batch, n) and the gradients of loss_and_grads."""
+    g = net.graph
+    vmask = g.var_pad_mask
+    sib_mask = vmask[:, :, None] & vmask[:, None, :] & \
+        ~np.eye(vmask.shape[1], dtype=bool)
+    slot = np.flatnonzero(vmask)
+    blocks = np.zeros((net.iterations - 1,) + sib_mask.shape)
+    blocks[:, sib_mask] = net.w_in
+    lo = 1.0 - net.atanh_clamp
+    llr_t = llrs.T.copy()
+    batch = llr_t.shape[1]
+
+    def scatter(values):
+        table = np.zeros(vmask.shape + (batch,))
+        table.reshape(vmask.size, batch)[slot] = values
+        return table
+
+    def gather(table):
+        return table.reshape(vmask.size, batch)[slot]
+
+    l_edge = llr_t[g.edge_var]
+    x = None
+    layers = []
+    for j in range(net.iterations):
+        pre = net.w_chan[j][:, None] * l_edge
+        if j > 0:
+            pre += gather(np.matmul(blocks[j - 1], scatter(x)))
+        x_odd = np.tanh(pre * 0.5)
+        prod = check_products_except_self(x_odd, g)
+        p_clip = np.clip(prod, -lo, lo)
+        layers.append((x, x_odd, p_clip, np.abs(prod) < lo))
+        x = np.arctanh(p_clip) * 2.0
+    s = net.w_out_chan[:, None] * llr_t + \
+        segment_sum(net.w_out_edge[:, None] * x, g.var_offsets)
+    z = np.clip(-s, -36.0, 36.0)
+    o = _sigmoid(z)
+
+    y_t = np.asarray(targets, dtype=np.float64).T
+    ds = -((o - y_t) / y_t.size) * (np.abs(s) < 36.0)
+    d_out_chan = (ds * llr_t).sum(axis=1)
+    ds_edge = ds[g.edge_var]
+    d_out_edge = (ds_edge * x).sum(axis=1)
+    dx = net.w_out_edge[:, None] * ds_edge
+    d_chan = np.zeros_like(net.w_chan)
+    d_in = np.zeros_like(net.w_in)
+    for j in reversed(range(net.iterations)):
+        x_prev, x_odd, p_clip, clip_mask = layers[j]
+        dp = dx * (2.0 / (1.0 - p_clip * p_clip)) * clip_mask
+        dx_odd = check_products_except_self_backward(x_odd, dp, g)
+        dpre = dx_odd * 0.5 * (1.0 - x_odd * x_odd)
+        d_chan[j] = (dpre * l_edge).sum(axis=1)
+        if j > 0:
+            dpre_pad = scatter(dpre)
+            d_in[j - 1] = np.matmul(dpre_pad, scatter(x_prev).transpose(0, 2, 1))[sib_mask]
+            dx = gather(np.matmul(blocks[j - 1].transpose(0, 2, 1), dpre_pad))
+    return o.T, [d_chan, d_in, d_out_chan, d_out_edge]
+
+
 # the codes whose graphs the decoder oracles run on: BCH(15,7), the
 # pipeline's BCH(63,30), and length 127
 PIPELINE_CODES = {"bch15_7": lambda: gf2.build_bch(4, 2),
@@ -130,6 +194,25 @@ class TestStructure:
     def test_bad_iterations_rejected(self):
         with pytest.raises(ValueError):
             NeuralBpDecoder(TannerGraph(H_APPENDIX), 0)
+
+    @pytest.mark.parametrize("code, n_sib, dv_max", [("bch15_7", 7, 5),
+                                                     ("bch63_30", 30, 21),
+                                                     ("bch127_64", 64, 38)])
+    def test_sibling_tables_cover_only_variables_with_siblings(self, code, n_sib,
+                                                               dv_max):
+        graph = TannerGraph(PIPELINE_CODES[code]().parity_check)
+        net = NeuralBpDecoder(graph, 5)
+        deg = np.diff(graph.var_offsets)
+        assert np.count_nonzero(deg >= 2) == n_sib
+        assert net._sib_mask.shape == (n_sib, dv_max, dv_max)
+        assert net._sib_blocks().shape == (4, n_sib, dv_max, dv_max)
+        # edges of variables of degree 1 share the extra last row
+        rows = net._var_slot
+        assert rows.shape == (graph.num_edges,)
+        lone = deg[graph.edge_var] == 1
+        assert (rows[lone] == n_sib * dv_max).all()
+        assert np.unique(rows[~lone]).size == np.count_nonzero(~lone)
+        assert (rows[~lone] < n_sib * dv_max).all()
 
 
 class TestUnitWeightEquivalence:
@@ -246,6 +329,59 @@ class TestBlockedForward:
         assert np.array_equal(np.concatenate(seen, axis=1), llrs.T)
         # the sibling weights are scattered once per call, not once per block
         assert all(w is scattered[0] for w in scattered)
+
+
+class TestSiblingTables:
+    """Sibling tables over the variables of degree >= 2 only, and the
+    backward pass through workspace tables, give the bits of the padded
+    all-variable reference."""
+
+    @pytest.mark.parametrize("code", list(PIPELINE_CODES))
+    def test_bits_equal_padded_all_variable_reference(self, code):
+        net = NeuralBpDecoder(TannerGraph(PIPELINE_CODES[code]().parity_check), 5)
+        rng = np.random.default_rng(30)
+        net.set_weight_vector(rng.normal(1.0, 0.2, size=net.num_weights))
+        # one frame in two at 8x the LLR scale, so the atanh clip is hit
+        # on every code
+        llrs = rng.normal(0.0, 2.5, size=(96, net.graph.n_var)) * \
+            rng.choice([1.0, 8.0], size=(96, 1))
+        targets = rng.integers(0, 2, size=llrs.shape)
+        want_outputs, want_grads = padded_all_variable_pass(net, llrs, targets)
+        outputs, _ = net.forward(llrs)
+        _, grads = net.loss_and_grads(llrs, targets)
+        assert outputs.tobytes() == want_outputs.tobytes()
+        assert len(grads) == len(want_grads)
+        for got, want in zip(grads, want_grads):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_graph_without_siblings_decodes_and_trains(self):
+        """Every variable has degree 1: no sibling weight, an empty sibling
+        table, and every edge gathering the zero row."""
+        h = np.array([[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]], dtype=np.uint8)
+        code = gf2.code_from_parity_check(h)
+        net = NeuralBpDecoder(TannerGraph(h), iterations=3)
+        assert net._sib_mask.shape == (0, 1, 1)
+        assert net.w_in.shape == (2, 0)
+        rng = np.random.default_rng(31)
+        net.set_weight_vector(rng.normal(1.0, 0.2, size=net.num_weights))
+        llrs = rng.normal(0.0, 2.5, size=(70, 5))
+        outputs, hard = net.forward(llrs)
+        post = naive_weighted_bp(llrs, h, net.weight_vector(), 3, net.atanh_clamp)
+        want = 1.0 / (1.0 + np.exp(np.clip(post, -36.0, 36.0)))
+        np.testing.assert_allclose(outputs, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(hard, (want > 0.5).astype(np.uint8))
+        targets = rng.integers(0, 2, size=llrs.shape)
+        want_outputs, want_grads = padded_all_variable_pass(net, llrs, targets)
+        assert outputs.tobytes() == want_outputs.tobytes()
+        _, grads = net.loss_and_grads(llrs, targets)
+        for got, want in zip(grads, want_grads):
+            assert got.tobytes() == want.tobytes()
+        before = net.weight_vector()
+        train_decoder(net, code, DecoderTrainConfig(frames_per_epoch=16,
+                                                    epochs=3, seed=3))
+        assert net.w_in.shape == (2, 0)
+        assert (net.weight_vector() != before).any()
 
 
 class TestGradients:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from codedhash import optim
 from codedhash.hashing import Encoders
 from codedhash.optim import Adam
 
@@ -57,24 +58,81 @@ class TestOracle:
         assert base[:, ::2].T.tobytes() == ref[0].tobytes()
         assert (base[:, 1::2] == 1.0).all()
 
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_bit_equal_across_blocks(self, layout):
+        """Parameters of several blocks: runs of rows, rows longer than a
+        block, and a 1-D parameter, each updated in place."""
+        rng = np.random.default_rng(4)
+        block = optim._BLOCK
+        shapes = [(3 * block // 100 + 7, 100), (3, 2 * block + 5),
+                  (2 * block + 9,)]
+        if layout == "contiguous":
+            bases = [np.zeros(s) for s in shapes]
+            params = [b[...] for b in bases]
+        else:
+            # every other entry of a base's last axis, transposed to `s`
+            bases = [np.zeros(s[::-1][:-1] + (2 * s[0],)) for s in shapes]
+            params = [b[..., ::2].T for b in bases]
+        for p, s in zip(params, shapes):
+            assert p.shape == s
+            assert p.flags.c_contiguous == (layout == "contiguous")
+            p[...] = rng.normal(0.0, 0.1, size=s)
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        opt = Adam(params, lr=3e-3)
+        assert opt._a.size == opt._b.size == block
+        for t in range(1, 4):
+            grads = [rng.normal(0.0, 10.0 ** rng.integers(-9, 3), size=p.shape)
+                     for p in params]
+            opt.step(params, grads)
+            reference_step(ref, grads, m, v, t, lr=3e-3)
+        for got, want in zip(params, ref):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(opt.m + opt.v, m + v):
+            assert got.tobytes() == want.tobytes()
+        if layout == "strided":
+            for base, p in zip(bases, params):
+                assert np.shares_memory(base, p)
+                assert (base[..., 1::2] == 0.0).all()
+
+    def test_parameters_smaller_than_one_block(self):
+        """The scratch vectors hold the largest parameter, not a block."""
+        rng = np.random.default_rng(5)
+        shapes = [(7, 3), (), (40,), (0, 5)]
+        params = [rng.normal(0.0, 0.1, size=s) for s in shapes]
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        opt = Adam(params)
+        assert opt._a.size == opt._b.size == 40
+        for t in range(1, 4):
+            grads = [rng.standard_normal(s) for s in shapes]
+            opt.step(params, grads)
+            reference_step(ref, grads, m, v, t)
+        for got, want in zip(params, ref):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestMemory:
-    def test_one_step_needs_two_scratch_arrays(self):
+    def test_one_step_allocates_no_scratch(self):
+        """A step reuses the optimizer's two scratch vectors, so it
+        allocates at most 64 KiB whatever the parameter size: the image
+        branch (largest array 2 MiB) and one 8 MiB vector."""
         enc = Encoders.build(128, 40, 63, hidden=(512, 512), seed=0)
-        params = enc.image.parameters()
         rng = np.random.default_rng(1)
-        grads = [rng.standard_normal(p.shape) for p in params]
-        opt = Adam(params)
-        opt.step(params, grads)  # first step outside the trace
-        largest = max(p.nbytes for p in params)
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            opt.step(params, grads)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - before <= 2 * largest + 64 * 2 ** 10
+        for params in (enc.image.parameters(), [rng.standard_normal(2 ** 20)]):
+            grads = [rng.standard_normal(p.shape) for p in params]
+            opt = Adam(params)
+            opt.step(params, grads)  # first step outside the trace
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                opt.step(params, grads)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - before <= 64 * 2 ** 10
 
 
 class TestValidation:

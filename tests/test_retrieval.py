@@ -121,7 +121,7 @@ class TestBuildIndex:
                             np.zeros(0, dtype=np.int64),
                             np.zeros((0, 2), dtype=np.uint8))
         assert index.attribute_words.shape == (0, 1)
-        assert graded_relevance([1, 0], index.attributes).shape == (0,)
+        assert graded_relevance([1, 0], index).shape == (0,)
         with pytest.raises(UndefinedMetricError,
                            match="no query with a relevant item"):
             evaluate_queries(lambda m: np.ones(4), index, [[1, 0]])
@@ -262,7 +262,7 @@ class TestRank:
             for mask, query in zip(masks, queries):
                 ids, dists = rank_fn(query, index)
                 blocks.append((mask, ids, dists,
-                               graded_relevance(mask, attributes)[ids]))
+                               graded_relevance(mask, index)[ids]))
             write_rankings(tmp_path / f"{name}.txt", blocks)
         assert ((tmp_path / "packed.txt").read_bytes()
                 == (tmp_path / "int64.txt").read_bytes())
@@ -299,8 +299,22 @@ class TestRelevance:
             assert relevance(mask, self.ATTRS)[0] == 1
 
     def test_graded_counts(self):
-        assert graded_relevance([1, 1, 1], self.ATTRS).tolist() == [3, 1, 2, 0]
-        assert graded_relevance([0, 1, 1], self.ATTRS).tolist() == [2, 0, 2, 0]
+        index = tiny_index(np.ones((4, 2)), self.ATTRS)
+        assert graded_relevance([1, 1, 1], index).tolist() == [3, 1, 2, 0]
+        assert graded_relevance([0, 1, 1], index).tolist() == [2, 0, 2, 0]
+
+    @pytest.mark.parametrize("d_attr", [1, 40, 64, 65, 130])
+    def test_graded_counts_equal_reference_over_packed_words(self, d_attr):
+        rng = np.random.default_rng(d_attr)
+        attributes = rng.integers(0, 2, size=(300, d_attr)).astype(np.uint8)
+        index = tiny_index(np.ones((300, 3)), attributes)
+        for mask in rng.integers(0, 2, size=(5, d_attr)):
+            mask[rng.integers(d_attr)] = 1
+            got = graded_relevance(mask, index)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reference_graded_relevance(mask, attributes))
+        with pytest.raises(ValueError, match="does not match"):
+            graded_relevance(np.ones(d_attr + 1, dtype=np.uint8), index)
 
     def test_zero_mask_rejected(self):
         with pytest.raises(ValueError):
