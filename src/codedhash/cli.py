@@ -151,7 +151,8 @@ def _row_pieces(runs):
     join the last piece, which Mlp.forward splits if it has more than
     FORWARD_ROWS rows.  Every piece encoded then has FORWARD_ROWS / 2 to
     FORWARD_ROWS rows, the range of Mlp.forward's own pieces, unless all
-    the rows fit in one."""
+    the rows fit in one; with FORWARD_ROWS equal to CHUNK_ROWS, each full
+    run is one piece."""
     ready, pending, held = None, [], 0
     for run in runs:
         pending.append(run)
@@ -184,19 +185,28 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    encoders = load_encoders(args.encoders)
-    # ranking reads the gallery's ids and attributes, never its features
+    # only the attribute branch is kept, and ranking reads the gallery's ids
+    # and attributes, never its features
+    net = load_encoders(args.encoders).attribute
     dataset = load_dataset(args.data, with_features=False)
-    codes = read_codes(args.codes)
-    index = build_index(codes, dataset.subject_ids, dataset.attributes)
-    blocks = []
-    for text in args.query:
-        mask = _parse_mask(text, dataset.d_attr)
-        code = sign_hash(encoders.encode_attributes(mask.astype(np.float64)))
-        ids, dists = rank(code, index)
-        grades = graded_relevance(mask, index)[ids]
-        blocks.append((mask, ids, dists, grades))
-    write_rankings(args.out, blocks)
+    index = build_index(read_codes(args.codes), dataset.subject_ids,
+                        dataset.attributes)
+    if (net.d_in, net.d_out) != (dataset.d_attr, index.code_length):
+        raise ValueError(f"{args.encoders}: the attribute branch maps "
+                         f"{net.d_in} attributes to {net.d_out} bits, the "
+                         f"gallery has {dataset.d_attr} attributes and "
+                         f"{index.code_length}-bit codes")
+    # every mask is checked before --out is opened; each query is then
+    # ranked as write_rankings asks for it, so one block is held at a time
+    masks = [_parse_mask(text, dataset.d_attr) for text in args.query]
+
+    def blocks():
+        for mask in masks:
+            ids, dists = rank(sign_hash(net.forward(mask.astype(np.float64))),
+                              index)
+            yield mask, ids, dists, graded_relevance(mask, index)[ids]
+
+    write_rankings(args.out, blocks())
     return 0
 
 

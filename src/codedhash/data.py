@@ -111,9 +111,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 def similarity_matrix(attributes) -> np.ndarray:
     """S[i, j] = 1 iff row j's attribute set is contained in row i's, over
     the rows of one attribute array."""
-    a = np.asarray(attributes, dtype=np.int64)
-    # count the attributes j sets that i lacks; containment means zero
-    missing = (1 - a) @ a.T
+    a = np.asarray(attributes, dtype=np.float64)
+    # count the attributes j sets that i lacks; containment means zero.  The
+    # counts are integers of at most d_attr, exact in float64, and the
+    # float64 product runs on BLAS where an int64 one does not
+    missing = (1.0 - a) @ a.T
     return (missing == 0).astype(np.uint8)
 
 

@@ -42,11 +42,12 @@ HAMMING_MARGIN_SCALE = 4.0
 _MAGIC = b"ENCW"
 _VERSION = 1
 
-# Mlp.forward runs inputs of more rows than this in near-equal pieces.  A
-# piece of 512 rows or more gives the unblocked product's bits on the
-# 2-core OpenBLAS 0.3.31 host it was measured on (128 or 256 rows did not),
-# and every piece of a split input has at least FORWARD_ROWS / 2 rows.
-FORWARD_ROWS = 2048
+# Mlp.forward runs inputs of more rows than this in near-equal pieces of
+# FORWARD_ROWS / 2 to FORWARD_ROWS rows.  A piece of 512 rows or more gives
+# the unblocked product's bits on the 2-core OpenBLAS 0.3.31 host it was
+# measured on (128 or 256 rows did not).  It equals textio.CHUNK_ROWS, so
+# each run of lines `codedhash encode` reads is encoded as one piece.
+FORWARD_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------

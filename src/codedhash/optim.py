@@ -50,7 +50,8 @@ class Adam:
         self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        # v is built from m, so params is iterated once and may be a generator
+        self.v = [np.zeros_like(m) for m in self.m]
         size = min(_BLOCK, max((m.size for m in self.m), default=0))
         self._a, self._b = np.empty(size), np.empty(size)
 

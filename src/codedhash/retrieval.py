@@ -333,7 +333,9 @@ def evaluate_queries(encode_attributes, index: RetrievalIndex,
 def write_rankings(path, blocks) -> None:
     """One block per query: a `# query <mask>` line, then one
     `rank, item_id, hamming_distance, relevance` line per item, under
-    read_rankings' value rules."""
+    read_rankings' value rules.  `blocks` may be any iterable of
+    (mask, item ids, distances, relevances); each block is checked and
+    written as it arrives, so a generator's blocks are never all held."""
     with open(path, "w") as fh:
         fh.write("# columns: rank, item_id, hamming_distance, relevance\n")
         for mask, item_ids, distances, relevances in blocks:

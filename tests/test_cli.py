@@ -315,6 +315,32 @@ class TestGalleryFields:
         assert f"{bad}:2: {message}" in capsys.readouterr().err
         assert not (tmp_path / "r.txt").exists()
 
+    def test_bad_later_mask_leaves_no_file(self, files, tmp_path, capsys):
+        data, encoders, codes = files
+        out = tmp_path / "r.txt"
+        queries = ["10000000", "01100000", "0010000", "00010000"]
+        capsys.readouterr()
+        assert main(["retrieve", "--encoders", str(encoders), "--data",
+                     str(data), "--codes", str(codes), "--out", str(out)]
+                    + [a for q in queries for a in ("--query", q)]) == 1
+        assert "query mask length 7 does not match" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d_attr,c,message", [(8, 15, "8 attributes to 15 bits"),
+                                                  (9, 31, "9 attributes to 31 bits")])
+    def test_mismatched_encoders_leave_no_file(self, files, tmp_path, capsys,
+                                               d_attr, c, message):
+        data, _, codes = files
+        other = tmp_path / "other.bin"
+        save_encoders(Encoders.build(16, d_attr, c, hidden=(16,), seed=0), other)
+        out = tmp_path / "r.txt"
+        capsys.readouterr()
+        assert main(["retrieve", "--encoders", str(other), "--data", str(data),
+                     "--codes", str(codes), "--query", "10000000",
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStreamingEncode:
     """encode streams the gallery in row pieces and writes --out only once
@@ -364,7 +390,7 @@ class TestStreamingEncode:
         rows = np.arange(sum(sizes))
         pieces = list(cli._row_pieces(np.split(rows, np.cumsum(sizes)[:-1])))
         assert np.array_equal(np.concatenate(pieces), rows)
-        assert all(FORWARD_ROWS // 2 <= len(p) < FORWARD_ROWS for p in pieces[:-1])
+        assert all(FORWARD_ROWS // 2 <= len(p) <= FORWARD_ROWS for p in pieces[:-1])
         # Mlp.forward splits a last piece of more than FORWARD_ROWS rows
         # into two of at least FORWARD_ROWS / 2
         assert len(pieces[-1]) < FORWARD_ROWS + FORWARD_ROWS // 2

@@ -143,6 +143,19 @@ class TestSimilarityMatrix:
         assert np.array_equal(similarity_matrix(attrs),
                               containment_oracle(attrs))
 
+    @pytest.mark.parametrize("rows,d_attr", [(1, 1), (128, 40), (400, 40),
+                                             (64, 200)])
+    def test_equals_int64_product(self, rows, d_attr):
+        rng = np.random.default_rng(rows)
+        attrs = rng.integers(0, 2, size=(rows, d_attr)).astype(np.uint8)
+        attrs[::7] = 0
+        attrs[3::11] = 1
+        a = attrs.astype(np.int64)
+        want = ((1 - a) @ a.T == 0).astype(np.uint8)
+        got = similarity_matrix(attrs)
+        assert got.dtype == np.uint8
+        assert got.tobytes() == want.tobytes()
+
 
 class TestDatasetFiles:
     def test_round_trip_exact(self, tmp_path):

@@ -144,6 +144,30 @@ def test_encode_command_streams_the_gallery(tmp_path, modality):
     assert peaks[40_000] - peaks[10_000] <= 2 * 30_000 * 63 + MiB
 
 
+def test_retrieve_command_holds_one_query_block(tmp_path):
+    gallery = generate_synthetic(SyntheticSpec(n_subjects=1000,
+                                               images_per_subject=10, seed=2))
+    data, enc, codes = (tmp_path / name for name in (
+        "gallery.txt", "enc.bin", "codes.txt"))
+    save_dataset(gallery, data)
+    save_encoders(Encoders.build(128, 40, 63, seed=0), enc)
+    cli.write_codes(codes, sign_hash(
+        np.random.default_rng(9).normal(size=(len(gallery), 63))))
+    masks = ["".join("1" if j == i else "0" for j in range(40))
+             for i in range(40)]
+    peaks = {}
+    for queries in (4, 40):
+        peak, rc = traced_peak(cli.main, [
+            "retrieve", "--encoders", str(enc), "--data", str(data),
+            "--codes", str(codes), "--out", str(tmp_path / "r.txt")]
+            + [a for q in masks[:queries] for a in ("--query", q)])
+        assert rc == 0
+        peaks[queries] = peak
+    # each ranked block (int64 ids, distances and grades: 0.23 MiB at 10^4
+    # items) is written before the next query is ranked
+    assert peaks[40] - peaks[4] <= MiB
+
+
 def test_load_encoders_holds_one_copy(tmp_path):
     path = tmp_path / "enc.bin"
     save_encoders(Encoders.build(128, 40, 63, seed=0), path)

@@ -43,6 +43,24 @@ class TestOracle:
             assert got.tobytes() == want.tobytes()
 
 
+    def test_generator_of_parameters_steps_like_a_list(self):
+        rng = np.random.default_rng(9)
+        shapes = [(40, 512), (512,), (), (3, 4, 5)]
+        listed = [rng.normal(0.0, 0.1, size=s) for s in shapes]
+        start = [p.copy() for p in listed]
+        streamed = [p.copy() for p in listed]
+        by_list = Adam(listed, lr=3e-3)
+        by_generator = Adam((p for p in streamed), lr=3e-3)
+        for _ in range(3):
+            grads = [rng.normal(size=s) for s in shapes]
+            by_list.step(listed, grads)
+            by_generator.step(streamed, grads)
+        for got, want in zip(streamed + by_generator.m + by_generator.v,
+                             listed + by_list.m + by_list.v):
+            assert got.tobytes() == want.tobytes()
+        # and the steps moved every parameter
+        assert all((got != was).all() for got, was in zip(streamed, start))
+
     def test_non_contiguous_parameter_updated_in_place(self):
         rng = np.random.default_rng(3)
         base = np.ones((6, 8))
