@@ -387,7 +387,8 @@ class TestInPlaceForward:
         return enc
 
     @pytest.mark.parametrize("branch", ["image", "attribute"])
-    @pytest.mark.parametrize("rows", [None, 0, 128, 10_000, FORWARD_ROWS + 1])
+    @pytest.mark.parametrize("rows", [None, 0, 128, 10_000, FORWARD_ROWS + 1,
+                                      2 * FORWARD_ROWS + 1])
     def test_bits_match_out_of_place_loop(self, encoders, branch, rows):
         net = getattr(encoders, branch)
         shape = (net.d_in,) if rows is None else (rows, net.d_in)
@@ -428,7 +429,8 @@ class TestInPlaceForward:
         assert np.array_equal(net.forward(x), reference_output(net, x))
 
     @pytest.mark.parametrize("rows", [FORWARD_ROWS, FORWARD_ROWS + 1,
-                                      2 * FORWARD_ROWS + 1, 10_000])
+                                      2 * FORWARD_ROWS, 2 * FORWARD_ROWS + 1,
+                                      4 * FORWARD_ROWS + 1, 10_000])
     def test_forward_runs_consecutive_pieces(self, encoders, rows,
                                              monkeypatch):
         net = encoders.attribute
