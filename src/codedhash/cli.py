@@ -25,12 +25,13 @@ from .pipeline import (
     write_report,
 )
 from .retrieval import (
+    aggregate_scores,
     build_index,
     graded_relevance,
+    iter_rankings,
     rank,
-    read_rankings,
     check_query_mask,
-    score_rankings,
+    score_query,
     write_metric_report,
     write_rankings,
 )
@@ -202,8 +203,7 @@ def _cmd_retrieve(args) -> int:
 
     def blocks():
         for mask in masks:
-            ids, dists = rank(sign_hash(net.forward(mask.astype(np.float64))),
-                              index)
+            ids, dists = rank(sign_hash(net.forward(mask)), index)
             yield mask, ids, dists, graded_relevance(mask, index)[ids]
 
     write_rankings(args.out, blocks())
@@ -211,20 +211,23 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    blocks = read_rankings(args.rankings)
+    # each block is scored as it is read and only its (AP, NDCG) is kept,
+    # so the rankings are never all held; every block is still read, so a
+    # bad line anywhere fails the command
+    by_arity, blocks = {}, 0
+    for mask, _, _, rels in iter_rankings(args.rankings):
+        blocks += 1
+        arity = int(mask.sum())
+        if args.arity in (None, arity):
+            by_arity.setdefault(arity, []).append(
+                score_query(rels == arity, rels, args.k))
     if not blocks:
         raise ValueError(f"{args.rankings}: no query blocks")
-    by_arity = {}
-    for mask, ids, dists, rels in blocks:
-        by_arity.setdefault(int(mask.sum()), []).append(rels)
-    arities = [args.arity] if args.arity else sorted(by_arity)
     rows = []
-    for arity in arities:
-        grade_lists = by_arity.get(arity, [])
-        if not grade_lists:
+    for arity in [args.arity] if args.arity else sorted(by_arity):
+        if arity not in by_arity:
             raise ValueError(f"no arity-{arity} queries in {args.rankings}")
-        result = score_rankings([rels == arity for rels in grade_lists],
-                                grade_lists, args.k)
+        result = aggregate_scores(by_arity[arity])
         rows += [("map", arity, result.mean_average_precision),
                  ("ndcg", arity, result.ndcg),
                  ("queries", arity, result.queries),

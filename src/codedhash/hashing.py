@@ -2,7 +2,9 @@
 
 Both branches are small MLPs (ReLU hidden layers, tanh output) mapping
 their modality into a common c-dimensional real space; binary codes are the
-elementwise sign of the activations, with sign(0) = +1.
+elementwise sign of the activations, with sign(0) = +1.  A network computes
+in its weights' dtype: float32 as Encoders.build and load_encoders make
+them, while the objective and its gradients are always float64.
 
 Pairs are scored by a margin-based logistic probability of matching given
 their squared Euclidean distance,
@@ -23,8 +25,9 @@ distance, a margin expressed in Hamming units must be scaled by
 HAMMING_MARGIN_SCALE before entering r(D).
 
 All gradients here are exact reverse-mode derivatives of the expressions
-above (clamps included), suitable for verification against central finite
-differences in float64.
+above (clamps included).  Central finite differences check them on
+networks built in float64 from Encoders.build's draws, as float32 has too
+few digits for a difference quotient.
 """
 
 from __future__ import annotations
@@ -40,13 +43,15 @@ PROB_CLAMP = 1e-12
 HAMMING_MARGIN_SCALE = 4.0
 
 _MAGIC = b"ENCW"
-_VERSION = 1
+_VERSION = 2
+_WEIGHT = np.dtype("<f4")  # the weight dtype on disk
 
 # Mlp.forward runs inputs of more rows than this in near-equal pieces of
 # FORWARD_ROWS / 2 to FORWARD_ROWS rows.  A piece of 512 rows or more gives
 # the unblocked product's bits on the 2-core OpenBLAS 0.3.31 host it was
-# measured on (128 or 256 rows did not).  It equals textio.CHUNK_ROWS, so
-# each run of lines `codedhash encode` reads is encoded as one piece.
+# measured on, in float64 and in float32, at 1 to 10^5 rows on both
+# branches (128 or 256 float64 rows did not).  It equals textio.CHUNK_ROWS,
+# so each run of lines `codedhash encode` reads is encoded as one piece.
 FORWARD_ROWS = 1024
 
 
@@ -77,6 +82,11 @@ class Mlp:
     def d_out(self) -> int:
         return self.layer_sizes[-1]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the network computes in: its weights'."""
+        return self.weights[0].dtype
+
     def parameters(self):
         out = []
         for w, b in zip(self.weights, self.biases):
@@ -90,12 +100,13 @@ class Mlp:
         A 2-D input of more than FORWARD_ROWS rows runs in
         ceil(n / FORWARD_ROWS) consecutive near-equal pieces, each written
         into one preallocated (n, d_out) output, so encoding n rows holds
-        one piece's activations plus the output, not every row's.
+        one piece's activations plus the output, not every row's.  The
+        output has the network's dtype.
         """
         a = np.asarray(x)
         if a.ndim != 2 or a.shape[0] <= FORWARD_ROWS:
             return self.forward_cache(a)[0]
-        out = np.empty((a.shape[0], self.d_out))
+        out = np.empty((a.shape[0], self.d_out), dtype=self.dtype)
         pieces = -(-a.shape[0] // FORWARD_ROWS)
         for dst, src in zip(np.array_split(out, pieces),
                             np.array_split(a, pieces)):
@@ -103,7 +114,9 @@ class Mlp:
         return out
 
     def forward_cache(self, x):
-        a = np.asarray(x, dtype=np.float64)
+        """(output, activations of every layer, the input first), all in
+        the network's dtype."""
+        a = np.asarray(x, dtype=self.dtype)
         if a.ndim not in (1, 2):
             raise ValueError(f"expected a 1-D or 2-D input, got shape {a.shape}")
         single = a.ndim == 1
@@ -129,9 +142,10 @@ class Mlp:
 
     def backward(self, acts, dout):
         """Parameter gradients, parallel to parameters(), for a cached
-        forward.  The input gradient is not formed: inputs are data."""
+        forward.  The input gradient is not formed: inputs are data.  The
+        output gradient is cast once to the network's dtype."""
         grads = [None] * (2 * len(self.weights))
-        da = np.atleast_2d(dout)
+        da = np.atleast_2d(np.asarray(dout, dtype=self.dtype))
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             a = acts[i + 1]
@@ -165,9 +179,12 @@ class Encoders:
         branches = []
         for d_in in (d_img, d_attr):  # weights drawn layer by layer, image first
             dims = (d_in, *hidden, code_length)
+            # float64 draws, kept in float32
             branches.append(Mlp([rng.normal(0.0, init_std, size=(a, b))
+                                 .astype(np.float32)
                                  for a, b in zip(dims, dims[1:])],
-                                [np.zeros(b) for b in dims[1:]]))
+                                [np.zeros(b, dtype=np.float32)
+                                 for b in dims[1:]]))
         return cls(*branches)
 
     @property
@@ -306,9 +323,16 @@ def gradients(encoders: Encoders, x, y, s, margin: float, theta: float,
 # ---------------------------------------------------------------------------
 
 def save_encoders(encoders: Encoders, path) -> None:
-    """Versioned binary: dims and hidden sizes, then row-major float64
-    weight matrices and bias vectors in layer order, image branch first."""
+    """Versioned binary: dims and hidden sizes, then row-major float32
+    weight matrices and bias vectors in layer order, image branch first.
+    Weights of another dtype are refused, not narrowed, before the file
+    is opened."""
     img, attr = encoders.image, encoders.attribute
+    for modality, net in (("image", img), ("attribute", attr)):
+        dtypes = {p.dtype.name for p in net.parameters()} - {"float32"}
+        if dtypes:
+            raise ValueError(f"encoder files store float32 weights; the "
+                             f"{modality} branch has {', '.join(sorted(dtypes))}")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<BIII", _VERSION, img.d_in, attr.d_in,
@@ -320,13 +344,13 @@ def save_encoders(encoders: Encoders, path) -> None:
                 fh.write(struct.pack("<I", h))
         for net in (img, attr):
             for w, b in zip(net.weights, net.biases):
-                fh.write(w.astype("<f8").tobytes())
-                fh.write(b.astype("<f8").tobytes())
+                fh.write(w.astype(_WEIGHT, copy=False).tobytes())
+                fh.write(b.astype(_WEIGHT, copy=False).tobytes())
 
 
 def load_encoders(path) -> Encoders:
     """Inverse of save_encoders: each branch's weights are read once, into
-    one array its network keeps views of."""
+    one float32 array its network keeps views of."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not an encoder weight file")
@@ -340,23 +364,24 @@ def load_encoders(path) -> Encoders:
 
         version, d_img, d_attr, c = unpack("<BIII")
         if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
+            raise ValueError(f"{path}: unsupported version {version}, "
+                             f"expected {_VERSION}")
         layers = []
         for d_in in (d_img, d_attr):
             (n_hidden,) = unpack("<B")
             layers.append((d_in, *unpack(f"<{n_hidden}I"), c))
         # checked before any array is sized by the header
         counts = [sum(a * b + b for a, b in zip(dims, dims[1:])) for dims in layers]
-        if (payload := size - fh.tell()) != 8 * sum(counts):
+        need = _WEIGHT.itemsize * sum(counts)
+        if (payload := size - fh.tell()) != need:
             raise ValueError(f"{path}: layer sizes need {sum(counts)} weights "
-                             f"({8 * sum(counts)} bytes) but {payload} bytes "
-                             "follow")
+                             f"({need} bytes) but {payload} bytes follow")
         branches = []
         for dims, count in zip(layers, counts):
             # aligned and writable, as training updates the views in place;
             # one array per branch, so a caller keeping one branch frees the
             # other
-            flat = np.empty(count, dtype="<f8")
+            flat = np.empty(count, dtype=_WEIGHT)
             if fh.readinto(flat) != flat.nbytes:
                 raise ValueError(f"{path}: truncated while reading")
             weights, biases = [], []

@@ -41,7 +41,9 @@ class Adam:
     """Adam with bias correction; parameters are updated in place.
 
     The step size defaults to 1e-3; the decays and the stability constant
-    are the module constants BETA1, BETA2 and EPS.
+    are the module constants BETA1, BETA2 and EPS.  The parameters share
+    one dtype, which the moments, the scratch vectors and every gradient
+    have too.
     """
 
     def __init__(self, params, lr: float = 1e-3):
@@ -52,8 +54,13 @@ class Adam:
         self.m = [np.zeros_like(p) for p in params]
         # v is built from m, so params is iterated once and may be a generator
         self.v = [np.zeros_like(m) for m in self.m]
+        dtypes = sorted({m.dtype.name for m in self.m})
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters must share one dtype, got "
+                             f"{', '.join(dtypes)}")
         size = min(_BLOCK, max((m.size for m in self.m), default=0))
-        self._a, self._b = np.empty(size), np.empty(size)
+        dtype = self.m[0].dtype if self.m else None  # no parameters: any
+        self._a, self._b = np.empty(size, dtype), np.empty(size, dtype)
 
     def step(self, params, grads) -> None:
         """One update of every parameter from its gradient.
@@ -62,21 +69,27 @@ class Adam:
         operation at a time in that order, so the result is bit-identical
         to the one-line form.  Each parameter is updated in consecutive
         views of at most _BLOCK entries through the optimizer's two scratch
-        vectors, so a step allocates no array.
+        vectors, so a step allocates no array.  A parameter or gradient
+        whose dtype is not the moments' is rejected, as numpy would cast it
+        through hidden buffers.
         """
         if len(params) != len(self.m) or len(grads) != len(self.m):
             raise ValueError(f"expected {len(self.m)} parameters and "
                              f"gradients, got {len(params)} and {len(grads)}")
+        grads = [np.asarray(g) for g in grads]
         for i, (p, g, m) in enumerate(zip(params, grads, self.m)):
-            if np.shape(p) != m.shape or np.shape(g) != m.shape:
+            if np.shape(p) != m.shape or g.shape != m.shape:
                 raise ValueError(f"entry {i}: expected shape {m.shape}, got "
                                  f"parameter {np.shape(p)} and gradient "
-                                 f"{np.shape(g)}")
+                                 f"{g.shape}")
+            if np.result_type(p) != m.dtype or g.dtype != m.dtype:
+                raise ValueError(f"entry {i}: expected dtype {m.dtype}, got "
+                                 f"parameter {np.result_type(p)} and "
+                                 f"gradient {g.dtype}")
         self.t += 1
         b1c = 1.0 - BETA1 ** self.t
         b2c = 1.0 - BETA2 ** self.t
         for p_all, g_all, m_all, v_all in zip(params, grads, self.m, self.v):
-            g_all = np.asarray(g_all)
             for idx in _row_blocks(m_all.shape, _BLOCK):
                 p, g, m, v = p_all[idx], g_all[idx], m_all[idx], v_all[idx]
                 a = self._a[:m.size].reshape(m.shape)

@@ -198,12 +198,13 @@ def _batch_slices(n_items: int, batch_size: int, order):
 
 def _branches(encoders: Encoders, dataset: Dataset, lr: float):
     """(modality, network, its inputs, fresh Adam) per branch, image first:
-    the order of objective_grads' (dP, dQ)."""
-    return [(modality, net, x, Adam(net.parameters(), lr=lr))
+    the order of objective_grads' (dP, dQ).  Each branch's whole input is
+    cast once to the network's dtype, so a batch is one gather of it."""
+    return [(modality, net, x.astype(net.dtype, copy=False),
+             Adam(net.parameters(), lr=lr))
             for modality, net, x in (
                 ("image", encoders.image, dataset.features),
-                ("attribute", encoders.attribute,
-                 dataset.attributes.astype(np.float64)))]
+                ("attribute", encoders.attribute, dataset.attributes))]
 
 
 def stage1a(encoders: Encoders, dataset: Dataset, config: TrainConfig,
@@ -255,8 +256,9 @@ def stage1b(config: TrainConfig, seed=None, decoder_epochs: int = 150,
 
 def _code_loss_and_grad(activations, target_bits, gamma):
     """gamma-scaled bitwise cross-entropy pulling activations toward the
-    sign pattern of target bits, with its gradient in the activations."""
-    a = activations
+    sign pattern of target bits, with its float64 gradient in the
+    activations, which are cast to float64 first."""
+    a = np.asarray(activations, dtype=np.float64)
     n = a.shape[0]
     p_one = (1.0 - a) / 2.0
     clamped = np.clip(p_one, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -333,7 +335,7 @@ class TrainResult:
 
 def _objective_on(encoders, dataset, config):
     p = encoders.encode_images(dataset.features)
-    q = encoders.encode_attributes(dataset.attributes.astype(np.float64))
+    q = encoders.encode_attributes(dataset.attributes)
     s = similarity_matrix(dataset.attributes)
     return objective(p, q, s, config.distance_margin, config.theta, config.lam)
 

@@ -272,18 +272,19 @@ class QueryEvaluation:
     skipped_ndcg: int
 
 
-def _score_query(binary, grades, k):
-    """(AP, NDCG@k) of one query's relevance lists in rank order, each None
-    when the query is skipped for that metric."""
+def score_query(binary, grades, k):
+    """(AP, NDCG@k) of one query's relevance arrays in rank order, each None
+    when the query is skipped for that metric; k=None scores NDCG over the
+    whole list."""
     ap = average_precision(binary) if binary.any() else None
     ndcg = (ndcg_at_k(grades, grades.size if k is None else k)
             if grades.any() else None)
     return ap, ndcg
 
 
-def _aggregate(scores) -> QueryEvaluation:
-    """Means and skip counts over per-query (AP, NDCG) pairs; MAP's
-    UndefinedMetricError is raised first."""
+def aggregate_scores(scores) -> QueryEvaluation:
+    """Means and skip counts over a list of score_query's (AP, NDCG)
+    pairs; MAP's UndefinedMetricError is raised first."""
     aps = [ap for ap, _ in scores if ap is not None]
     ndcgs = [ndcg for _, ndcg in scores if ndcg is not None]
     if not aps:
@@ -300,9 +301,10 @@ def score_rankings(binary_lists, grade_lists, k=None) -> QueryEvaluation:
     rank order; k=None scores each NDCG over its whole list.  Queries with
     no relevant item are skipped for MAP and all-zero grade lists for NDCG;
     MAP's UndefinedMetricError is raised first."""
-    return _aggregate([_score_query(np.asarray(binary), np.asarray(grades), k)
-                       for binary, grades in zip(binary_lists, grade_lists,
-                                                 strict=True)])
+    return aggregate_scores([score_query(np.asarray(binary),
+                                         np.asarray(grades), k)
+                             for binary, grades in zip(binary_lists, grade_lists,
+                                                       strict=True)])
 
 
 def evaluate_queries(encode_attributes, index: RetrievalIndex,
@@ -322,8 +324,8 @@ def evaluate_queries(encode_attributes, index: RetrievalIndex,
         order, _ = _order(sign_hash(encode_attributes(mask)), index)
         grades = _grades(mask_words, index.attribute_words,
                          index.d_attr).take(order)
-        scores.append(_score_query(grades == arity, grades, None))
-    return _aggregate(scores)
+        scores.append(score_query(grades == arity, grades, None))
+    return aggregate_scores(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -353,33 +355,41 @@ def write_rankings(path, blocks) -> None:
 
 
 def read_rankings(path):
-    """Parse a rankings file back into (mask, item_ids, distances,
-    relevances) blocks.
+    """Every (mask, item_ids, distances, relevances) block of a rankings
+    file, as a list; see iter_rankings."""
+    return list(iter_rankings(path))
 
-    The file is read block by block: one pass sorts out the `#` lines, and
-    numpy parses each block's rows in one call.  A block that fails to
-    parse or breaks a value rule (ranks 1, 2, ...; distances >= 0; grades
-    in 0..arity; no item id twice) is parsed again line by line to name
-    its first bad line.  A query mask must set an attribute and have the
-    first mask's length.
+
+def iter_rankings(path):
+    """Yield a rankings file's (mask, item_ids, distances, relevances)
+    blocks, each as soon as it is parsed, so a caller that drops a block
+    before asking for the next holds one at a time.
+
+    One pass sorts out the `#` lines, and numpy parses each block's rows in
+    one call.  A block that fails to parse or breaks a value rule (ranks 1,
+    2, ...; distances >= 0; grades in 0..arity; no item id twice) is parsed
+    again line by line to name its first bad line, and the error is raised
+    when that block is reached.  A query mask must set an attribute and
+    have the first mask's length.
     """
-    blocks = []
     mask = None
     d_attr = None
     query_lineno = None
     linenos, lines = [], []
 
-    def flush():
+    def finished():
+        """The block under the current `# query` line, or None before the
+        first."""
         if mask is None:
             if lines:
                 raise ValueError(f"{path}:{linenos[0]}: malformed ranking line")
-            return
+            return None
         if not lines:
             raise ValueError(f"{path}:{query_lineno}: query block with no rows")
         table, _ = parse_run(path, linenos, lines, _parse_rank_rows,
                              (1, int(mask.sum()), set()))
         ids, dists, rels = table[:, 1:].T.copy()
-        blocks.append((mask, ids, dists, rels))
+        return mask, ids, dists, rels
 
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -387,7 +397,8 @@ def read_rankings(path):
                 continue
             if "#" in line and (text := line.strip()).startswith("#"):
                 if text.startswith("# query "):
-                    flush()
+                    if (block := finished()) is not None:
+                        yield block
                     mask = parse_bits(text[len("# query "):].strip())
                     if mask is None or not mask.any():
                         raise ValueError(f"{path}:{lineno}: bad query mask")
@@ -401,8 +412,8 @@ def read_rankings(path):
                 continue
             linenos.append(lineno)
             lines.append(line)
-    flush()
-    return blocks
+    if (block := finished()) is not None:
+        yield block
 
 
 def _parse_rank_rows(lines, state):

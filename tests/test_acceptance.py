@@ -19,6 +19,7 @@ from codedhash.data import SyntheticSpec, generate_synthetic
 from codedhash.gf2 import bch_code_table, build_bch
 from codedhash.hashing import (
     Encoders,
+    Mlp,
     gradients,
     match_probability,
     objective,
@@ -154,8 +155,13 @@ def rel_err(a, b):
 def test_criterion_4_hashing_gradients_match_finite_differences():
     for trial in range(20):
         rng = np.random.default_rng(100 + trial)
-        enc = Encoders.build(5, 4, 8, hidden=(6,), init_std=0.5,
-                             seed=int(rng.integers(1 << 31)))
+        built = Encoders.build(5, 4, 8, hidden=(6,), init_std=0.5,
+                               seed=int(rng.integers(1 << 31)))
+        # float64 networks of the built (float32) weights: the central
+        # difference needs float64's digits
+        enc = Encoders(*(Mlp([w.astype(np.float64) for w in net.weights],
+                             [b.astype(np.float64) for b in net.biases])
+                         for net in (built.image, built.attribute)))
         x = rng.normal(size=(3, 5))
         y = rng.normal(size=(3, 4))
         s = rng.integers(0, 2, size=(3, 3)).astype(np.uint8)

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -59,6 +60,14 @@ def finite_difference(fun, arr, h=1e-6):
 def relative_error(a, b):
     scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-8)
     return np.abs(a - b).max(initial=0.0) / scale
+
+
+def float64_copy(enc):
+    """The same encoders with float64 copies of their (float32) weights,
+    for checks that need float64's digits."""
+    return Encoders(*(Mlp([w.astype(np.float64) for w in net.weights],
+                          [b.astype(np.float64) for b in net.biases])
+                      for net in (enc.image, enc.attribute)))
 
 
 class TestSignHash:
@@ -241,9 +250,11 @@ class TestObjectiveGrads:
 
 class TestFullChainGradients:
     def _setup(self, seed=5):
+        """float64 networks of Encoders.build's draws: a central difference
+        with h = 1e-6 needs float64's digits."""
         rng = np.random.default_rng(seed)
-        enc = Encoders.build(d_img=5, d_attr=4, code_length=8, hidden=(6,),
-                             init_std=0.5, seed=rng)
+        enc = float64_copy(Encoders.build(d_img=5, d_attr=4, code_length=8,
+                                          hidden=(6,), init_std=0.5, seed=rng))
         x = rng.normal(size=(4, 5))
         y = rng.normal(size=(3, 4))
         s = rng.integers(0, 2, size=(4, 3))
@@ -347,8 +358,8 @@ def reference_layer(net, i, a):
 
 def reference_forward(net, x):
     """The out-of-place layer loop that Mlp.forward_cache ran before it
-    worked in place: (output, acts)."""
-    a = np.asarray(x, dtype=np.float64)
+    worked in place, in the weights' dtype: (output, acts)."""
+    a = np.asarray(x, dtype=net.weights[0].dtype)
     single = a.ndim == 1
     acts = [a[None, :] if single else a]
     for i in range(len(net.weights)):
@@ -359,8 +370,9 @@ def reference_forward(net, x):
 def reference_output(net, x):
     """The out-of-place loop's output for a 2-D batch, holding one
     activation at a time: each layer's bias and activation are applied in
-    place, which gives the bits of the out-of-place ufuncs."""
-    a = np.asarray(x, dtype=np.float64)
+    place, which gives the bits of the out-of-place ufuncs.  It runs in the
+    weights' dtype."""
+    a = np.asarray(x, dtype=net.weights[0].dtype)
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         a = a @ w
         a += b
@@ -373,7 +385,8 @@ def reference_output(net, x):
 
 class TestInPlaceForward:
     """The in-place forward gives the out-of-place loop's bits, at the
-    pipeline's sizes (512-512 hidden, c = 63) with nonzero biases."""
+    pipeline's sizes (512-512 hidden, c = 63) with nonzero biases, on the
+    float32 networks Encoders.build makes and on a float64-built one."""
 
     @pytest.fixture(scope="class")
     def encoders(self):
@@ -391,6 +404,18 @@ class TestInPlaceForward:
                                       2 * FORWARD_ROWS + 1])
     def test_bits_match_out_of_place_loop(self, encoders, branch, rows):
         net = getattr(encoders, branch)
+        assert net.dtype == np.float32
+        self.check_bits_match(net, branch, rows)
+
+    @pytest.mark.parametrize("branch", ["image", "attribute"])
+    def test_float64_built_bits_match_out_of_place_loop(self, encoders,
+                                                        branch):
+        net = getattr(float64_copy(encoders), branch)
+        assert net.dtype == np.float64
+        self.check_bits_match(net, branch, 2 * FORWARD_ROWS + 1)
+
+    @staticmethod
+    def check_bits_match(net, branch, rows):
         shape = (net.d_in,) if rows is None else (rows, net.d_in)
         rng = np.random.default_rng(rows or 1)
         x = (rng.normal(size=shape) if branch == "image"
@@ -407,7 +432,8 @@ class TestInPlaceForward:
         assert out.shape == want.shape
         assert np.array_equal(out, want)
         assert len(acts) == want_layers
-        assert np.array_equal(acts[0], np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        assert np.array_equal(acts[0], np.atleast_2d(np.asarray(
+            x, dtype=net.weights[0].dtype)))
         for i in range(1, len(acts)):
             assert np.array_equal(acts[i], reference_layer(net, i - 1, acts[i - 1]))
         for g, h in zip(net.backward(acts, out), want_grads):
@@ -502,12 +528,55 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_encoders(path)
 
-    @pytest.mark.parametrize("cut", [-8, 8])
+    @pytest.mark.parametrize("cut", [-8, -4, 8])
     def test_weight_bytes_must_match_layer_sizes(self, tmp_path, cut):
-        """Missing (cut < 0) or trailing (cut > 0) weight bytes."""
+        """Missing (cut < 0; -4 is one float32 short) or trailing (cut > 0)
+        weight bytes."""
         path = tmp_path / "enc.bin"
         save_encoders(Encoders.build(5, 4, 8, hidden=(6,)), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_encoders(path)
+
+    def test_version_2_layout(self, tmp_path):
+        """Magic, version 2, the dims and hidden sizes, then every weight
+        as little-endian float32, read back as float32 bit for bit."""
+        enc = Encoders.build(5, 4, 8, hidden=(6, 3), init_std=0.3, seed=4)
+        path = tmp_path / "enc.bin"
+        save_encoders(enc, path)
+        params = enc.image.parameters() + enc.attribute.parameters()
+        header = (b"ENCW" + struct.pack("<BIII", 2, 5, 4, 8)
+                  + 2 * struct.pack("<BII", 2, 6, 3))
+        payload = b"".join(p.astype("<f4").tobytes() for p in params)
+        assert path.read_bytes() == header + payload
+        back = load_encoders(path)
+        for a, b in zip(params,
+                        back.image.parameters() + back.attribute.parameters()):
+            assert a.dtype == b.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
+
+    def test_version_1_file_rejected(self, tmp_path):
+        """A version-1 file (float64 weights) is refused by its version,
+        not read as float32."""
+        enc = Encoders.build(5, 4, 8, hidden=(6,), seed=1)
+        path = tmp_path / "v1.bin"
+        params = enc.image.parameters() + enc.attribute.parameters()
+        path.write_bytes(b"ENCW" + struct.pack("<BIII", 1, 5, 4, 8)
+                         + 2 * struct.pack("<BI", 1, 6)
+                         + b"".join(p.astype("<f8").tobytes() for p in params))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: unsupported version 1, expected 2")):
+            load_encoders(path)
+
+    @pytest.mark.parametrize("branch", ["image", "attribute"])
+    def test_save_refuses_float64_weights(self, tmp_path, branch):
+        enc = Encoders.build(5, 4, 8, hidden=(6,), seed=1)
+        wide = float64_copy(enc)
+        mixed = Encoders(*(getattr(wide if name == branch else enc, name)
+                           for name in ("image", "attribute")))
+        path = tmp_path / "enc.bin"
+        with pytest.raises(ValueError, match=f"float32 weights; the {branch} "
+                                             "branch has float64"):
+            save_encoders(mixed, path)
+        assert not path.exists()

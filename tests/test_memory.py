@@ -48,7 +48,7 @@ def test_encode_images_keeps_one_array_per_layer(rows):
     peak, out = traced_peak(enc.encode_images, x)
     # the output, and the activations of at most FORWARD_ROWS rows at a
     # time: a bound that does not grow with the row count past the output
-    piece = FORWARD_ROWS * (512 + 512 + 63) * 8
+    piece = FORWARD_ROWS * (512 + 512 + 63) * enc.image.weights[0].itemsize
     assert peak <= out.nbytes + piece + 2 * MiB
 
 
@@ -125,8 +125,10 @@ def test_encode_command_streams_the_gallery(tmp_path, modality):
     save_dataset(generate_synthetic(SyntheticSpec(n_subjects=1000,
                                                   images_per_subject=1,
                                                   seed=1)), block)
-    save_encoders(Encoders.build(128, 40, 63, seed=0), tmp_path / "enc.bin")
-    piece = FORWARD_ROWS * (512 + 512 + 63) * 8
+    enc = Encoders.build(128, 40, 63, seed=0)
+    save_encoders(enc, tmp_path / "enc.bin")
+    piece = (FORWARD_ROWS * (512 + 512 + 63)
+             * getattr(enc, modality).weights[0].itemsize)
     peaks = {}
     for rows in (10_000, 40_000):
         gallery = tmp_path / f"gallery-{rows}.txt"
@@ -137,7 +139,7 @@ def test_encode_command_streams_the_gallery(tmp_path, modality):
         assert rc == 0
         codes = rows * 63
         # one piece's activations and the int8 codes (the pieces' and their
-        # concatenation); the slack covers one branch's weights (2.9 MiB),
+        # concatenation); the slack covers one branch's weights (1.4 MiB),
         # the rows of the pieces waiting to be encoded, and one run's text
         assert peak <= piece + 2 * codes + 8 * MiB
         peaks[rows] = peak
@@ -168,12 +170,44 @@ def test_retrieve_command_holds_one_query_block(tmp_path):
     assert peaks[40] - peaks[4] <= MiB
 
 
+def test_eval_command_holds_one_query_block(tmp_path):
+    gallery = generate_synthetic(SyntheticSpec(n_subjects=1000,
+                                               images_per_subject=10, seed=3))
+    data, enc, codes = (tmp_path / name for name in (
+        "gallery.txt", "enc.bin", "codes.txt"))
+    save_dataset(gallery, data)
+    save_encoders(Encoders.build(128, 40, 63, seed=0), enc)
+    cli.write_codes(codes, sign_hash(
+        np.random.default_rng(10).normal(size=(len(gallery), 63))))
+    masks = ["".join("1" if j == i else "0" for j in range(40))
+             for i in range(40)]
+    peaks = {}
+    for queries in (4, 40):
+        rankings = tmp_path / f"r{queries}.txt"
+        assert cli.main([
+            "retrieve", "--encoders", str(enc), "--data", str(data),
+            "--codes", str(codes), "--out", str(rankings)]
+            + [a for q in masks[:queries] for a in ("--query", q)]) == 0
+        peak, rc = traced_peak(cli.main, [
+            "eval", "--rankings", str(rankings), "--out",
+            str(tmp_path / "metrics.csv")])
+        assert rc == 0
+        peaks[queries] = peak
+    # each block (a mask and three int64 columns: 0.23 MiB at 10^4 items)
+    # is scored and dropped before the next is parsed; 36 more held blocks
+    # would add 8 MiB
+    assert peaks[40] - peaks[4] <= MiB
+
+
 def test_load_encoders_holds_one_copy(tmp_path):
     path = tmp_path / "enc.bin"
     save_encoders(Encoders.build(128, 40, 63, seed=0), path)
     peak, enc = traced_peak(load_encoders, path)
     params = enc.image.parameters() + enc.attribute.parameters()
     payload = sum(p.nbytes for p in params)
-    assert payload > 5 * MiB
+    # each branch's float32 weights (1.38 and 1.21 MiB) exceed the slack,
+    # so a second copy of either branch fails the bound
+    assert all(sum(p.nbytes for p in net.parameters()) > MiB
+               for net in (enc.image, enc.attribute))
     # the weights once: no second copy of the file's bytes or the arrays
     assert peak <= payload + MiB

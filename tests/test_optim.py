@@ -43,6 +43,27 @@ class TestOracle:
             assert got.tobytes() == want.tobytes()
 
 
+    def test_float32_bit_equal_to_one_line_update(self):
+        """The encoders' dtype: moments and scratch in float32, and the
+        update in float32 arithmetic, as the one-line form computes it."""
+        rng = np.random.default_rng(10)
+        shapes = [(128, 512), (512,), (512, 63), (), (3, 4, 5)]
+        params = [rng.normal(0.0, 0.1, size=s).astype(np.float32)
+                  for s in shapes]
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        opt = Adam(params, lr=3e-3)
+        assert opt._a.dtype == opt._b.dtype == np.float32
+        for t in range(1, 6):
+            grads = [rng.normal(0.0, 10.0 ** rng.integers(-6, 3), size=s)
+                     .astype(np.float32) for s in shapes]
+            opt.step(params, grads)
+            reference_step(ref, grads, m, v, t, lr=3e-3)
+        for got, want in zip(params + opt.m + opt.v, ref + m + v):
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
     def test_generator_of_parameters_steps_like_a_list(self):
         rng = np.random.default_rng(9)
         shapes = [(40, 512), (512,), (), (3, 4, 5)]
@@ -135,12 +156,17 @@ class TestOracle:
 class TestMemory:
     def test_one_step_allocates_no_scratch(self):
         """A step reuses the optimizer's two scratch vectors, so it
-        allocates at most 64 KiB whatever the parameter size: the image
-        branch (largest array 2 MiB) and one 8 MiB vector."""
+        allocates at most 64 KiB whatever the parameter size: the float32
+        image branch (largest array 1 MiB), and one 2^20-entry vector in
+        float64 (8 MiB) and in float32.  Gradients have the parameters'
+        dtype."""
         enc = Encoders.build(128, 40, 63, hidden=(512, 512), seed=0)
         rng = np.random.default_rng(1)
-        for params in (enc.image.parameters(), [rng.standard_normal(2 ** 20)]):
-            grads = [rng.standard_normal(p.shape) for p in params]
+        vector = rng.standard_normal(2 ** 20)
+        for params in (enc.image.parameters(), [vector],
+                       [vector.astype(np.float32)]):
+            grads = [rng.standard_normal(p.shape).astype(p.dtype)
+                     for p in params]
             opt = Adam(params)
             opt.step(params, grads)  # first step outside the trace
             tracemalloc.start()
@@ -187,6 +213,29 @@ class TestValidation:
         p = self._params()
         with pytest.raises(ValueError, match="entry 1"):
             Adam(p).step([p[0], np.ones(5)], [np.ones((3, 4)), np.ones(5)])
+
+    def test_mixed_parameter_dtypes_rejected(self):
+        with pytest.raises(ValueError, match="share one dtype, got "
+                                             "float32, float64"):
+            Adam([np.ones((3, 4), dtype=np.float32), np.ones(4)])
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float64),
+                                        (np.float64, np.float32)])
+    def test_gradient_dtype_mismatch_rejected(self, dtypes):
+        """A gradient of another dtype would be cast through hidden
+        buffers on every step, so it is refused before any update."""
+        param_dtype, grad_dtype = dtypes
+        p = [np.ones((3, 4), dtype=param_dtype), np.ones(4, dtype=param_dtype)]
+        opt = Adam(p)
+        grads = [np.ones((3, 4), dtype=param_dtype),
+                 np.ones(4, dtype=grad_dtype)]
+        with pytest.raises(ValueError, match=(
+                f"entry 1: expected dtype {np.dtype(param_dtype)}, got "
+                f"parameter {np.dtype(param_dtype)} and gradient "
+                f"{np.dtype(grad_dtype)}")):
+            opt.step(p, grads)
+        assert all((x == 1.0).all() for x in p)
+        assert opt.t == 0
 
     @pytest.mark.parametrize("lr", [0.0, -1e-3])
     def test_nonpositive_learning_rate_rejected(self, lr):
