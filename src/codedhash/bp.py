@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import all_finite
 from .gf2 import as_gf2
 
 DEFAULT_CLAMP = 1e-12
@@ -215,7 +216,7 @@ def _validate_llr_batch(llrs, n_var):
     a = np.asarray(llrs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != n_var:
         raise ValueError(f"expected shape (batch, {n_var}), got {a.shape}")
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise ValueError("LLR inputs must be finite")
     return a
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import all_either
+from ._checks import all_either, all_finite
 from .textio import parse_bits, parse_rows, parse_run, read_chunks
 
 
@@ -64,7 +64,7 @@ class Dataset:
             raise ValueError("record counts disagree across fields")
         if not all_either(self.attributes, 0, 1):
             raise ValueError("attribute entries must be 0 or 1")
-        if not np.isfinite(self.features).all():
+        if not all_finite(self.features):
             raise ValueError("feature entries must be finite")
 
     def __len__(self) -> int:
@@ -199,7 +199,7 @@ def _parse_records(lines, state):
             raise DatasetFormatError("unparseable feature value")
     if feats.shape[1] != widths[1]:
         raise DatasetFormatError("inconsistent field widths")
-    if not np.isfinite(feats).all():
+    if not all_finite(feats):
         raise DatasetFormatError("non-finite feature value")
     return ((ids[:, 0], attrs.reshape(len(lines), widths[0]), feats),
             (widths, with_features))

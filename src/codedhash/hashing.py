@@ -37,7 +37,7 @@ import struct
 
 import numpy as np
 
-from ._checks import all_either
+from ._checks import all_either, row_blocks
 
 PROB_CLAMP = 1e-12
 HAMMING_MARGIN_SCALE = 4.0
@@ -200,11 +200,19 @@ class Encoders:
 
 def sign_hash(activations) -> np.ndarray:
     """Elementwise sign with sign(0) = +1, as int8 codes; NaN has no sign
-    and is rejected, while +-inf keep theirs."""
+    and is rejected, while +-inf keep theirs.  Each piece is checked, then
+    its comparison with 0 is written into the preallocated output and
+    mapped to +-1 there, so the only temporary is one piece's NaN mask."""
     a = np.asarray(activations)
-    if np.isnan(a).any():
-        raise ValueError("cannot sign-hash NaN activations")
-    return np.where(a >= 0, np.int8(1), np.int8(-1))
+    codes = np.empty(a.shape, dtype=np.int8)
+    for idx in row_blocks(a.shape):
+        piece, out = a[idx], codes[idx]
+        if np.isnan(piece).any():
+            raise ValueError("cannot sign-hash NaN activations")
+        np.greater_equal(piece, 0, out=out.view(np.bool_))
+        out *= 2
+        out -= 1
+    return codes
 
 
 # ---------------------------------------------------------------------------

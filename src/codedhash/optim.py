@@ -2,39 +2,17 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from ._checks import PIECE, row_blocks
 
 BETA1 = 0.9     # first-moment decay
 BETA2 = 0.999   # second-moment decay
 EPS = 1e-8      # stability constant
 
 # entries per scratch vector: a step updates each parameter in consecutive
-# views of at most this many entries.  On a 2-core host, one step of the
-# 128 -> 512-512 -> 63 image branch took 2.8 ms at 32 768, 2.9-3.0 ms at
-# 16 384 and 65 536, 3.7 ms at 8 192 and 3.6 ms unblocked (6.6 ms with two
-# new full-size temporaries per parameter).
-_BLOCK = 32768
-
-
-def _row_blocks(shape, limit: int):
-    """Index tuples that cover an array of `shape` in C order with
-    consecutive views of at most `limit` entries: runs of whole rows of the
-    first axis, or, where one row is larger than `limit`, the blocks of
-    each row in turn."""
-    if not shape:
-        yield (Ellipsis,)  # a 0-d view, where () would give a scalar
-        return
-    row = math.prod(shape[1:])
-    if row <= limit:
-        step = limit // row if row else shape[0]
-        for start in range(0, shape[0], step):
-            yield (slice(start, start + step),)
-    else:
-        for i in range(shape[0]):
-            for rest in _row_blocks(shape[1:], limit):
-                yield (i,) + rest
+# views of at most this many entries, the pieces of the shared walker
+_BLOCK = PIECE
 
 
 class Adam:
@@ -90,7 +68,7 @@ class Adam:
         b1c = 1.0 - BETA1 ** self.t
         b2c = 1.0 - BETA2 ** self.t
         for p_all, g_all, m_all, v_all in zip(params, grads, self.m, self.v):
-            for idx in _row_blocks(m_all.shape, _BLOCK):
+            for idx in row_blocks(m_all.shape, _BLOCK):
                 p, g, m, v = p_all[idx], g_all[idx], m_all[idx], v_all[idx]
                 a = self._a[:m.size].reshape(m.shape)
                 b = self._b[:m.size].reshape(m.shape)

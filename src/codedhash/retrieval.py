@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._checks import all_either
+from ._checks import all_either, row_blocks
 from .hashing import sign_hash
 from .textio import parse_bits, parse_rows, parse_run, write_rows
 
@@ -57,11 +57,17 @@ class RetrievalIndex:
 def _pack_words(codes) -> np.ndarray:
     """Pack each row of a (n, c) array into ceil(c / 64) uint64 words with
     one bit per entry, set where the entry is 1 (+1 of a code, or a present
-    attribute); padding bits are 0."""
+    attribute); padding bits are 0.  The words are filled one piece at a
+    time, so the only temporaries are one piece's mask and bytes; a piece
+    of a row wider than a piece starts on a multiple of 8 entries, so its
+    bytes start on a whole byte of the row."""
     n, c = codes.shape
-    packed = np.packbits(codes == 1, axis=1, bitorder="little")
     words = np.zeros((n, -(-c // 64) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
+    for idx in row_blocks(codes.shape):
+        rows, cols = idx if len(idx) == 2 else (idx[0], slice(0, c))
+        packed = np.packbits(codes[rows, cols] == 1, axis=-1, bitorder="little")
+        start = cols.start // 8
+        words[rows, start:start + packed.shape[-1]] = packed
     return words.view(np.uint64)
 
 
@@ -296,24 +302,14 @@ def aggregate_scores(scores) -> QueryEvaluation:
                            len(scores) - len(ndcgs))
 
 
-def score_rankings(binary_lists, grade_lists, k=None) -> QueryEvaluation:
-    """MAP, NDCG@k and both skip counts over per-query relevance lists in
-    rank order; k=None scores each NDCG over its whole list.  Queries with
-    no relevant item are skipped for MAP and all-zero grade lists for NDCG;
-    MAP's UndefinedMetricError is raised first."""
-    return aggregate_scores([score_query(np.asarray(binary),
-                                         np.asarray(grades), k)
-                             for binary, grades in zip(binary_lists, grade_lists,
-                                                       strict=True)])
-
-
 def evaluate_queries(encode_attributes, index: RetrievalIndex,
                      masks) -> QueryEvaluation:
     """Run attribute-mask queries through an encoder and the index.
 
     encode_attributes maps a float attribute vector to a real activation
-    (it is sign-hashed here).  Each ranking is scored as it is made, as
-    score_rankings scores it with k=None: NDCG over the whole gallery.
+    (it is sign-hashed here).  Each ranking is scored as it is made by
+    score_query with k=None (NDCG over the whole gallery), and
+    aggregate_scores averages the scores.
     """
     masks = _check_masks(np.atleast_2d(np.asarray(masks)), index.d_attr)
     arities = np.count_nonzero(masks, axis=1)

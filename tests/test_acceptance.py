@@ -38,9 +38,9 @@ from codedhash.retrieval import (
     enumerate_query_masks,
     evaluate_queries,
     ndcg_at_k,
-    score_rankings,
 )
 from gf2_oracles import bounded_distance_decode
+from retrieval_oracles import score_rankings
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from codedhash._checks import PIECE
 from codedhash.hashing import (
     FORWARD_ROWS,
     Encoders,
@@ -97,6 +98,25 @@ class TestSignHash:
         np.array(np.nan),
     ])
     def test_rejects_nan(self, values):
+        with pytest.raises(ValueError, match="NaN"):
+            sign_hash(values)
+
+    @pytest.mark.parametrize("shape", [
+        (PIECE // 63 - 1, 63), (PIECE // 63, 63), (PIECE // 63 + 1, 63),
+        (2, PIECE + 1), (PIECE + 1,),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pieces_match_one_shot(self, shape, dtype):
+        """At one piece of rows, one piece +-1 rows and rows wider than a
+        piece, the codes equal one whole-array selection, and a NaN in the
+        last entry is rejected."""
+        values = np.random.default_rng(3).normal(size=shape).astype(dtype)
+        values.reshape(-1)[::97] = 0.0
+        want = np.where(values >= 0, np.int8(1), np.int8(-1))
+        out = sign_hash(values)
+        assert out.dtype == np.int8 and out.shape == shape
+        assert out.tobytes() == want.tobytes()
+        values.reshape(-1)[-1] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             sign_hash(values)
 

@@ -3,7 +3,10 @@
 Each bound is the arrays a call must build plus a little slack, so a
 full-size temporary (an unused copy of the features, a layer's
 pre-activation beside its activation, a per-entry index array of a 0/1
-check) fails it.
+check) fails it.  Entry checks, sign hashing and word packing walk a
+gallery-sized array in pieces of `_checks.PIECE` entries, so their bound
+is the arrays they keep plus one float64 piece (256 KiB), less than the
+boolean mask of one 10^5 x 63 array (6.0 MiB).
 """
 
 import tracemalloc
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 from codedhash import cli, pipeline
+from codedhash._checks import PIECE
 from codedhash.bp import TannerGraph
 from codedhash.data import Dataset, SyntheticSpec, generate_synthetic, save_dataset
 from codedhash.hashing import (FORWARD_ROWS, Encoders, load_encoders, save_encoders,
@@ -20,6 +24,7 @@ from codedhash.neural_bp import NeuralBpDecoder
 from codedhash.retrieval import build_index
 
 MiB = 2 ** 20
+PIECE_BYTES = PIECE * 8  # one piece of float64 entries
 
 
 def traced_peak(fn, *args):
@@ -32,6 +37,12 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1] - before, result
     finally:
         tracemalloc.stop()
+
+
+def rejected(fn, *args):
+    """fn(*args) with the ValueError of a non-finite input."""
+    with pytest.raises(ValueError, match="finite"):
+        fn(*args)
 
 
 @pytest.fixture(scope="module")
@@ -56,15 +67,21 @@ def test_generate_synthetic_within_its_outputs():
     spec = SyntheticSpec(n_subjects=1000, images_per_subject=100, seed=4)
     peak, ds = traced_peak(generate_synthetic, spec)
     assert ds.features.shape == (100_000, 128)
-    # the dataset itself, and Dataset's boolean finiteness mask
-    assert peak <= 1.35 * ds.features.nbytes
+    kept = ds.features.nbytes + ds.attributes.nbytes + ds.subject_ids.nbytes
+    prototypes = spec.n_subjects * spec.d_img * 8
+    # the dataset itself and the float64 per-subject prototypes added into
+    # its features (0.98 MiB); the slack covers the generator's own
+    # allocations, and Dataset's checks hold one piece, where a finiteness
+    # mask of the features would add 12.2 MiB
+    assert peak <= kept + prototypes + 2 * MiB
 
 
 def test_dataset_validation_at_1e5_items(gallery):
     peak, _ = traced_peak(Dataset, gallery.subject_ids, gallery.attributes,
                           gallery.features)
-    # one boolean mask of the features
-    assert peak <= gallery.features.nbytes // 8 + MiB
+    # the checks walk the arrays in pieces: no mask of the features
+    # (12.2 MiB) or of the attributes
+    assert peak <= PIECE_BYTES
 
 
 @pytest.mark.parametrize("kind", ["activations", "codes"])
@@ -74,18 +91,21 @@ def test_build_index_at_1e5_items(gallery, kind):
         values = sign_hash(values)
     peak, index = traced_peak(build_index, values, gallery.subject_ids,
                               gallery.attributes)
-    # the packed words, and two arrays of the codes' size: the new int8
-    # codes and sign_hash's boolean mask, or the +-1 check's two masks of
-    # int8 codes the index shares; uint8 attributes are shared, not counted
+    # the packed words, and the new int8 codes of hashed activations; int8
+    # codes and uint8 attributes are shared, not counted.  sign_hash, the
+    # +-1 and 0/1 checks and the packing hold one piece's masks, where one
+    # mask of the codes would add 6.0 MiB
     kept = index.words.nbytes + index.attribute_words.nbytes
-    assert peak <= kept + 2 * index.codes.size + MiB
+    if kind == "activations":
+        kept += index.codes.nbytes
+    assert peak <= kept + PIECE_BYTES
 
 
 def test_sign_hash_builds_only_its_output():
     values = np.random.default_rng(6).normal(size=(100_000, 63))
     peak, codes = traced_peak(sign_hash, values)
-    # the int8 codes, and the boolean mask they are selected by
-    assert peak <= 2 * codes.nbytes + MiB
+    # the int8 codes, and one piece's NaN mask
+    assert peak <= codes.nbytes + PIECE_BYTES
 
 
 def test_decode_holds_one_block():
@@ -97,9 +117,14 @@ def test_decode_holds_one_block():
     block, _ = traced_peak(net.decode_batch, llrs[:127])
     peak, hard = traced_peak(net.decode_batch, llrs)
     assert hard.shape == llrs.shape
-    # float64 soft outputs, uint8 hard bits and the input's finiteness
-    # mask, and one block's messages
-    assert peak <= llrs.size * (8 + 1 + 1) + block + MiB
+    # float64 soft outputs, uint8 hard bits and one block's messages
+    assert peak <= llrs.size * (8 + 1) + block
+    # the LLR check, alone in a rejected call, holds one piece's
+    # finiteness mask, not one of the input (0.60 MiB)
+    bad = llrs.copy()
+    bad[-1, -1] = np.nan
+    peak, _ = traced_peak(rejected, net.decode_batch, bad)
+    assert peak <= PIECE_BYTES
 
 
 def test_loss_and_grads_holds_its_layer_cache_and_workspace():

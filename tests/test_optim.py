@@ -152,6 +152,24 @@ class TestOracle:
         for got, want in zip(params, ref):
             assert got.tobytes() == want.tobytes()
 
+    def test_zero_size_parameters(self):
+        """Parameters with no entries, a first axis of 0 included, step
+        without error and leave the others' update unchanged."""
+        rng = np.random.default_rng(6)
+        shapes = [(0, 0), (0,), (3, 0), (4, 2)]
+        params = [rng.normal(0.0, 0.1, size=s) for s in shapes]
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        opt = Adam(params)
+        for t in range(1, 3):
+            grads = [rng.standard_normal(s) for s in shapes]
+            opt.step(params, grads)
+            reference_step(ref, grads, m, v, t)
+        for got, want in zip(params, ref):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestMemory:
     def test_one_step_allocates_no_scratch(self):

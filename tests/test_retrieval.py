@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from codedhash._checks import PIECE
 from codedhash.hashing import sign_hash
 from codedhash.retrieval import (
     QueryEvaluation,
@@ -18,10 +19,10 @@ from codedhash.retrieval import (
     rank,
     read_rankings,
     relevance,
-    score_rankings,
     write_metric_report,
     write_rankings,
 )
+from retrieval_oracles import score_rankings
 
 
 def naive_rank(codes, query):
@@ -84,6 +85,16 @@ def tiny_index(codes, attributes=None):
     return build_index(codes, np.arange(n), attributes)
 
 
+def one_shot_words(bits):
+    """Each row of a (n, c) array packed in one call, set where 1, into
+    ceil(c / 64) uint64 words with zero padding bits."""
+    n, c = bits.shape
+    packed = np.packbits(bits == 1, axis=1, bitorder="little")
+    words = np.zeros((n, -(-c // 64) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view(np.uint64)
+
+
 class TestBuildIndex:
     def test_activations_are_hashed(self):
         acts = np.array([[0.3, -0.2], [0.0, -1.0]])
@@ -103,6 +114,21 @@ class TestBuildIndex:
         index = build_index(codes, [0, 1], attributes)
         assert np.shares_memory(index.codes, codes)
         assert np.shares_memory(index.attributes, attributes)
+
+    @pytest.mark.parametrize("width", [63, 40, 130, PIECE + 70])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_words_match_one_shot_packing(self, width, extra):
+        """Codes and attributes packed piece by piece equal one packing of
+        the whole array: at one piece of rows, one piece +-1 rows, and for
+        rows wider than a piece (2 +- 1 rows)."""
+        rows = (PIECE // width or 2) + extra
+        rng = np.random.default_rng(width + extra)
+        codes = np.where(rng.random((rows, width)) < 0.5, 1, -1).astype(np.int8)
+        attributes = (rng.random((rows, width)) < 0.5).astype(np.uint8)
+        index = build_index(codes, np.arange(rows), attributes)
+        assert index.words.tobytes() == one_shot_words(codes).tobytes()
+        assert (index.attribute_words.tobytes()
+                == one_shot_words(attributes).tobytes())
 
     def test_rejects_nan_activations(self):
         with pytest.raises(ValueError, match="NaN"):
