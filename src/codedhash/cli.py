@@ -13,12 +13,12 @@ from ._checks import all_either
 from .data import (SyntheticSpec, generate_synthetic, load_dataset, read_records,
                    save_dataset)
 from .gf2 import bch_code_table, load_code, save_code
-from .hashing import FORWARD_ROWS, load_encoders, save_encoders, sign_hash, Encoders
+from .hashing import FORWARD_ROWS, load_encoders, save_encoders, sign_hash
 from .neural_bp import evaluate_error_rates, load_decoder, save_decoder
 from .pipeline import (
     TrainConfig,
+    initial_encoders,
     load_config,
-    stage1a,
     stage1b,
     stage2_refine,
     train_pipeline,
@@ -126,17 +126,15 @@ def _cmd_train(args) -> int:
         save_decoder(result.decoder, result.code, out_dir / DECODER_FILE)
         write_report(out_dir / REPORT_FILE, result.rounds)
     elif args.stage == "1a":
-        encoders = Encoders.build(dataset.d_img, dataset.d_attr, config.c,
-                                  hidden=hidden, init_std=args.init_std,
-                                  seed=config.seed)
-        stage1a(encoders, dataset, config, seed=config.seed)
+        encoders = initial_encoders(dataset, config, hidden=hidden,
+                                    init_std=args.init_std)
         save_encoders(encoders, out_dir / ENCODERS_FILE)
     elif args.stage == "1b":
         code, decoder = stage1b(config, decoder_epochs=args.decoder_epochs,
                                 frames_per_epoch=args.decoder_frames)
         save_code(code, out_dir / CODE_FILE)
         save_decoder(decoder, code, out_dir / DECODER_FILE)
-    else:  # stage 2 refines artifacts from a previous run
+    else:  # stage 2 refines artifacts from a previous run, as round 1 does
         encoders = load_encoders(out_dir / ENCODERS_FILE)
         code = load_code(out_dir / CODE_FILE)
         decoder = load_decoder(out_dir / DECODER_FILE, code)

@@ -1,14 +1,16 @@
 """End-to-end training: hash encoders, decoder, and the refinement loop.
 
-The flow is: train the coupled encoders on pairwise similarity (stage 1a),
-pick a BCH code whose correction capability covers the margin and train the
-neural decoder on it (stage 1b), then alternate encoder training with a
-refinement stage (stage 2) that runs each sample's real-valued activation
-through the decoder and pulls the activation toward the decoder's hard
-decision with a bitwise cross-entropy; that hard decision is usually not a
-codeword.  After every outer round the training-set retrieval quality
-(arity-1 MAP) is measured; the loop stops when it stops improving and the
-best-scoring encoder state is returned.
+The flow is: pick a BCH code whose correction capability covers the margin
+and train the neural decoder on it (stage 1b, which reads no data and so
+runs first), train the coupled encoders on pairwise similarity (stage 1a),
+then alternate encoder training with a refinement stage (stage 2) that runs
+each sample's real-valued activation through the decoder and pulls the
+activation toward the decoder's hard decision with a bitwise cross-entropy;
+that hard decision is usually not a codeword.  After every outer round the
+training-set retrieval quality (arity-1 MAP) is measured; the loop stops
+when it stops improving and the best-scoring encoder state is returned.
+Every step draws its seed from the run's seed by one rule, so a stage run
+on its own reproduces that step of the full run.
 
 The margin in the pairwise objective is expressed in Hamming units; squared
 Euclidean distance between sign codes is four times Hamming distance, so the
@@ -76,6 +78,11 @@ class TrainConfig:
         if self.c not in VALID_CODE_LENGTHS:
             raise ValueError(f"c must be one of {VALID_CODE_LENGTHS}, "
                              f"got {self.c}")
+        for name in ("margin", "theta", "lam", "gamma", "lr", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not all(math.isfinite(snr) for snr in self.snr_db_list):
+            raise ValueError("snr_db_list entries must be finite")
         if self.margin <= 0:
             raise ValueError("margin must be positive")
         if self.gamma < 0:
@@ -138,7 +145,10 @@ def load_config(path) -> TrainConfig:
                 overrides[name] = parse(value.strip())
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}")
-    return TrainConfig(**overrides)
+    try:
+        return TrainConfig(**overrides)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +201,14 @@ def decode_targets(decoder: NeuralBpDecoder, activations,
 # Training stages
 # ---------------------------------------------------------------------------
 
+def _run_seeds(config: TrainConfig):
+    """(init, decoder, per-round) seeds of a run, drawn from its config
+    seed; every step of a run, staged or full, takes its seed from here."""
+    seeds = np.random.SeedSequence(config.seed).generate_state(
+        2 + config.outer_rounds_max).tolist()
+    return seeds[0], seeds[1], seeds[2:]
+
+
 def _batch_slices(n_items: int, batch_size: int, order):
     for start in range(0, n_items, batch_size):
         yield order[start:start + batch_size]
@@ -239,9 +257,22 @@ def stage1a(encoders: Encoders, dataset: Dataset, config: TrainConfig,
                 opt.step(net.parameters(), net.backward(cache, douts[which]))
 
 
-def stage1b(config: TrainConfig, seed=None, decoder_epochs: int = 150,
+def initial_encoders(dataset: Dataset, config: TrainConfig,
+                     hidden=(512, 512), init_std: float = 0.1) -> Encoders:
+    """Round 0's encoders: built with the run's init seed, then trained by
+    stage 1a with round 0's seed."""
+    init_seed, _, round_seeds = _run_seeds(config)
+    encoders = Encoders.build(dataset.d_img, dataset.d_attr, config.c,
+                              hidden=hidden, init_std=init_std,
+                              seed=init_seed)
+    stage1a(encoders, dataset, config, seed=round_seeds[0])
+    return encoders
+
+
+def stage1b(config: TrainConfig, decoder_epochs: int = 150,
             frames_per_epoch: int = 128):
-    """Select the margin-covering code and train the decoder on it."""
+    """Select the margin-covering code and train the decoder on it with
+    the run's decoder seed."""
     code = select_code(config.margin, config.c)
     graph = TannerGraph(code.parity_check)
     net = NeuralBpDecoder(graph, iterations=config.bp_iterations)
@@ -250,7 +281,7 @@ def stage1b(config: TrainConfig, seed=None, decoder_epochs: int = 150,
         frames_per_epoch=frames_per_epoch,
         epochs=decoder_epochs,
         learning_rate=config.lr,
-        seed=config.seed if seed is None else seed))
+        seed=_run_seeds(config)[1]))
     return code, net
 
 
@@ -340,15 +371,26 @@ def _objective_on(encoders, dataset, config):
     return objective(p, q, s, config.distance_margin, config.theta, config.lam)
 
 
+def _round_record(outer, encoders, dataset, config,
+                  lc_image=float("nan"), lc_attr=float("nan")) -> RoundRecord:
+    """A round's report line: the encoders' objective and training MAP, and
+    the round's stage-2 losses (NaN for round 0)."""
+    j, (dll, quant, balance) = _objective_on(encoders, dataset, config)
+    return RoundRecord(outer, j, dll, quant, balance, lc_image, lc_attr,
+                       training_map(encoders, dataset))
+
+
 def train_pipeline(dataset: Dataset, config: TrainConfig,
                    hidden=(512, 512), init_std: float = 0.1,
                    decoder_epochs: int = 150,
                    decoder_frames_per_epoch: int = 128) -> TrainResult:
-    """Full training loop; deterministic for a fixed config seed.
+    """Full training loop; deterministic for a fixed seed.
 
-    Sequence: stage 1a, stage 1b once, then outer rounds of (stage 1a for
-    rounds after the first) + stage 2, measuring training MAP after every
-    round.  Stops once MAP has failed to improve by more than
+    Sequence: stage 1b once, then round 0's encoders (``initial_encoders``),
+    then outer rounds of (stage 1a for rounds after the first) + stage 2,
+    measuring training MAP after every round.  Stage 1b reads no data, so
+    running it first checks the margin and the decoder settings before any
+    encoder trains.  Stops once MAP has failed to improve by more than
     MAP_IMPROVEMENT_THRESHOLD for `patience` consecutive rounds, and
     restores the encoder state of the best-scoring round.
 
@@ -360,33 +402,21 @@ def train_pipeline(dataset: Dataset, config: TrainConfig,
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    root = np.random.SeedSequence(config.seed)
-    seeds = root.generate_state(2 + config.outer_rounds_max).tolist()
-    init_seed, decoder_seed, *round_seeds = seeds
-
-    encoders = Encoders.build(dataset.d_img, dataset.d_attr, config.c,
-                              hidden=hidden, init_std=init_std,
-                              seed=init_seed)
-    stage1a(encoders, dataset, config, seed=round_seeds[0])
-    j, (dll, quant, balance) = _objective_on(encoders, dataset, config)
-    map0 = training_map(encoders, dataset)
-    rounds = [RoundRecord(0, j, dll, quant, balance,
-                          float("nan"), float("nan"), map0)]
-
-    code, decoder = stage1b(config, seed=decoder_seed,
-                            decoder_epochs=decoder_epochs,
+    code, decoder = stage1b(config, decoder_epochs=decoder_epochs,
                             frames_per_epoch=decoder_frames_per_epoch)
+    _, _, round_seeds = _run_seeds(config)
+    encoders = initial_encoders(dataset, config, hidden, init_std)
+    rounds = [_round_record(0, encoders, dataset, config)]
 
-    best_map, best_state, best_round = map0, copy.deepcopy(encoders), 0
+    best_map, best_state, best_round = (
+        rounds[0].train_map, copy.deepcopy(encoders), 0)
     stale = 0
     for outer in range(1, config.outer_rounds_max + 1):
         if outer > 1:
             stage1a(encoders, dataset, config, seed=round_seeds[outer - 1])
-        lc_image, lc_attr = stage2_refine(encoders, decoder, dataset, config)
-        j, (dll, quant, balance) = _objective_on(encoders, dataset, config)
-        current = training_map(encoders, dataset)
-        rounds.append(RoundRecord(outer, j, dll, quant, balance,
-                                  lc_image, lc_attr, current))
+        losses = stage2_refine(encoders, decoder, dataset, config)
+        rounds.append(_round_record(outer, encoders, dataset, config, *losses))
+        current = rounds[-1].train_map
         if current > best_map + MAP_IMPROVEMENT_THRESHOLD:
             best_map, best_state, best_round = (
                 current, copy.deepcopy(encoders), outer)

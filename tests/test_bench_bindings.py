@@ -12,6 +12,7 @@ import numpy as np
 
 # imported before the tracer installs, so every binding gets wrapped
 from codedhash import cli, neural_bp, pipeline, retrieval  # noqa: F401
+from codedhash.data import SyntheticSpec, generate_synthetic
 from codedhash.hashing import Encoders
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -74,3 +75,27 @@ def test_retrieval_scoring_spans(monkeypatch):
     assert calls["retrieval.evaluate_queries"] == 1
     assert calls["retrieval.average_precision"] == len(masks)
     assert calls["retrieval.ndcg_at_k"] == len(masks)
+
+
+def test_training_stage_spans(monkeypatch):
+    """train-c63 expects spans of the three stages and of training_map; a
+    refactor that calls one of them other than through the pipeline module
+    drops its spans.  With one outer round, the only stage-1a call is the
+    one that trains round 0's encoders."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    from tracer import Tracer
+
+    ds = generate_synthetic(SyntheticSpec(n_subjects=6, images_per_subject=2,
+                                          d_attr=4, d_img=6, seed=0))
+    config = pipeline.TrainConfig(c=31, margin=2.0, epochs_stage1a=1,
+                                  batch_size=8, outer_rounds_max=1,
+                                  bp_iterations=2)
+    tracer = Tracer()
+    with tracer.recording(0):
+        pipeline.train_pipeline(ds, config, hidden=(8,), decoder_epochs=1,
+                                decoder_frames_per_epoch=8)
+    calls = {name: calls for name, (calls, _, _) in tracer.span_totals(0).items()}
+    for name in ("pipeline.stage1a", "pipeline.stage1b",
+                 "pipeline.stage2_refine", "pipeline.training_map"):
+        assert calls.get(name, 0) >= 1, name

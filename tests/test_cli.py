@@ -16,6 +16,8 @@ from codedhash.data import (SyntheticSpec, generate_synthetic, load_dataset,
 from codedhash.gf2 import load_code
 from codedhash.hashing import (FORWARD_ROWS, Encoders, load_encoders, save_encoders,
                                sign_hash)
+from codedhash.neural_bp import load_decoder
+from codedhash.pipeline import load_config, stage1a, stage2_refine
 from codedhash.retrieval import (build_index, enumerate_query_masks,
                                  evaluate_queries, read_rankings)
 
@@ -168,6 +170,64 @@ class TestTrainStages:
         assert main(base + ["--stage", "1b"]) == 0
         assert main(base + ["--stage", "2", "--data", str(data)]) == 0
         assert (out / "encoders.bin").read_bytes() != first
+
+    def test_stage_1b_writes_the_full_runs_decoder(self, tmp_path):
+        data = tmp_path / "data.txt"
+        gen_tiny_data(data)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_CONFIG)
+        flags = ["--config", str(cfg), "--hidden", "16",
+                 "--decoder-epochs", "2", "--decoder-frames", "8"]
+        full, staged = tmp_path / "all", tmp_path / "1b"
+        assert main(["train", "--data", str(data), "--out-dir", str(full),
+                     "--stage", "all"] + flags) == 0
+        assert main(["train", "--out-dir", str(staged),
+                     "--stage", "1b"] + flags) == 0
+        for name in ("code.txt", "decoder.bin"):
+            assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_stages_1a_and_2_write_the_runs_first_round(self, tmp_path):
+        """--stage 1a writes round 0's encoders and 1a -> 1b -> 2 round 1's,
+        with the seeds a full run draws from its config seed."""
+        data = tmp_path / "data.txt"
+        gen_tiny_data(data)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_CONFIG)
+        out = tmp_path / "run"
+        base = ["train", "--config", str(cfg), "--out-dir", str(out),
+                "--hidden", "16", "--decoder-epochs", "2",
+                "--decoder-frames", "8"]
+        config, dataset = load_config(cfg), load_dataset(data)
+        seeds = np.random.SeedSequence(config.seed).generate_state(
+            2 + config.outer_rounds_max).tolist()
+        expected = Encoders.build(dataset.d_img, dataset.d_attr, config.c,
+                                  hidden=(16,), init_std=0.1, seed=seeds[0])
+        stage1a(expected, dataset, config, seed=seeds[2])
+
+        def saved(encoders):
+            save_encoders(encoders, tmp_path / "expected.bin")
+            return (tmp_path / "expected.bin").read_bytes()
+
+        assert main(base + ["--stage", "1a", "--data", str(data)]) == 0
+        assert (out / "encoders.bin").read_bytes() == saved(expected)
+        assert main(base + ["--stage", "1b"]) == 0
+        assert main(base + ["--stage", "2", "--data", str(data)]) == 0
+        decoder = load_decoder(out / "decoder.bin", load_code(out / "code.txt"))
+        stage2_refine(expected, decoder, dataset, config)
+        assert (out / "encoders.bin").read_bytes() == saved(expected)
+
+    def test_infinite_margin_fails_cleanly(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        gen_tiny_data(data)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_CONFIG.replace("m = 2", "m = inf"))
+        rc = main(["train", "--config", str(cfg), "--data", str(data),
+                   "--out-dir", str(tmp_path / "run"), "--hidden", "16",
+                   "--decoder-epochs", "2", "--decoder-frames", "8"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "margin must be finite" in err
+        assert "Traceback" not in err
 
     def test_stage_2_without_artifacts_fails(self, tmp_path, capsys):
         data = tmp_path / "data.txt"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from codedhash import pipeline
 from codedhash.bp import TannerGraph
 from codedhash.data import SyntheticSpec, generate_synthetic, similarity_matrix
 from codedhash.gf2 import build_bch
@@ -71,6 +72,15 @@ class TestTrainConfig:
         dict(patience=0),
         dict(gamma=-0.5),
         dict(snr_db_list=()),
+        dict(margin=float("inf")),
+        dict(margin=float("nan")),
+        dict(theta=float("nan")),
+        dict(lam=float("inf")),
+        dict(gamma=float("nan")),
+        dict(lr=float("nan")),
+        dict(kappa=float("nan")),
+        dict(snr_db_list=(1.0, float("nan"))),
+        dict(snr_db_list=(float("-inf"),)),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -136,6 +146,13 @@ class TestLoadConfig:
         path.write_text("just words\n")
         with pytest.raises(ValueError, match=":1"):
             load_config(path)
+
+    def test_out_of_range_value_names_the_file(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("m = 0\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: margin must be positive"
 
 
 class TestSelectCode:
@@ -409,7 +426,7 @@ class TestStage1a:
 
 class TestStage1b:
     def test_code_and_decoder_shapes(self):
-        code, dec = stage1b(small_config(), seed=1, decoder_epochs=5,
+        code, dec = stage1b(small_config(seed=1), decoder_epochs=5,
                             frames_per_epoch=16)
         assert (code.n, code.k, code.t) == (31, 21, 2)
         assert dec.graph.n_var == 31
@@ -420,7 +437,7 @@ class TestStage1b:
         assert (dec.weight_vector() == 1.0).all()
 
     def test_training_moves_weights(self):
-        _, dec = stage1b(small_config(), seed=2, decoder_epochs=5,
+        _, dec = stage1b(small_config(seed=2), decoder_epochs=5,
                          frames_per_epoch=16)
         assert not (dec.weight_vector() == 1.0).all()
 
@@ -520,6 +537,15 @@ class TestTrainPipeline:
         (a, _), (b, _) = self._run(seed=42), self._run(seed=43)
         assert not params_equal(encoder_params(a.encoders),
                                 encoder_params(b.encoders))
+
+    def test_margin_checked_before_stage1a(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("stage 1a ran before the margin was checked")
+
+        monkeypatch.setattr(pipeline, "stage1a", fail)
+        with pytest.raises(UnsatisfiableMarginError):
+            train_pipeline(small_dataset(), small_config(margin=20.0),
+                           hidden=(16,))
 
     def test_report_file(self, tmp_path):
         result, _ = self._run()
