@@ -101,7 +101,7 @@ def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Workspace:
+class Workspace:
     """Scratch arrays for one decode or training call.
 
     table(name, shape) returns a contiguous view carved from a flat buffer
@@ -122,7 +122,7 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
-def _check_pad_prefix(values: np.ndarray, graph: TannerGraph, ws: _Workspace):
+def _check_pad_prefix(values: np.ndarray, graph: TannerGraph, ws: Workspace):
     """Edge values in the degree-major check table (padding 1) and their
     exclusive prefix products: (pad, pre, flat), where pre[i, c] is the
     product of pad[:i, c] in cumprod's order and `flat` is the shape of
@@ -141,12 +141,12 @@ def _check_pad_prefix(values: np.ndarray, graph: TannerGraph, ws: _Workspace):
 
 
 def check_products_except_self(values: np.ndarray, graph: TannerGraph, *,
-                               _workspace: _Workspace | None = None) -> np.ndarray:
+                               _workspace: Workspace | None = None) -> np.ndarray:
     """For each edge, the product of same-check values excluding that edge.
 
     `values` is (num_edges, batch) in edge order; so is the result.
     """
-    ws = _Workspace() if _workspace is None else _workspace
+    ws = Workspace() if _workspace is None else _workspace
     pad, pre, flat = _check_pad_prefix(values, graph, ws)
     # pre[i] *= the product of pad[i + 1:], kept as one running slab
     suf = ws.table("suf", pad.shape[1:], values.dtype)
@@ -160,14 +160,14 @@ def check_products_except_self(values: np.ndarray, graph: TannerGraph, *,
 
 def check_products_except_self_backward(values: np.ndarray, grads: np.ndarray,
                                         graph: TannerGraph, *,
-                                        _workspace: _Workspace | None = None
+                                        _workspace: Workspace | None = None
                                         ) -> np.ndarray:
     """Reverse-mode step for check_products_except_self.
 
     Given d(loss)/d(output) per edge, returns d(loss)/d(values) per edge
     without dividing by any factor (stable at zeros).
     """
-    ws = _Workspace() if _workspace is None else _workspace
+    ws = Workspace() if _workspace is None else _workspace
     a, pre, flat = _check_pad_prefix(values, graph, ws)
     gpad = ws.table("gpad", a.shape, values.dtype)
     g_flat = gpad.reshape(flat)
@@ -201,7 +201,7 @@ def check_products_except_self_backward(values: np.ndarray, grads: np.ndarray,
 
 def check_messages(m_vc: np.ndarray, graph: TannerGraph,
                    clamp: float = DEFAULT_CLAMP, *,
-                   _workspace: _Workspace | None = None) -> np.ndarray:
+                   _workspace: Workspace | None = None) -> np.ndarray:
     """Check-to-variable messages from variable-to-check messages (LLR domain)."""
     t = 0.5 * m_vc
     np.tanh(t, out=t)
@@ -212,7 +212,9 @@ def check_messages(m_vc: np.ndarray, graph: TannerGraph,
     return prod
 
 
-def _validate_llr_batch(llrs, n_var):
+def validate_llr_batch(llrs, n_var):
+    """`llrs` as a float64 (batch, n_var) array; ValueError for another
+    shape or a non-finite entry."""
     a = np.asarray(llrs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != n_var:
         raise ValueError(f"expected shape (batch, {n_var}), got {a.shape}")
@@ -232,7 +234,7 @@ def bp_decode_batch(llrs, graph: TannerGraph, iterations: int,
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    llrs = _validate_llr_batch(llrs, graph.n_var)
+    llrs = validate_llr_batch(llrs, graph.n_var)
     batch = llrs.shape[0]
     out_hard = np.zeros((graph.n_var, batch), dtype=np.uint8)
     out_soft = np.zeros((graph.n_var, batch))
@@ -243,7 +245,7 @@ def bp_decode_batch(llrs, graph: TannerGraph, iterations: int,
     llr_t = llrs.T.copy()
     m_vc = llr_t[graph.edge_var]
     cols = np.arange(batch)
-    ws = _Workspace()
+    ws = Workspace()
 
     for it in range(iterations):
         m_cv = check_messages(m_vc, graph, clamp, _workspace=ws)

@@ -100,38 +100,27 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _hidden_sizes(text: str):
-    if not text.strip():
-        return ()
-    return tuple(int(v) for v in text.split(","))
-
-
 def _cmd_train(args) -> int:
     config = load_config(args.config) if args.config else TrainConfig()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    hidden = _hidden_sizes(args.hidden)
 
     if args.stage in ("1a", "2", "all") and args.data is None:
         raise ValueError(f"--data is required for stage {args.stage}")
     dataset = load_dataset(args.data) if args.data else None
 
     if args.stage == "all":
-        result = train_pipeline(dataset, config, hidden=hidden,
-                                init_std=args.init_std,
-                                decoder_epochs=args.decoder_epochs,
-                                decoder_frames_per_epoch=args.decoder_frames)
+        result = train_pipeline(dataset, config,
+                                decoder_epochs=args.decoder_epochs)
         save_encoders(result.encoders, out_dir / ENCODERS_FILE)
         save_code(result.code, out_dir / CODE_FILE)
         save_decoder(result.decoder, result.code, out_dir / DECODER_FILE)
         write_report(out_dir / REPORT_FILE, result.rounds)
     elif args.stage == "1a":
-        encoders = initial_encoders(dataset, config, hidden=hidden,
-                                    init_std=args.init_std)
+        encoders = initial_encoders(dataset, config)
         save_encoders(encoders, out_dir / ENCODERS_FILE)
     elif args.stage == "1b":
-        code, decoder = stage1b(config, decoder_epochs=args.decoder_epochs,
-                                frames_per_epoch=args.decoder_frames)
+        code, decoder = stage1b(config, args.decoder_epochs)
         save_code(code, out_dir / CODE_FILE)
         save_decoder(decoder, code, out_dir / DECODER_FILE)
     else:  # stage 2 refines artifacts from a previous run, as round 1 does
@@ -287,12 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset file")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--stage", choices=("1a", "1b", "2", "all"), default="all")
-    p.add_argument("--hidden", default="512,512",
-                   help="comma-separated encoder hidden layer sizes")
-    p.add_argument("--init-std", type=float, default=0.1,
-                   help="encoder weight init scale")
     p.add_argument("--decoder-epochs", type=int, default=150)
-    p.add_argument("--decoder-frames", type=int, default=128)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("encode", help="hash a dataset into binary codes")

@@ -42,9 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import (TannerGraph, _validate_llr_batch, _Workspace,
-                 check_products_except_self, check_products_except_self_backward,
-                 segment_sum)
+from ._checks import all_either
+from .bp import (TannerGraph, Workspace, check_products_except_self,
+                 check_products_except_self_backward, segment_sum,
+                 validate_llr_batch)
 from .channel import awgn, bpsk_modulate, llr_from_channel, noise_sigma
 from .gf2 import LinearCode
 from .optim import Adam
@@ -71,8 +72,8 @@ _VERSION = 2
 _HEADER = "<BIIIIQ"
 
 
-class TrainingDivergedError(RuntimeError):
-    pass
+class TrainingFailureError(RuntimeError):
+    """Training produced a non-finite loss; the message names the stage."""
 
 
 def _sigmoid(z):
@@ -157,7 +158,7 @@ class NeuralBpDecoder:
 
     # -- forward ------------------------------------------------------------
 
-    def _var_table(self, ws: _Workspace, name: str, batch: int):
+    def _var_table(self, ws: Workspace, name: str, batch: int):
         """A zeroed sibling table: its (n_sib, dv_max, batch) blocks and
         their flat (n_sib * dv_max + 1, batch) view, indexed by _var_slot.
         The extra last row takes the scatter of degree-1 edges and stays
@@ -167,7 +168,7 @@ class NeuralBpDecoder:
         flat[...] = 0
         return flat[:-1].reshape(n_sib, n_slots, batch), flat
 
-    def _forward_t(self, llr_t, w_blocks, keep_cache: bool, ws: _Workspace):
+    def _forward_t(self, llr_t, w_blocks, keep_cache: bool, ws: Workspace):
         """Core forward pass on an (n_var, batch) LLR array, with the
         calling pass's sibling blocks `w_blocks` and workspace `ws`."""
         g = self.graph
@@ -217,11 +218,11 @@ class NeuralBpDecoder:
         single = a.ndim == 1
         if single:
             a = a[None, :]
-        a = _validate_llr_batch(a, self.graph.n_var)
+        a = validate_llr_batch(a, self.graph.n_var)
         n = a.shape[0]
         outputs = np.empty((n, self.graph.n_var))
         hard = np.empty((n, self.graph.n_var), dtype=np.uint8)
-        ws = _Workspace()
+        ws = Workspace()
         w_blocks = self._sib_blocks()
         blocks = max(1, n // _DECODE_BLOCK)
         for i in range(blocks):
@@ -249,15 +250,15 @@ class NeuralBpDecoder:
         Returns (loss, [grad arrays matching parameters()]).
         """
         g = self.graph
-        llrs = _validate_llr_batch(llrs, g.n_var)
+        llrs = validate_llr_batch(llrs, g.n_var)
         y = np.asarray(targets, dtype=np.float64)
         if llrs.shape != y.shape:
             raise ValueError("llrs and targets must share a (batch, n) shape")
         if llrs.shape[0] == 0:
             raise ValueError("loss_and_grads needs at least one frame")
-        if not ((y == 0.0) | (y == 1.0)).all():
+        if not all_either(y, 0, 1):
             raise ValueError("targets must be bits (0 or 1)")
-        ws = _Workspace()
+        ws = Workspace()
         o, (llr_t, l_edge, w_blocks, layers, x_final, z, z_mask) = self._forward_t(
             llrs.T.copy(), self._sib_blocks(), keep_cache=True, ws=ws)
         y_t = y.T
@@ -318,7 +319,7 @@ class DecoderTrainConfig:
     """Settings for training on noisy transmissions of the zero codeword."""
 
     snr_db_list: tuple = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    frames_per_epoch: int = 256
+    frames_per_epoch: int = 128
     epochs: int = 150
     learning_rate: float = 1e-3
     seed: int = 0
@@ -356,7 +357,8 @@ def train_decoder(net: NeuralBpDecoder, code: LinearCode,
         llrs = llr_from_channel(received, sig)
         loss, grads = net.loss_and_grads(llrs, targets)
         if not np.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            raise TrainingFailureError(
+                f"non-finite decoder training loss at epoch {epoch}")
         adam.step(net.parameters(), grads)
     return net
 

@@ -36,17 +36,14 @@ from .hashing import (
     objective,
     objective_grads,
 )
-from .neural_bp import DecoderTrainConfig, NeuralBpDecoder, train_decoder
+from .neural_bp import (DecoderTrainConfig, NeuralBpDecoder,
+                        TrainingFailureError, train_decoder)
 from .optim import Adam
 from .retrieval import build_index, enumerate_query_masks, evaluate_queries
 
 VALID_CODE_LENGTHS = (31, 63, 127)
 MAP_IMPROVEMENT_THRESHOLD = 1e-4
 REPORT_HEADER = "round, J, dll, quant, balance, Lc_image, Lc_attr, train_map"
-
-
-class TrainingFailureError(RuntimeError):
-    """Training produced a non-finite loss."""
 
 
 class UnsatisfiableMarginError(ValueError):
@@ -91,6 +88,8 @@ class TrainConfig:
             raise ValueError("lr and kappa must be positive")
         if self.batch_size < 1 or self.bp_iterations < 1:
             raise ValueError("batch_size and L must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if (self.epochs_stage1a < 0 or self.outer_rounds_max < 1
                 or self.patience < 1):
             raise ValueError("epochs_stage1a must be >= 0; outer_rounds_max "
@@ -125,8 +124,8 @@ _CONFIG_KEYS = {
 
 
 def load_config(path) -> TrainConfig:
-    """Parse a flat `key = value` file; unknown keys are rejected and
-    missing keys fall back to the defaults."""
+    """Parse a flat `key = value` file; unknown or repeated keys are
+    rejected and missing keys fall back to the defaults."""
     overrides = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -141,6 +140,8 @@ def load_config(path) -> TrainConfig:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
                                  f"valid keys: {', '.join(sorted(_CONFIG_KEYS))}")
             name, parse = _CONFIG_KEYS[key]
+            if name in overrides:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             try:
                 overrides[name] = parse(value.strip())
             except ValueError:
@@ -257,28 +258,32 @@ def stage1a(encoders: Encoders, dataset: Dataset, config: TrainConfig,
                 opt.step(net.parameters(), net.backward(cache, douts[which]))
 
 
-def initial_encoders(dataset: Dataset, config: TrainConfig,
-                     hidden=(512, 512), init_std: float = 0.1) -> Encoders:
-    """Round 0's encoders: built with the run's init seed, then trained by
-    stage 1a with round 0's seed."""
+def initial_encoders(dataset: Dataset, config: TrainConfig) -> Encoders:
+    """Round 0's encoders: built at Encoders.build's hidden sizes with the
+    run's init seed, then trained by stage 1a with round 0's seed.
+
+    They are trained from scratch, so their weight scale is 0.1, larger
+    than Encoders.build's: at 0.01 the stacked layers shrink the outputs
+    geometrically and every pairwise distance starts below the
+    probability-clamp knee, where the contrastive loss has no gradient.  A
+    0.1 scale puts initial distances inside the active region.
+    """
     init_seed, _, round_seeds = _run_seeds(config)
     encoders = Encoders.build(dataset.d_img, dataset.d_attr, config.c,
-                              hidden=hidden, init_std=init_std,
-                              seed=init_seed)
+                              init_std=0.1, seed=init_seed)
     stage1a(encoders, dataset, config, seed=round_seeds[0])
     return encoders
 
 
-def stage1b(config: TrainConfig, decoder_epochs: int = 150,
-            frames_per_epoch: int = 128):
-    """Select the margin-covering code and train the decoder on it with
-    the run's decoder seed."""
+def stage1b(config: TrainConfig, decoder_epochs: int):
+    """Select the margin-covering code and train the decoder on it for
+    `decoder_epochs` epochs of DecoderTrainConfig's frames, with the run's
+    decoder seed."""
     code = select_code(config.margin, config.c)
     graph = TannerGraph(code.parity_check)
     net = NeuralBpDecoder(graph, iterations=config.bp_iterations)
     train_decoder(net, code, DecoderTrainConfig(
         snr_db_list=tuple(config.snr_db_list),
-        frames_per_epoch=frames_per_epoch,
         epochs=decoder_epochs,
         learning_rate=config.lr,
         seed=_run_seeds(config)[1]))
@@ -323,7 +328,7 @@ def stage2_refine(encoders: Encoders, decoder: NeuralBpDecoder,
             loss, da = _code_loss_and_grad(acts, targets, config.gamma)
             if not np.isfinite(loss):
                 raise TrainingFailureError(
-                    f"non-finite refinement loss ({modality} branch)")
+                    f"non-finite refinement loss in stage 2 ({modality} branch)")
             totals[modality] += loss * len(batch)
             opt.step(net.parameters(), net.backward(cache, da))
     n = len(dataset)
@@ -381,9 +386,7 @@ def _round_record(outer, encoders, dataset, config,
 
 
 def train_pipeline(dataset: Dataset, config: TrainConfig,
-                   hidden=(512, 512), init_std: float = 0.1,
-                   decoder_epochs: int = 150,
-                   decoder_frames_per_epoch: int = 128) -> TrainResult:
+                   decoder_epochs: int = 150) -> TrainResult:
     """Full training loop; deterministic for a fixed seed.
 
     Sequence: stage 1b once, then round 0's encoders (``initial_encoders``),
@@ -393,19 +396,12 @@ def train_pipeline(dataset: Dataset, config: TrainConfig,
     encoder trains.  Stops once MAP has failed to improve by more than
     MAP_IMPROVEMENT_THRESHOLD for `patience` consecutive rounds, and
     restores the encoder state of the best-scoring round.
-
-    The encoders here are trained from scratch, so the default weight scale
-    is larger than ``Encoders.build``'s: at 0.01 the stacked layers shrink
-    the outputs geometrically and every pairwise distance starts below the
-    probability-clamp knee, where the contrastive loss has no gradient.  A
-    0.1 scale puts initial distances inside the active region.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    code, decoder = stage1b(config, decoder_epochs=decoder_epochs,
-                            frames_per_epoch=decoder_frames_per_epoch)
+    code, decoder = stage1b(config, decoder_epochs)
     _, _, round_seeds = _run_seeds(config)
-    encoders = initial_encoders(dataset, config, hidden, init_std)
+    encoders = initial_encoders(dataset, config)
     rounds = [_round_record(0, encoders, dataset, config)]
 
     best_map, best_state, best_round = (

@@ -358,8 +358,7 @@ def test_criterion_9_full_run_determinism(tmp_path):
     def run(tag):
         out = tmp_path / tag
         assert main(["train", "--data", str(data), "--config", str(cfg),
-                     "--out-dir", str(out), "--hidden", "32",
-                     "--decoder-epochs", "5", "--decoder-frames", "16"]) == 0
+                     "--out-dir", str(out), "--decoder-epochs", "5"]) == 0
         assert main(["encode", "--encoders", str(out / "encoders.bin"),
                      "--data", str(data), "--modality", "image",
                      "--out", str(out / "codes.txt")]) == 0

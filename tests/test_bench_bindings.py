@@ -93,8 +93,7 @@ def test_training_stage_spans(monkeypatch):
                                   bp_iterations=2)
     tracer = Tracer()
     with tracer.recording(0):
-        pipeline.train_pipeline(ds, config, hidden=(8,), decoder_epochs=1,
-                                decoder_frames_per_epoch=8)
+        pipeline.train_pipeline(ds, config, decoder_epochs=1)
     calls = {name: calls for name, (calls, _, _) in tracer.span_totals(0).items()}
     for name in ("pipeline.stage1a", "pipeline.stage1b",
                  "pipeline.stage2_refine", "pipeline.training_map"):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from codedhash import channel, gf2, pipeline
-from codedhash.bp import (DEFAULT_CLAMP, TannerGraph, _Workspace, bp_decode_batch,
+from codedhash.bp import (DEFAULT_CLAMP, TannerGraph, Workspace, bp_decode_batch,
                           check_products_except_self,
                           check_products_except_self_backward, segment_sum)
 from gf2_oracles import encode
@@ -262,7 +262,7 @@ class TestCheckKernelOracle:
         decode reuses it; earlier results must not alias the workspace."""
         graph = TannerGraph(code.parity_check)
         rng = np.random.default_rng(7)
-        ws = _Workspace()
+        ws = Workspace()
         kept = []
         for batch in (512, 128, 500):
             values, grads = kernel_inputs(graph, batch, rng)
@@ -292,7 +292,7 @@ class TestKernelMemory:
     def test_forward_kernel_allocates_only_its_output_and_a_slab(self):
         graph = TannerGraph(pipeline_code().parity_check)
         values, _ = kernel_inputs(graph, 512, np.random.default_rng(8))
-        ws = _Workspace()
+        ws = Workspace()
         check_products_except_self(values, graph, _workspace=ws)
         tracemalloc.start()
         try:

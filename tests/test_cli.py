@@ -16,7 +16,7 @@ from codedhash.data import (SyntheticSpec, generate_synthetic, load_dataset,
 from codedhash.gf2 import load_code
 from codedhash.hashing import (FORWARD_ROWS, Encoders, load_encoders, save_encoders,
                                sign_hash)
-from codedhash.neural_bp import load_decoder
+from codedhash.neural_bp import NeuralBpDecoder, load_decoder
 from codedhash.pipeline import load_config, stage1a, stage2_refine
 from codedhash.retrieval import (build_index, enumerate_query_masks,
                                  evaluate_queries, read_rankings)
@@ -148,8 +148,7 @@ class TestTrainStages:
         cfg.write_text(TINY_CONFIG)
         out = tmp_path / "run"
         rc = main(["train", "--config", str(cfg), "--out-dir", str(out),
-                   "--stage", "1b", "--decoder-epochs", "2",
-                   "--decoder-frames", "8"])
+                   "--stage", "1b", "--decoder-epochs", "2"])
         assert rc == 0
         code = load_code(out / "code.txt")
         assert (code.n, code.k, code.t) == (31, 21, 2)
@@ -163,8 +162,7 @@ class TestTrainStages:
         cfg.write_text(TINY_CONFIG)
         out = tmp_path / "run"
         base = ["train", "--config", str(cfg), "--out-dir", str(out),
-                "--hidden", "16", "--decoder-epochs", "2",
-                "--decoder-frames", "8"]
+                "--decoder-epochs", "2"]
         assert main(base + ["--stage", "1a", "--data", str(data)]) == 0
         first = (out / "encoders.bin").read_bytes()
         assert main(base + ["--stage", "1b"]) == 0
@@ -176,8 +174,7 @@ class TestTrainStages:
         gen_tiny_data(data)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(TINY_CONFIG)
-        flags = ["--config", str(cfg), "--hidden", "16",
-                 "--decoder-epochs", "2", "--decoder-frames", "8"]
+        flags = ["--config", str(cfg), "--decoder-epochs", "2"]
         full, staged = tmp_path / "all", tmp_path / "1b"
         assert main(["train", "--data", str(data), "--out-dir", str(full),
                      "--stage", "all"] + flags) == 0
@@ -195,13 +192,12 @@ class TestTrainStages:
         cfg.write_text(TINY_CONFIG)
         out = tmp_path / "run"
         base = ["train", "--config", str(cfg), "--out-dir", str(out),
-                "--hidden", "16", "--decoder-epochs", "2",
-                "--decoder-frames", "8"]
+                "--decoder-epochs", "2"]
         config, dataset = load_config(cfg), load_dataset(data)
         seeds = np.random.SeedSequence(config.seed).generate_state(
             2 + config.outer_rounds_max).tolist()
         expected = Encoders.build(dataset.d_img, dataset.d_attr, config.c,
-                                  hidden=(16,), init_std=0.1, seed=seeds[0])
+                                  init_std=0.1, seed=seeds[0])
         stage1a(expected, dataset, config, seed=seeds[2])
 
         def saved(encoders):
@@ -222,11 +218,25 @@ class TestTrainStages:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(TINY_CONFIG.replace("m = 2", "m = inf"))
         rc = main(["train", "--config", str(cfg), "--data", str(data),
-                   "--out-dir", str(tmp_path / "run"), "--hidden", "16",
-                   "--decoder-epochs", "2", "--decoder-frames", "8"])
+                   "--out-dir", str(tmp_path / "run"),
+                   "--decoder-epochs", "2"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "margin must be finite" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_decoder_loss_fails_cleanly(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(NeuralBpDecoder, "loss_and_grads",
+                            lambda net, llrs, targets: (float("nan"), None))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_CONFIG)
+        rc = main(["train", "--config", str(cfg), "--out-dir",
+                   str(tmp_path / "run"), "--stage", "1b",
+                   "--decoder-epochs", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite decoder training loss")
         assert "Traceback" not in err
 
     def test_stage_2_without_artifacts_fails(self, tmp_path, capsys):
@@ -252,8 +262,7 @@ class TestWorkflow:
         out = tmp_path / "run"
         rc = main(["train", "--config", str(cfg), "--data", str(data),
                    "--out-dir", str(out), "--stage", "all",
-                   "--hidden", "16", "--decoder-epochs", "2",
-                   "--decoder-frames", "8"])
+                   "--decoder-epochs", "2"])
         assert rc == 0
         for name in ("encoders.bin", "decoder.bin", "code.txt", "report.csv"):
             assert (out / name).exists()
@@ -538,8 +547,7 @@ class TestEval:
         cfg.write_text(TINY_CONFIG)
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--data", str(data),
-                     "--out-dir", str(out), "--stage", "1a",
-                     "--hidden", "16"]) == 0
+                     "--out-dir", str(out), "--stage", "1a"]) == 0
         codes = tmp_path / "codes.txt"
         assert main(["encode", "--encoders", str(out / "encoders.bin"),
                      "--data", str(data), "--modality", "image",

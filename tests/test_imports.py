@@ -1,10 +1,10 @@
-"""The cli reaches the other codedhash modules through their public names
-only, so a private helper can change without breaking the command line."""
+"""Every codedhash module reaches the others through their public names
+only, so a private helper can change without breaking another module."""
 
 import ast
 from pathlib import Path
 
-import codedhash.cli
+import codedhash
 
 
 def private_imports(source: str) -> list:
@@ -27,6 +27,8 @@ def test_detector_sees_relative_and_absolute_imports():
                                        ("codedhash.bp", "_Workspace"), (".", "_checks")]
 
 
-def test_cli_imports_no_private_name():
-    source = Path(codedhash.cli.__file__).read_text()
-    assert private_imports(source) == []
+def test_no_module_imports_a_private_name():
+    found = {path.stem: private_imports(path.read_text())
+             for path in Path(codedhash.__file__).parent.glob("*.py")}
+    assert {"cli", "neural_bp", "pipeline"} <= found.keys()
+    assert {module: names for module, names in found.items() if names} == {}

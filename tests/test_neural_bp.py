@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from codedhash import channel, gf2, pipeline
-from codedhash.bp import (TannerGraph, _Workspace, bp_decode_batch,
+from codedhash.bp import (TannerGraph, Workspace, bp_decode_batch,
                           check_products_except_self,
                           check_products_except_self_backward, segment_sum)
-from codedhash.neural_bp import (DecoderTrainConfig, NeuralBpDecoder, _sigmoid,
+from codedhash.neural_bp import (DecoderTrainConfig, NeuralBpDecoder,
+                                 TrainingFailureError, _sigmoid,
                                  evaluate_error_rates, load_decoder,
                                  save_decoder, train_decoder)
 from codedhash.optim import Adam
@@ -301,7 +302,7 @@ class TestBlockedForward:
         net = nets[code]
         llrs = np.random.default_rng(n).normal(0.0, 2.5, size=(n, net.graph.n_var))
         want = net._forward_t(llrs.T.copy(), net._sib_blocks(),
-                              keep_cache=False, ws=_Workspace())[0].T
+                              keep_cache=False, ws=Workspace())[0].T
         outputs, hard = net.forward(llrs)
         assert outputs.shape == hard.shape == (n, net.graph.n_var)
         assert hard.dtype == np.uint8
@@ -566,6 +567,16 @@ class TestTraining:
         net = appendix_net()
         with pytest.raises(ValueError):
             train_decoder(net, code, DecoderTrainConfig(epochs=1))
+
+    def test_non_finite_loss_raises(self, monkeypatch):
+        code = gf2.build_bch(3, 1)
+        net = NeuralBpDecoder(TannerGraph(code.parity_check), 2)
+        monkeypatch.setattr(net, "loss_and_grads",
+                            lambda llrs, targets: (float("nan"), None))
+        with pytest.raises(TrainingFailureError,
+                           match="decoder training loss at epoch 0"):
+            train_decoder(net, code, DecoderTrainConfig(frames_per_epoch=8,
+                                                        epochs=2))
 
 
 class TestErrorRates:

@@ -6,7 +6,7 @@ from codedhash.bp import TannerGraph
 from codedhash.data import SyntheticSpec, generate_synthetic, similarity_matrix
 from codedhash.gf2 import build_bch
 from codedhash.hashing import PROB_CLAMP, Encoders, gradients, match_probability
-from codedhash.neural_bp import NeuralBpDecoder
+from codedhash.neural_bp import NeuralBpDecoder, TrainingFailureError
 from codedhash.optim import Adam
 from codedhash.pipeline import (
     REPORT_HEADER,
@@ -81,6 +81,7 @@ class TestTrainConfig:
         dict(kappa=float("nan")),
         dict(snr_db_list=(1.0, float("nan"))),
         dict(snr_db_list=(float("-inf"),)),
+        dict(seed=-1),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -153,6 +154,20 @@ class TestLoadConfig:
         with pytest.raises(ValueError) as info:
             load_config(path)
         assert str(info.value) == f"{path}: margin must be positive"
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("m = 2\nc = 31\nm = 3\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}:3: repeated key 'm'"
+
+    def test_negative_seed_names_the_file(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("seed = -1\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: seed must be >= 0"
 
 
 class TestSelectCode:
@@ -304,6 +319,15 @@ class TestStage1a:
         stage1a(enc, ds, small_config(epochs_stage1a=0), seed=1)
         assert params_equal(before, encoder_params(enc))
 
+    def test_non_finite_objective_raises(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "objective_grads",
+                            lambda *args: (None, None, float("nan"), None))
+        ds = small_dataset()
+        enc = Encoders.build(ds.d_img, ds.d_attr, 31, hidden=(16,), seed=0)
+        with pytest.raises(TrainingFailureError,
+                           match=r"objective in stage 1a \(image pass\)"):
+            stage1a(enc, ds, small_config(epochs_stage1a=1), seed=1)
+
     def test_matched_pairs_move_closer(self):
         # start from a non-degenerate init so there is distance to recover
         ds = small_dataset(seed=5)
@@ -426,8 +450,7 @@ class TestStage1a:
 
 class TestStage1b:
     def test_code_and_decoder_shapes(self):
-        code, dec = stage1b(small_config(seed=1), decoder_epochs=5,
-                            frames_per_epoch=16)
+        code, dec = stage1b(small_config(seed=1), decoder_epochs=5)
         assert (code.n, code.k, code.t) == (31, 21, 2)
         assert dec.graph.n_var == 31
         assert dec.iterations == 3
@@ -437,8 +460,7 @@ class TestStage1b:
         assert (dec.weight_vector() == 1.0).all()
 
     def test_training_moves_weights(self):
-        _, dec = stage1b(small_config(seed=2), decoder_epochs=5,
-                         frames_per_epoch=16)
+        _, dec = stage1b(small_config(seed=2), decoder_epochs=5)
         assert not (dec.weight_vector() == 1.0).all()
 
 
@@ -486,6 +508,14 @@ class TestStage2:
         stage2_refine(enc, dec, ds, cfg)
         assert agreement() >= before
 
+    def test_non_finite_loss_raises(self, monkeypatch):
+        ds, cfg, enc, dec = self._setup(train_epochs=0)
+        monkeypatch.setattr(pipeline, "_code_loss_and_grad",
+                            lambda acts, targets, gamma: (float("nan"), None))
+        with pytest.raises(TrainingFailureError,
+                           match=r"loss in stage 2 \(image branch\)"):
+            stage2_refine(enc, dec, ds, cfg)
+
     def test_mismatched_decoder_rejected(self):
         ds, cfg, enc, _ = self._setup()
         code = build_bch(4, 2)
@@ -499,8 +529,7 @@ class TestTrainPipeline:
     def _run(self, seed=42):
         ds = small_dataset(seed=2)
         cfg = small_config(seed=seed)
-        return train_pipeline(ds, cfg, hidden=(16,), decoder_epochs=5,
-                              decoder_frames_per_epoch=16), ds
+        return train_pipeline(ds, cfg, decoder_epochs=5), ds
 
     def test_round_structure(self):
         result, ds = self._run()
@@ -514,8 +543,7 @@ class TestTrainPipeline:
     def test_single_round_bound(self):
         ds = small_dataset(seed=2)
         cfg = small_config(outer_rounds_max=1)
-        result = train_pipeline(ds, cfg, hidden=(16,), decoder_epochs=3,
-                                decoder_frames_per_epoch=8)
+        result = train_pipeline(ds, cfg, decoder_epochs=3)
         assert [r.round for r in result.rounds] == [0, 1]
 
     def test_best_state_matches_reported_map(self):
@@ -544,8 +572,7 @@ class TestTrainPipeline:
 
         monkeypatch.setattr(pipeline, "stage1a", fail)
         with pytest.raises(UnsatisfiableMarginError):
-            train_pipeline(small_dataset(), small_config(margin=20.0),
-                           hidden=(16,))
+            train_pipeline(small_dataset(), small_config(margin=20.0))
 
     def test_report_file(self, tmp_path):
         result, _ = self._run()
