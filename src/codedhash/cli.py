@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,13 @@ from .gf2 import bch_code_table, load_code, save_code
 from .hashing import FORWARD_ROWS, load_encoders, save_encoders, sign_hash
 from .neural_bp import evaluate_error_rates, load_decoder, save_decoder
 from .pipeline import (
+    REPORT_HEADER,
     TrainConfig,
     initial_encoders,
     load_config,
     stage1b,
     stage2_refine,
     train_pipeline,
-    write_report,
 )
 from .retrieval import (
     aggregate_scores,
@@ -32,10 +33,10 @@ from .retrieval import (
     rank,
     check_query_mask,
     score_query,
-    write_metric_report,
     write_rankings,
 )
-from .textio import parse_bits, parse_rows, parse_run, read_chunks, write_rows
+from .textio import (parse_bits, parse_rows, parse_run, read_chunks,
+                     write_report, write_rows)
 
 ENCODERS_FILE = "encoders.bin"
 DECODER_FILE = "decoder.bin"
@@ -93,9 +94,7 @@ def _parse_mask(text: str, d_attr: int) -> np.ndarray:
 def _cmd_gen_data(args) -> int:
     spec = SyntheticSpec(n_subjects=args.subjects,
                          images_per_subject=args.images_per_subject,
-                         d_attr=args.d_attr, d_img=args.d_img,
-                         attribute_density=args.density,
-                         feature_noise_std=args.noise_std, seed=args.seed)
+                         seed=args.seed)
     save_dataset(generate_synthetic(spec), args.out)
     return 0
 
@@ -115,7 +114,8 @@ def _cmd_train(args) -> int:
         save_encoders(result.encoders, out_dir / ENCODERS_FILE)
         save_code(result.code, out_dir / CODE_FILE)
         save_decoder(result.decoder, result.code, out_dir / DECODER_FILE)
-        write_report(out_dir / REPORT_FILE, result.rounds)
+        write_report(out_dir / REPORT_FILE, REPORT_HEADER,
+                     map(astuple, result.rounds))
     elif args.stage == "1a":
         encoders = initial_encoders(dataset, config)
         save_encoders(encoders, out_dir / ENCODERS_FILE)
@@ -201,26 +201,21 @@ def _cmd_eval(args) -> int:
     # each block is scored as it is read and only its (AP, NDCG) is kept,
     # so the rankings are never all held; every block is still read, so a
     # bad line anywhere fails the command
-    by_arity, blocks = {}, 0
+    by_arity = {}
     for mask, _, _, rels in iter_rankings(args.rankings):
-        blocks += 1
         arity = int(mask.sum())
-        if args.arity in (None, arity):
-            by_arity.setdefault(arity, []).append(
-                score_query(rels == arity, rels, args.k))
-    if not blocks:
+        by_arity.setdefault(arity, []).append(score_query(rels == arity, rels))
+    if not by_arity:
         raise ValueError(f"{args.rankings}: no query blocks")
     rows = []
-    for arity in [args.arity] if args.arity else sorted(by_arity):
-        if arity not in by_arity:
-            raise ValueError(f"no arity-{arity} queries in {args.rankings}")
+    for arity in sorted(by_arity):
         result = aggregate_scores(by_arity[arity])
         rows += [("map", arity, result.mean_average_precision),
                  ("ndcg", arity, result.ndcg),
                  ("queries", arity, result.queries),
                  ("skipped_map", arity, result.skipped_map),
                  ("skipped_ndcg", arity, result.skipped_ndcg)]
-    write_metric_report(args.out, rows)
+    write_report(args.out, "metric, query_arity, value", rows)
     return 0
 
 
@@ -233,9 +228,7 @@ def _cmd_ber(args) -> int:
     rows = [(snr, *evaluate_error_rates(decoder, code, snr,
                                         frames=args.frames, seed=seed))
             for snr, seed in zip(args.snr, seeds.tolist())]
-    with open(args.out, "w") as fh:
-        fh.write("snr_db, ber, fer\n")
-        fh.writelines(f"{snr!r}, {ber!r}, {fer!r}\n" for snr, ber, fer in rows)
+    write_report(args.out, "snr_db, ber, fer", rows)
     return 0
 
 
@@ -264,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--subjects", type=int, required=True)
     p.add_argument("--images-per-subject", type=int, required=True)
-    p.add_argument("--d-attr", type=int, default=40)
-    p.add_argument("--d-img", type=int, default=128)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--noise-std", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen_data)
 
@@ -298,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a rankings file")
     p.add_argument("--rankings", required=True)
-    p.add_argument("--arity", type=int, choices=(1, 2, 3))
-    p.add_argument("--k", type=int, help="NDCG truncation (default: gallery)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
 

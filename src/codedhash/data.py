@@ -2,9 +2,9 @@
 
 Each record pairs a subject id with the subject's binary attribute vector
 and one image feature vector.  Synthetic data draws per-subject attributes
-from a Bernoulli distribution, embeds them through one fixed random linear
-map into feature space, and perturbs each image around that subject
-prototype with Gaussian noise.
+from a Bernoulli(ATTRIBUTE_DENSITY) distribution, embeds them through one
+fixed random linear map into feature space, and perturbs each image around
+that subject prototype with Gaussian noise of std FEATURE_NOISE_STD.
 
 An image is similar to an attribute vector when the image's subject
 possesses every attribute the vector sets, so the similarity matrix is
@@ -22,28 +22,29 @@ from ._checks import all_either, all_finite
 from .textio import parse_bits, parse_rows, parse_run, read_chunks
 
 
+ATTRIBUTE_DENSITY = 0.5
+FEATURE_NOISE_STD = 0.1
+
+
 class DatasetFormatError(ValueError):
     """Malformed dataset file; message carries the offending line number."""
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """Sizes and seed of a synthetic dataset; every generated set has the
+    module's attribute density and feature noise."""
+
     n_subjects: int
     images_per_subject: int
     d_attr: int = 40
     d_img: int = 128
-    attribute_density: float = 0.5
-    feature_noise_std: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         for name in ("n_subjects", "images_per_subject", "d_attr", "d_img"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0.0 < self.attribute_density < 1.0:
-            raise ValueError("attribute_density must be strictly inside (0, 1)")
-        if self.feature_noise_std < 0:
-            raise ValueError("feature_noise_std cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     embed = rng.normal(size=(spec.d_attr, spec.d_img)) / np.sqrt(spec.d_attr)
     subject_attrs = (rng.random((spec.n_subjects, spec.d_attr))
-                     < spec.attribute_density).astype(np.uint8)
+                     < ATTRIBUTE_DENSITY).astype(np.uint8)
     prototypes = subject_attrs.astype(np.float64) @ embed
     n = spec.n_subjects * spec.images_per_subject
     subject_ids = np.repeat(np.arange(spec.n_subjects, dtype=np.int64),
@@ -101,7 +102,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     # in place, with no full-size temporary: std * noise + prototype is
     # the same IEEE sum as prototype + std * noise
     features = rng.standard_normal((n, spec.d_img))
-    features *= spec.feature_noise_std
+    features *= FEATURE_NOISE_STD
     per_subject = features.reshape(spec.n_subjects, spec.images_per_subject,
                                    spec.d_img)
     per_subject += prototypes[:, None, :]

@@ -327,8 +327,11 @@ class DecoderTrainConfig:
     def __post_init__(self):
         if not self.snr_db_list:
             raise ValueError("snr_db_list must not be empty")
-        if self.frames_per_epoch < 1 or self.epochs < 0:
-            raise ValueError("frames_per_epoch must be >= 1 and epochs >= 0")
+        if self.frames_per_epoch < 1:
+            raise ValueError(f"frames_per_epoch must be >= 1, "
+                             f"got {self.frames_per_epoch}")
+        if self.epochs < 0:
+            raise ValueError(f"decoder epochs must be >= 0, got {self.epochs}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
 

@@ -218,7 +218,10 @@ def _batch_slices(n_items: int, batch_size: int, order):
 def _branches(encoders: Encoders, dataset: Dataset, lr: float):
     """(modality, network, its inputs, fresh Adam) per branch, image first:
     the order of objective_grads' (dP, dQ).  Each branch's whole input is
-    cast once to the network's dtype, so a batch is one gather of it."""
+    cast once to the network's dtype, so a batch is one gather of it.  An
+    empty dataset is rejected here, for both stages that train on data."""
+    if len(dataset) == 0:
+        raise ValueError("dataset is empty")
     return [(modality, net, x.astype(net.dtype, copy=False),
              Adam(net.parameters(), lr=lr))
             for modality, net, x in (
@@ -236,8 +239,6 @@ def stage1a(encoders: Encoders, dataset: Dataset, config: TrainConfig,
     backpropagates only the branch it updates; the frozen branch is run
     forward without a cache.  Encoders are updated in place.
     """
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
     rng = np.random.default_rng(seed)
     branches = _branches(encoders, dataset, config.lr)
     args = (config.distance_margin, config.theta, config.lam)
@@ -422,13 +423,3 @@ def train_pipeline(dataset: Dataset, config: TrainConfig,
             if stale >= config.patience:
                 break
     return TrainResult(best_state, code, decoder, rounds, best_round)
-
-
-def write_report(path, rounds) -> None:
-    """Training report: one line per round under REPORT_HEADER."""
-    with open(path, "w") as fh:
-        fh.write(REPORT_HEADER + "\n")
-        for r in rounds:
-            fields = (r.round, r.j, r.dll, r.quant, r.balance,
-                      r.lc_image, r.lc_attr, r.train_map)
-            fh.write(", ".join(repr(v) for v in fields) + "\n")

@@ -278,13 +278,12 @@ class QueryEvaluation:
     skipped_ndcg: int
 
 
-def score_query(binary, grades, k):
-    """(AP, NDCG@k) of one query's relevance arrays in rank order, each None
-    when the query is skipped for that metric; k=None scores NDCG over the
-    whole list."""
+def score_query(binary, grades):
+    """(AP, NDCG) of one query's relevance arrays in rank order, NDCG over
+    the whole list; each is None when the query is skipped for that
+    metric."""
     ap = average_precision(binary) if binary.any() else None
-    ndcg = (ndcg_at_k(grades, grades.size if k is None else k)
-            if grades.any() else None)
+    ndcg = ndcg_at_k(grades, grades.size) if grades.any() else None
     return ap, ndcg
 
 
@@ -308,8 +307,8 @@ def evaluate_queries(encode_attributes, index: RetrievalIndex,
 
     encode_attributes maps a float attribute vector to a real activation
     (it is sign-hashed here).  Each ranking is scored as it is made by
-    score_query with k=None (NDCG over the whole gallery), and
-    aggregate_scores averages the scores.
+    score_query (NDCG over the whole gallery), and aggregate_scores
+    averages the scores.
     """
     masks = _check_masks(np.atleast_2d(np.asarray(masks)), index.d_attr)
     arities = np.count_nonzero(masks, axis=1)
@@ -320,12 +319,12 @@ def evaluate_queries(encode_attributes, index: RetrievalIndex,
         order, _ = _order(sign_hash(encode_attributes(mask)), index)
         grades = _grades(mask_words, index.attribute_words,
                          index.d_attr).take(order)
-        scores.append(score_query(grades == arity, grades, None))
+        scores.append(score_query(grades == arity, grades))
     return aggregate_scores(scores)
 
 
 # ---------------------------------------------------------------------------
-# Ranking and report files
+# Ranking files
 # ---------------------------------------------------------------------------
 
 def write_rankings(path, blocks) -> None:
@@ -439,11 +438,3 @@ def _check_rank_values(ids, distances, grades, arity, seen) -> set:
     if len(new) < len(ids) or not seen.isdisjoint(new):
         raise ValueError("item id repeated in the query block")
     return new
-
-
-def write_metric_report(path, rows) -> None:
-    """Rows of (metric name, query arity, value)."""
-    with open(path, "w") as fh:
-        fh.write("metric, query_arity, value\n")
-        for metric, arity, value in rows:
-            fh.write(f"{metric}, {int(arity)}, {value!r}\n")

@@ -9,7 +9,8 @@ meets the same rule again, one line at a time, to name its bad line.
 Numeric tokens follow numpy's parser: ASCII digits with an optional sign,
 and for floats Python's float syntax without underscores; integers must
 fit their dtype.  Writers format CHUNK_ROWS rows of an integer table with
-one `%` operation (`write_rows`).
+one `%` operation (`write_rows`); the comma-separated reports go through
+`write_report`.
 """
 
 from __future__ import annotations
@@ -79,3 +80,13 @@ def write_rows(fh, row_format: str, table) -> None:
     for start in range(0, len(table), CHUNK_ROWS):
         chunk = table[start:start + CHUNK_ROWS]
         fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def write_report(path, header: str, rows) -> None:
+    """A header line, then one line per row of `", "`-joined values: `str`
+    of a string, `repr` of anything else."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(", ".join(v if isinstance(v, str) else repr(v)
+                               for v in row) + "\n")

@@ -352,8 +352,7 @@ def test_criterion_9_full_run_determinism(tmp_path):
     cfg.write_text(DETERMINISM_CONFIG)
     data = tmp_path / "data.txt"
     assert main(["gen-data", "--out", str(data), "--subjects", "8",
-                 "--images-per-subject", "2", "--d-attr", "8",
-                 "--d-img", "16", "--seed", "3"]) == 0
+                 "--images-per-subject", "2", "--seed", "3"]) == 0
 
     def run(tag):
         out = tmp_path / tag
@@ -364,7 +363,7 @@ def test_criterion_9_full_run_determinism(tmp_path):
                      "--out", str(out / "codes.txt")]) == 0
         assert main(["retrieve", "--encoders", str(out / "encoders.bin"),
                      "--data", str(data), "--codes", str(out / "codes.txt"),
-                     "--query", "10000000", "--query", "01000000",
+                     "--query", "1" + "0" * 39, "--query", "01" + "0" * 38,
                      "--out", str(out / "rankings.txt")]) == 0
         return out
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib.metadata
 import os
 import shutil
@@ -34,9 +35,8 @@ TINY_CONFIG = (
 
 
 def gen_tiny_data(path, seed=3):
-    assert main(["gen-data", "--out", str(path), "--subjects", "8",
-                 "--images-per-subject", "2", "--d-attr", "8",
-                 "--d-img", "16", "--seed", str(seed)]) == 0
+    save_dataset(generate_synthetic(
+        SyntheticSpec(8, 2, d_attr=8, d_img=16, seed=seed)), path)
 
 
 def console_script(name):
@@ -83,20 +83,16 @@ class TestCodesFile:
 
 class TestGenData:
     def test_deterministic_files(self, tmp_path):
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        gen_tiny_data(a, seed=7)
-        gen_tiny_data(b, seed=7)
+        a, b, lib = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "lib.txt"
+        for path in (a, b):
+            assert main(["gen-data", "--out", str(path), "--subjects", "8",
+                         "--images-per-subject", "2", "--seed", "7"]) == 0
         assert a.read_bytes() == b.read_bytes()
+        save_dataset(generate_synthetic(SyntheticSpec(8, 2, seed=7)), lib)
+        assert a.read_bytes() == lib.read_bytes()
         ds = load_dataset(a)
         assert len(ds) == 16
-        assert ds.d_attr == 8
-
-    def test_invalid_density_fails(self, tmp_path, capsys):
-        rc = main(["gen-data", "--out", str(tmp_path / "x.txt"),
-                   "--subjects", "2", "--images-per-subject", "1",
-                   "--density", "0"])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert (ds.d_attr, ds.d_img) == (40, 128)
 
 
 class TestCodesCommand:
@@ -115,6 +111,28 @@ class TestCodesCommand:
 
 
 class TestParsing:
+    OPTIONS = {
+        "gen-data": {"--out", "--subjects", "--images-per-subject", "--seed"},
+        "train": {"--config", "--data", "--out-dir", "--stage",
+                  "--decoder-epochs"},
+        "encode": {"--encoders", "--data", "--modality", "--out"},
+        "retrieve": {"--encoders", "--data", "--codes", "--query", "--out"},
+        "eval": {"--rankings", "--out"},
+        "ber": {"--code", "--decoder", "--snr", "--frames", "--seed", "--out"},
+        "codes": {"--c"},
+    }
+
+    def test_option_sets(self):
+        """Every subcommand's options, exactly: each has a caller outside
+        the tests (the README or perfbench)."""
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(commands) == set(self.OPTIONS)
+        for name, sub in commands.items():
+            options = {s for a in sub._actions for s in a.option_strings}
+            assert options - {"-h", "--help"} == self.OPTIONS[name], name
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
         assert "usage" in capsys.readouterr().err
@@ -239,6 +257,31 @@ class TestTrainStages:
         assert err.startswith("error: non-finite decoder training loss")
         assert "Traceback" not in err
 
+    def test_stage_2_on_empty_dataset_fails_cleanly(self, tmp_path, capsys):
+        data, empty = tmp_path / "data.txt", tmp_path / "empty.txt"
+        gen_tiny_data(data)
+        empty.write_text("")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_CONFIG)
+        base = ["train", "--config", str(cfg), "--out-dir",
+                str(tmp_path / "run"), "--decoder-epochs", "2"]
+        assert main(base + ["--stage", "1a", "--data", str(data)]) == 0
+        assert main(base + ["--stage", "1b"]) == 0
+        capsys.readouterr()
+        rc = main(base + ["--stage", "2", "--data", str(empty)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: dataset is empty")
+
+    def test_negative_decoder_epochs_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(TINY_CONFIG)
+        rc = main(["train", "--config", str(cfg), "--out-dir",
+                   str(tmp_path / "run"), "--stage", "1b",
+                   "--decoder-epochs", "-1"])
+        assert rc == 1
+        assert (capsys.readouterr().err
+                == "error: decoder epochs must be >= 0, got -1\n")
+
     def test_stage_2_without_artifacts_fails(self, tmp_path, capsys):
         data = tmp_path / "data.txt"
         gen_tiny_data(data)
@@ -293,7 +336,7 @@ class TestWorkflow:
         assert blocks[0][1].size == 16
 
         metrics = tmp_path / "metrics.csv"
-        assert main(["eval", "--rankings", str(rankings), "--arity", "1",
+        assert main(["eval", "--rankings", str(rankings),
                      "--out", str(metrics)]) == 0
         text = metrics.read_text()
         assert "map, 1, " in text
@@ -499,25 +542,9 @@ class TestEval:
         rankings = tmp_path / "hand.txt"
         rankings.write_text("# query 10\n1, 0, 0, 0\n2, 1, 1, 1\n")
         out = tmp_path / "metrics.csv"
-        assert main(["eval", "--rankings", str(rankings), "--arity", "1",
+        assert main(["eval", "--rankings", str(rankings),
                      "--out", str(out)]) == 0
         assert "map, 1, 0.5" in out.read_text()
-
-    @pytest.mark.parametrize("k", ["0", "-2"])
-    def test_nonpositive_k_rejected(self, tmp_path, capsys, k):
-        rankings = tmp_path / "hand.txt"
-        rankings.write_text("# query 10\n1, 0, 0, 0\n2, 1, 1, 1\n")
-        rc = main(["eval", "--rankings", str(rankings), "--k", k,
-                   "--out", str(tmp_path / "m.csv")])
-        assert rc == 1
-        assert "k must be >= 1" in capsys.readouterr().err
-
-    def test_missing_arity_group(self, tmp_path, capsys):
-        rankings = tmp_path / "hand.txt"
-        rankings.write_text("# query 10\n1, 0, 0, 1\n")
-        rc = main(["eval", "--rankings", str(rankings), "--arity", "2",
-                   "--out", str(tmp_path / "m.csv")])
-        assert rc == 1
 
     def test_arity_groups_discovered(self, tmp_path):
         rankings = tmp_path / "hand.txt"

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from codedhash.data import (
+    ATTRIBUTE_DENSITY,
+    FEATURE_NOISE_STD,
     Dataset,
     DatasetFormatError,
     SyntheticSpec,
@@ -27,14 +29,13 @@ class TestSyntheticSpec:
         spec = SyntheticSpec(n_subjects=5, images_per_subject=2)
         assert spec.d_attr == 40
         assert spec.d_img == 128
+        assert (ATTRIBUTE_DENSITY, FEATURE_NOISE_STD) == (0.5, 0.1)
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_subjects=0, images_per_subject=1),
         dict(n_subjects=1, images_per_subject=0),
         dict(n_subjects=1, images_per_subject=1, d_attr=0),
-        dict(n_subjects=1, images_per_subject=1, attribute_density=0.0),
-        dict(n_subjects=1, images_per_subject=1, attribute_density=1.0),
-        dict(n_subjects=1, images_per_subject=1, feature_noise_std=-0.1),
+        dict(n_subjects=1, images_per_subject=1, d_img=0),
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -53,14 +54,6 @@ class TestGenerateSynthetic:
         for sid in range(4):
             rows = ds.attributes[ds.subject_ids == sid]
             assert (rows == rows[0]).all()
-
-    def test_zero_noise_collapses_to_prototype(self):
-        spec = SyntheticSpec(n_subjects=3, images_per_subject=4, d_attr=5,
-                             d_img=7, feature_noise_std=0.0, seed=2)
-        ds = generate_synthetic(spec)
-        for sid in range(3):
-            rows = ds.features[ds.subject_ids == sid]
-            assert np.array_equal(rows, np.tile(rows[0], (4, 1)))
 
     def test_fixed_seed_bit_identical(self):
         spec = SyntheticSpec(n_subjects=6, images_per_subject=2, seed=9)
@@ -85,7 +78,7 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("kwargs", [
         dict(n_subjects=50, images_per_subject=8, seed=1),
         dict(n_subjects=100, images_per_subject=100, seed=2),
-        dict(n_subjects=6, images_per_subject=5, feature_noise_std=0.0),
+        dict(n_subjects=6, images_per_subject=5),
         dict(n_subjects=9, images_per_subject=1, seed=3),
         dict(n_subjects=1, images_per_subject=1, d_attr=1, d_img=1),
     ])
@@ -96,12 +89,12 @@ class TestGenerateSynthetic:
         rng = np.random.default_rng(spec.seed)
         embed = rng.normal(size=(spec.d_attr, spec.d_img)) / np.sqrt(spec.d_attr)
         subject_attrs = (rng.random((spec.n_subjects, spec.d_attr))
-                         < spec.attribute_density).astype(np.uint8)
+                         < ATTRIBUTE_DENSITY).astype(np.uint8)
         prototypes = subject_attrs.astype(np.float64) @ embed
         n = spec.n_subjects * spec.images_per_subject
         noise = rng.normal(0.0, 1.0, size=(n, spec.d_img))
         want = (np.repeat(prototypes, spec.images_per_subject, axis=0)
-                + spec.feature_noise_std * noise)
+                + FEATURE_NOISE_STD * noise)
         ds = generate_synthetic(spec)
         assert ds.features.dtype == np.float64
         assert ds.features.tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -22,15 +24,14 @@ from codedhash.pipeline import (
     stage2_refine,
     train_pipeline,
     training_map,
-    write_report,
 )
+from codedhash.textio import write_report
 from gf2_oracles import encode
 
 
 def small_dataset(seed=0):
     return generate_synthetic(SyntheticSpec(
-        n_subjects=12, images_per_subject=3, d_attr=8, d_img=16,
-        feature_noise_std=0.1, seed=seed))
+        n_subjects=12, images_per_subject=3, d_attr=8, d_img=16, seed=seed))
 
 
 def small_config(**overrides):
@@ -371,7 +372,7 @@ class TestStage1a:
     def test_empty_dataset_rejected(self):
         ds = small_dataset().subset([])
         enc = Encoders.build(16, 8, 31, hidden=(16,), seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dataset is empty"):
             stage1a(enc, ds, small_config(), seed=0)
 
     def test_matches_two_pass_reference_loop(self):
@@ -516,6 +517,11 @@ class TestStage2:
                            match=r"loss in stage 2 \(image branch\)"):
             stage2_refine(enc, dec, ds, cfg)
 
+    def test_empty_dataset_rejected(self):
+        ds, cfg, enc, dec = self._setup(train_epochs=0)
+        with pytest.raises(ValueError, match="dataset is empty"):
+            stage2_refine(enc, dec, ds.subset([]), cfg)
+
     def test_mismatched_decoder_rejected(self):
         ds, cfg, enc, _ = self._setup()
         code = build_bch(4, 2)
@@ -577,7 +583,7 @@ class TestTrainPipeline:
     def test_report_file(self, tmp_path):
         result, _ = self._run()
         path = tmp_path / "report.csv"
-        write_report(path, result.rounds)
+        write_report(path, REPORT_HEADER, map(astuple, result.rounds))
         lines = path.read_text().splitlines()
         assert lines[0] == REPORT_HEADER
         assert len(lines) == len(result.rounds) + 1

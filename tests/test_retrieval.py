@@ -19,9 +19,9 @@ from codedhash.retrieval import (
     rank,
     read_rankings,
     relevance,
-    write_metric_report,
     write_rankings,
 )
+from codedhash.textio import write_report
 from retrieval_oracles import score_rankings
 
 
@@ -489,9 +489,8 @@ class TestUnsignedGrades:
             assert (average_precision((small == top).astype(np.uint8))
                     == average_precision((grades == top).astype(np.int64)))
         binary = [grades == grades.max() for grades in grade_lists]
-        for k in (None, 7):
-            assert (score_rankings(binary, [g.astype(np.uint8) for g in grade_lists], k)
-                    == score_rankings(binary, grade_lists, k))
+        assert (score_rankings(binary, [g.astype(np.uint8) for g in grade_lists])
+                == score_rankings(binary, grade_lists))
 
     def test_alternating_depths_match_fresh_discounts(self):
         grades = list(self._grade_lists())[-1].astype(np.uint8)
@@ -689,9 +688,12 @@ class TestScoringOracle:
         for arity, group in masks.items():
             binary_lists, grade_lists, expected = self._reference(
                 encode, index, group, k)
-            if k is None:  # evaluate_queries scores NDCG over the whole gallery
+            if k is None:  # both score NDCG over the whole gallery
                 assert evaluate_queries(encode, index, group) == expected
-            assert score_rankings(binary_lists, grade_lists, k) == expected
+                assert score_rankings(binary_lists, grade_lists) == expected
+            else:  # a truncated NDCG is ndcg_at_k's, scored per query
+                assert float(np.mean([ndcg_at_k(g, k) for g in grade_lists
+                                      if g.any()])) == expected.ndcg
             if arity == 2:
                 assert expected.skipped_map > expected.skipped_ndcg > 0
 
@@ -709,12 +711,6 @@ class TestScoreRankings:
                                 ndcg_at_k([0, 1, 0], 3)])), 3, 2, 1)
         assert result.ndcg == pytest.approx(
             (0.7967075809905066 + 0.6309297535714575) / 2, abs=1e-12)
-
-    def test_truncation_depth(self):
-        result = score_rankings(self.BINARY, self.GRADES, k=1)
-        # top gain 1 of an ideal 3, then 0 of an ideal 1
-        assert result.ndcg == pytest.approx((1 / 3 + 0.0) / 2, abs=1e-15)
-        assert result.mean_average_precision == 0.5
 
     def test_map_error_is_raised_first(self):
         with pytest.raises(UndefinedMetricError,
@@ -768,7 +764,8 @@ class TestRankingFiles:
 class TestMetricReport:
     def test_written_rows(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        write_metric_report(path, [("map", 1, 0.75), ("ndcg", 2, 0.5)])
+        write_report(path, "metric, query_arity, value",
+                     [("map", 1, 0.75), ("ndcg", 2, 0.5)])
         lines = path.read_text().splitlines()
         assert lines[0] == "metric, query_arity, value"
         assert lines[1] == "map, 1, 0.75"
