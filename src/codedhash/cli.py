@@ -35,8 +35,8 @@ from .retrieval import (
     score_query,
     write_rankings,
 )
-from .textio import (parse_bits, parse_rows, parse_run, read_chunks,
-                     write_report, write_rows)
+from .textio import (open_text, parse_bits, parse_rows, parse_run,
+                     read_chunks, write_report, write_rows)
 
 ENCODERS_FILE = "encoders.bin"
 DECODER_FILE = "decoder.bin"
@@ -59,7 +59,7 @@ def read_codes(path) -> np.ndarray:
     skipped.  numpy parses each run of lines in one call; a run that fails
     is parsed again line by line to name its first bad line."""
     chunks, width = [], None
-    with open(path) as fh:
+    with open_text(path) as fh:
         for linenos, lines in read_chunks(fh, comment="#"):
             table, width = parse_run(path, linenos, lines, _parse_codes, width)
             chunks.append(table)

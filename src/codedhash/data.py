@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import all_either, all_finite
-from .textio import parse_bits, parse_rows, parse_run, read_chunks
+from .textio import open_text, parse_bits, parse_rows, parse_run, read_chunks
 
 
 ATTRIBUTE_DENSITY = 0.5
@@ -148,7 +148,7 @@ def read_records(path, *, with_features: bool = True):
     that read only subject ids and attributes.
     """
     state = (None, with_features)  # (d_attr, d_img) once a record is read
-    with open(path) as fh:
+    with open_text(path) as fh:
         for linenos, lines in read_chunks(fh):
             fields, state = parse_run(path, linenos, lines, _parse_records,
                                       state)

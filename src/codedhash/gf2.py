@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import all_either
-from .textio import parse_bits
+from .textio import open_text, parse_bits
 
 # Fixed primitive polynomial for each supported extension degree m.
 PRIMITIVE_POLYS = {
@@ -287,7 +287,7 @@ def save_code(code: LinearCode, path) -> None:
 
 def load_code(path) -> LinearCode:
     """Inverse of save_code.  The generator is reconstructed from H."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open_text(path, encoding="ascii") as fh:
         header = fh.readline().split()
         try:
             n, k, t = (int(x) for x in header)

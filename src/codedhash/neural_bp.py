@@ -203,22 +203,18 @@ class NeuralBpDecoder:
         return o, cache
 
     def forward(self, llr):
-        """Soft outputs (bit-1 probabilities) and hard bits.
-
-        Accepts a single length-n LLR vector or a (batch, n) array and
-        returns arrays of matching shape.  Hard decision: output > 0.5 is
-        bit 1, ties resolve to bit 0.
+        """Soft outputs (bit-1 probabilities) and hard bits of a (batch, n)
+        LLR array, as two (batch, n) arrays; any other shape is rejected
+        by validate_llr_batch.  Hard decision: output > 0.5 is bit 1, ties
+        resolve to bit 0.  Stage 2 of the pipeline feeds it kappa *
+        float64(a) for a batch of encoder activations a.
 
         A batch of more than _DECODE_BLOCK frames runs as consecutive blocks
         of _DECODE_BLOCK frames, the last one taking the remainder, through
         one workspace into preallocated outputs, so a decode holds one
         block's messages however many frames it is given.
         """
-        a = np.asarray(llr, dtype=np.float64)
-        single = a.ndim == 1
-        if single:
-            a = a[None, :]
-        a = validate_llr_batch(a, self.graph.n_var)
+        a = validate_llr_batch(llr, self.graph.n_var)
         n = a.shape[0]
         outputs = np.empty((n, self.graph.n_var))
         hard = np.empty((n, self.graph.n_var), dtype=np.uint8)
@@ -232,13 +228,10 @@ class NeuralBpDecoder:
                                    ws=ws)
             outputs[start:stop] = o.T
             np.greater(o.T, 0.5, out=hard[start:stop])
-        if single:
-            return outputs[0], hard[0]
         return outputs, hard
 
     def decode_batch(self, llrs) -> np.ndarray:
-        _, hard = self.forward(np.atleast_2d(np.asarray(llrs, dtype=np.float64)))
-        return hard
+        return self.forward(llrs)[1]
 
     # -- training -----------------------------------------------------------
 

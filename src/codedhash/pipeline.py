@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .neural_bp import (DecoderTrainConfig, NeuralBpDecoder,
                         TrainingFailureError, train_decoder)
 from .optim import Adam
 from .retrieval import build_index, enumerate_query_masks, evaluate_queries
+from .textio import open_text
 
 VALID_CODE_LENGTHS = (31, 63, 127)
 MAP_IMPROVEMENT_THRESHOLD = 1e-4
@@ -103,31 +104,21 @@ class TrainConfig:
         return HAMMING_MARGIN_SCALE * self.margin
 
 
+# config-file keys are TrainConfig's field names but for these aliases
+_CONFIG_ALIASES = {"margin": "m", "lam": "lambda", "bp_iterations": "L"}
+# a field's parser by its annotation, a string under postponed annotations
+_FIELD_PARSERS = {"int": int, "float": float, "tuple": lambda v: tuple(
+    float(x) for x in v.split(",") if x.strip())}
 # config-file key -> (TrainConfig field, parser)
-_CONFIG_KEYS = {
-    "c": ("c", int),
-    "m": ("margin", float),
-    "theta": ("theta", float),
-    "lambda": ("lam", float),
-    "gamma": ("gamma", float),
-    "lr": ("lr", float),
-    "batch_size": ("batch_size", int),
-    "epochs_stage1a": ("epochs_stage1a", int),
-    "outer_rounds_max": ("outer_rounds_max", int),
-    "patience": ("patience", int),
-    "kappa": ("kappa", float),
-    "L": ("bp_iterations", int),
-    "seed": ("seed", int),
-    "snr_db_list": ("snr_db_list",
-                    lambda v: tuple(float(x) for x in v.split(",") if x.strip())),
-}
+_CONFIG_KEYS = {_CONFIG_ALIASES.get(f.name, f.name): (f.name, _FIELD_PARSERS[f.type])
+                for f in fields(TrainConfig)}
 
 
 def load_config(path) -> TrainConfig:
     """Parse a flat `key = value` file; unknown or repeated keys are
     rejected and missing keys fall back to the defaults."""
     overrides = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -153,7 +144,7 @@ def load_config(path) -> TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# Code selection and the activation channel
+# Code selection
 # ---------------------------------------------------------------------------
 
 def select_code(margin: float, c: int) -> LinearCode:
@@ -175,27 +166,6 @@ def select_code(margin: float, c: int) -> LinearCode:
             f"no length-{c} BCH code with t >= {margin}; available: {pairs}")
     _, _, t_sel = min(feasible, key=lambda row: row[2])
     return build_bch(degree, t_sel)
-
-
-def activation_to_llr(activations, kappa: float) -> np.ndarray:
-    """Scale tanh activations into decoder inputs; +1 means bit 0."""
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    a = np.asarray(activations, dtype=np.float64)
-    if (np.abs(a) > 1.0).any():
-        raise ValueError("activations must lie in [-1, 1]")
-    return kappa * a
-
-
-def decode_targets(decoder: NeuralBpDecoder, activations,
-                   kappa: float) -> np.ndarray:
-    """The decoder's hard-decision bits for activations.
-
-    These are the bits the decoder's output posterior favours, which are
-    usually not a codeword of its code.
-    """
-    llrs = activation_to_llr(np.atleast_2d(activations), kappa)
-    return decoder.decode_batch(llrs)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +281,12 @@ def stage2_refine(encoders: Encoders, decoder: NeuralBpDecoder,
                   dataset: Dataset, config: TrainConfig):
     """One refinement pass pulling activations toward the decoder's output.
 
-    For each mini-batch and each modality: decode the current activations
-    into the decoder's hard-decision bits (usually not a codeword), then
-    update that modality's encoder on the cross-entropy between its
-    activations and the frozen targets.  The decoder is never modified.
+    For each mini-batch and each modality: decode the LLRs
+    kappa * float64(a) of the current activations a into the decoder's
+    hard-decision bits (usually not a codeword), then update that
+    modality's encoder on the cross-entropy between its activations and
+    the frozen targets.  The product is taken in float64, as a float32
+    one rounds differently.  The decoder is never modified.
     Returns the mean per-sample loss for each modality.
     """
     if encoders.code_length != decoder.graph.n_var:
@@ -325,7 +297,8 @@ def stage2_refine(encoders: Encoders, decoder: NeuralBpDecoder,
     for batch in _batch_slices(len(dataset), config.batch_size, order):
         for modality, net, x, opt in branches:
             acts, cache = net.forward_cache(x[batch])
-            targets = decode_targets(decoder, acts, config.kappa)
+            targets = decoder.decode_batch(
+                np.multiply(acts, config.kappa, dtype=np.float64))
             loss, da = _code_loss_and_grad(acts, targets, config.gamma)
             if not np.isfinite(loss):
                 raise TrainingFailureError(
@@ -370,18 +343,15 @@ class TrainResult:
     best_round: int = 0
 
 
-def _objective_on(encoders, dataset, config):
-    p = encoders.encode_images(dataset.features)
-    q = encoders.encode_attributes(dataset.attributes)
-    s = similarity_matrix(dataset.attributes)
-    return objective(p, q, s, config.distance_margin, config.theta, config.lam)
-
-
 def _round_record(outer, encoders, dataset, config,
                   lc_image=float("nan"), lc_attr=float("nan")) -> RoundRecord:
     """A round's report line: the encoders' objective and training MAP, and
     the round's stage-2 losses (NaN for round 0)."""
-    j, (dll, quant, balance) = _objective_on(encoders, dataset, config)
+    j, (dll, quant, balance) = objective(
+        encoders.encode_images(dataset.features),
+        encoders.encode_attributes(dataset.attributes),
+        similarity_matrix(dataset.attributes), config.distance_margin,
+        config.theta, config.lam)
     return RoundRecord(outer, j, dll, quant, balance, lc_image, lc_attr,
                        training_map(encoders, dataset))
 

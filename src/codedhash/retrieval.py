@@ -27,7 +27,7 @@ import numpy as np
 
 from ._checks import all_either, row_blocks
 from .hashing import sign_hash
-from .textio import parse_bits, parse_rows, parse_run, write_rows
+from .textio import open_text, parse_bits, parse_rows, parse_run, write_rows
 
 
 class UndefinedMetricError(ValueError):
@@ -386,7 +386,7 @@ def iter_rankings(path):
         ids, dists, rels = table[:, 1:].T.copy()
         return mask, ids, dists, rels
 
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue

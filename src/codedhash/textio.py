@@ -10,17 +10,31 @@ Numeric tokens follow numpy's parser: ASCII digits with an optional sign,
 and for floats Python's float syntax without underscores; integers must
 fit their dtype.  Writers format CHUNK_ROWS rows of an integer table with
 one `%` operation (`write_rows`); the comma-separated reports go through
-`write_report`.
+`write_report`.  Every text loader, the config file's too, opens its file
+with `open_text`, which names the file when a byte does not decode.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
 CHUNK_ROWS = 1024
+
+
+@contextmanager
+def open_text(path, encoding=None):
+    """The file open for reading text; a byte that does not decode, met
+    anywhere in the `with` body, raises a ValueError starting `path:`."""
+    with open(path, encoding=encoding) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: byte 0x{err.object[err.start]:02x} is not "
+                             f"{err.encoding} text ({err.reason})") from None
 
 
 def read_chunks(fh, comment: str | None = None):

@@ -1,14 +1,16 @@
-"""The benchmark tracer in perfbench/ finds every function it wraps.
+"""The benchmark in perfbench/ still binds and calls what it uses.
 
 A refactor that renames, moves or inlines a traced function turns its
-spans into `absent_spans` without failing the benchmark; this catches it
-in the unit suite instead of in a full benchmark self-test.
+spans into `absent_spans` without failing the benchmark, and one that
+drops a name or parameter a workload passes fails only in a benchmark run;
+these tests catch both in the unit suite instead.
 """
 
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 # imported before the tracer installs, so every binding gets wrapped
 from codedhash import cli, neural_bp, pipeline, retrieval  # noqa: F401
@@ -98,3 +100,25 @@ def test_training_stage_spans(monkeypatch):
     for name in ("pipeline.stage1a", "pipeline.stage1b",
                  "pipeline.stage2_refine", "pipeline.training_map"):
         assert calls.get(name, 0) >= 1, name
+
+
+WORKLOAD_NAMES = ("train-c63", "decode-c63", "retrieve-1e5", "cli-roundtrip")
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_runs_and_passes_its_checks(name, tmp_path, monkeypatch):
+    """One set-up and one pass of each workload, as the benchmark makes
+    them: no operation fails and every check of the workload holds."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    from workloads import WORKLOADS
+
+    assert sorted(WORKLOADS) == sorted(WORKLOAD_NAMES)
+    workload = WORKLOADS[name]
+    fx = workload.setup(1, tmp_path)
+    result = workload.run_pass(fx)
+    assert result.failed == 0
+    failed = [(check, detail)
+              for check, ok, detail in workload.checks(fx, result.fingerprint)
+              if not ok]
+    assert failed == []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from codedhash import channel, gf2, pipeline
-from codedhash.bp import (TannerGraph, Workspace, bp_decode_batch,
+from codedhash.bp import (BpDecoder, TannerGraph, Workspace, bp_decode_batch,
                           check_products_except_self,
                           check_products_except_self_backward, segment_sum)
 from codedhash.neural_bp import (DecoderTrainConfig, NeuralBpDecoder,
@@ -233,7 +233,7 @@ class TestUnitWeightEquivalence:
 
     def test_zero_llr_gives_exactly_half(self):
         net = appendix_net()
-        outputs, hard = net.forward(np.zeros(8))
+        outputs, hard = net.forward(np.zeros((1, 8)))
         np.testing.assert_array_equal(outputs, 0.5)
         np.testing.assert_array_equal(hard, 0)  # ties resolve to bit 0
 
@@ -243,8 +243,8 @@ class TestUnitWeightEquivalence:
         rng = np.random.default_rng(11)
         for _ in range(5):
             cw = encode(rng.integers(0, 2, size=code.k), code)
-            _, hard = net.forward(6.0 * channel.bpsk_modulate(cw))
-            np.testing.assert_array_equal(hard, cw)
+            _, hard = net.forward(6.0 * channel.bpsk_modulate(cw)[None, :])
+            np.testing.assert_array_equal(hard[0], cw)
 
     def test_outputs_strictly_inside_unit_interval(self):
         net = appendix_net(iterations=3)
@@ -453,8 +453,21 @@ class TestInputChecks:
     def test_forward_rejects_bad_llrs(self, llrs, match):
         with pytest.raises(ValueError, match=match):
             appendix_net().forward(llrs)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="expected shape"):
             appendix_net().forward(llrs[0])
+
+    def test_one_frame_vector_rejected_as_by_bp_decoder(self):
+        """A length-n vector is not a (batch, n) batch: forward and
+        decode_batch raise BpDecoder.decode_batch's shape error."""
+        llr = np.zeros(8)
+        with pytest.raises(ValueError) as want:
+            BpDecoder(TannerGraph(H_APPENDIX), iterations=5).decode_batch(llr)
+        net = appendix_net()
+        for call in (net.forward, net.decode_batch):
+            with pytest.raises(ValueError) as got:
+                call(llr)
+            assert str(got.value) == str(want.value) == \
+                "expected shape (batch, 8), got (8,)"
 
     def test_loss_and_grads_rejects_empty_batch(self):
         with pytest.raises(ValueError, match="at least one frame"):

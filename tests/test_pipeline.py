@@ -15,8 +15,6 @@ from codedhash.pipeline import (
     TrainConfig,
     UnsatisfiableMarginError,
     _code_loss_and_grad,
-    activation_to_llr,
-    decode_targets,
     load_config,
     select_code,
     stage1a,
@@ -137,6 +135,16 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=":2"):
             load_config(path)
 
+    def test_unknown_key_lists_every_key(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("momentum = 0.9\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == (
+            f"{path}:1: unknown key 'momentum'; valid keys: L, batch_size, c, "
+            "epochs_stage1a, gamma, kappa, lambda, lr, m, outer_rounds_max, "
+            "patience, seed, snr_db_list, theta")
+
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("batch_size = lots\n")
@@ -202,25 +210,6 @@ class TestSelectCode:
         assert np.array_equal(a.generator, b.generator)
 
 
-class TestActivationToLlr:
-    def test_zero_maps_to_zero(self):
-        assert activation_to_llr(np.zeros(4), 4.0).tolist() == [0.0] * 4
-
-    def test_scaling(self):
-        assert activation_to_llr(np.array([0.5]), 4.0)[0] == 2.0
-
-    def test_sign_preserved(self):
-        a = np.array([-0.7, 0.2, 0.0, 1.0])
-        out = activation_to_llr(a, 3.0)
-        assert np.array_equal(np.sign(out), np.sign(a))
-
-    def test_range_checked(self):
-        with pytest.raises(ValueError):
-            activation_to_llr(np.array([1.2]), 4.0)
-        with pytest.raises(ValueError):
-            activation_to_llr(np.array([0.5]), 0.0)
-
-
 class TestDecodeTargets:
     def _decoder(self, code, iterations=5):
         return NeuralBpDecoder(TannerGraph(code.parity_check),
@@ -232,19 +221,19 @@ class TestDecodeTargets:
         rng = np.random.default_rng(0)
         msg = rng.integers(0, 2, size=code.k)
         cw = encode(msg, code)
-        acts = (1.0 - 2.0 * cw) * 0.9
-        target = decode_targets(dec, acts, kappa=4.0)
+        acts = (1.0 - 2.0 * cw[None, :]) * 0.9
+        target = dec.decode_batch(4.0 * acts)
         assert np.array_equal(target[0], cw)
 
     def test_small_flip_recovers_same_target(self):
         code = build_bch(4, 2)
         dec = self._decoder(code)
         cw = encode(np.array([1, 0, 1, 1, 0, 0, 1]), code)
-        acts = (1.0 - 2.0 * cw) * 0.9
+        acts = (1.0 - 2.0 * cw[None, :]) * 0.9
         flipped = acts.copy()
-        flipped[3] = -np.sign(acts[3]) * 0.05
-        assert np.array_equal(decode_targets(dec, acts, 4.0),
-                              decode_targets(dec, flipped, 4.0))
+        flipped[0, 3] = -np.sign(acts[0, 3]) * 0.05
+        assert np.array_equal(dec.decode_batch(4.0 * acts),
+                              dec.decode_batch(4.0 * flipped))
 
     def test_pipeline_code_targets_are_hard_decisions_not_codewords(self):
         cfg = TrainConfig()
@@ -252,15 +241,14 @@ class TestDecodeTargets:
         assert (code.n, code.k, code.t) == (63, 30, 6)
         dec = self._decoder(code, iterations=cfg.bp_iterations)
         acts = np.random.default_rng(5).uniform(-1, 1, size=(64, code.n))
-        targets = decode_targets(dec, acts, cfg.kappa)
-        assert np.array_equal(targets, dec.decode_batch(cfg.kappa * acts))
+        targets = dec.decode_batch(cfg.kappa * acts)
         assert not dec.graph.syndrome_ok(targets.T).all()
 
     def test_identical_inputs_identical_targets(self):
         code = build_bch(4, 2)
         dec = self._decoder(code)
         acts = np.random.default_rng(1).uniform(-1, 1, size=(5, 15))
-        both = decode_targets(dec, np.vstack([acts, acts]), 4.0)
+        both = dec.decode_batch(4.0 * np.vstack([acts, acts]))
         assert np.array_equal(both[:5], both[5:])
 
 
@@ -498,16 +486,43 @@ class TestStage2:
         s = similarity_matrix(ds.attributes)
 
         def agreement():
-            img = decode_targets(dec, enc.encode_images(ds.features), cfg.kappa)
-            att = decode_targets(
-                dec, enc.encode_attributes(ds.attributes.astype(np.float64)),
-                cfg.kappa)
+            img = dec.decode_batch(
+                cfg.kappa * enc.encode_images(ds.features).astype(np.float64))
+            att = dec.decode_batch(cfg.kappa * enc.encode_attributes(
+                ds.attributes.astype(np.float64)).astype(np.float64))
             same = (img[:, None, :] == att[None, :, :]).all(axis=2)
             return same[s == 1].mean()
 
         before = agreement()
         stage2_refine(enc, dec, ds, cfg)
         assert agreement() >= before
+
+    def test_decoder_input_is_kappa_times_float64_activations(self, monkeypatch):
+        """Stage 2 decodes kappa * float64(a) for float32 activations a;
+        at kappa = 3 the float32 product rounds differently."""
+        ds, _, enc, dec = self._setup()
+        cfg = small_config(kappa=3.0)
+        llrs, acts = [], []
+        decode, code_loss = dec.decode_batch, pipeline._code_loss_and_grad
+
+        def record_llrs(x):
+            llrs.append(np.array(x, copy=True))
+            return decode(x)
+
+        def record_acts(a, targets, gamma):
+            acts.append(np.array(a, copy=True))
+            return code_loss(a, targets, gamma)
+
+        monkeypatch.setattr(dec, "decode_batch", record_llrs)
+        monkeypatch.setattr(pipeline, "_code_loss_and_grad", record_acts)
+        stage2_refine(enc, dec, ds, cfg)
+        assert len(llrs) == len(acts) == 2 * -(-len(ds) // cfg.batch_size)
+        for x, a in zip(llrs, acts):
+            assert a.dtype == np.float32 and x.dtype == np.float64
+            assert x.tobytes() == (3.0 * a.astype(np.float64)).tobytes()
+        # without the cast the inputs would differ
+        assert any(x.tobytes() != (3.0 * a).astype(np.float64).tobytes()
+                   for x, a in zip(llrs, acts))
 
     def test_non_finite_loss_raises(self, monkeypatch):
         ds, cfg, enc, dec = self._setup(train_epochs=0)

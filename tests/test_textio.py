@@ -12,7 +12,9 @@ import pytest
 from codedhash.cli import main, read_codes, write_codes
 from codedhash.data import (Dataset, DatasetFormatError, SyntheticSpec,
                             generate_synthetic, load_dataset, save_dataset)
-from codedhash.retrieval import read_rankings, write_rankings
+from codedhash.gf2 import build_bch, load_code, save_code
+from codedhash.pipeline import load_config
+from codedhash.retrieval import iter_rankings, read_rankings, write_rankings
 from codedhash.textio import (CHUNK_ROWS, parse_bits, parse_rows, parse_run,
                               read_chunks, write_rows)
 
@@ -405,6 +407,31 @@ class TestMalformedInputs:
         ds = load_dataset(tmp_path / "d.txt")
         assert ds.subject_ids.tolist() == [-(1 << 63), (1 << 63) - 1]
         assert ds.features.tolist() == [[1000.0, -0.5], [2.0, 3.0]]
+
+
+# (writer of a valid file, its loader) for every text format
+TEXT_LOADERS = pytest.mark.parametrize("write, load", [
+    (lambda p: p.write_text("0 | 1 0 | 0.5 0.25\n"), load_dataset),
+    (lambda p: p.write_text("1 -1 1\n"), read_codes),
+    (lambda p: p.write_text("# query 10\n1, 4, 0, 1\n"),
+     lambda p: list(iter_rankings(p))),
+    (lambda p: save_code(build_bch(4, 2), p), load_code),
+    (lambda p: p.write_text("m = 2\n"), load_config),
+], ids=["dataset", "codes", "rankings", "code", "config"])
+
+
+@TEXT_LOADERS
+def test_undecodable_byte_names_the_file(tmp_path, write, load):
+    """A byte the file's encoding cannot decode, past the loader's first
+    buffer of valid lines, is a ValueError naming the file."""
+    path = tmp_path / "f.txt"
+    write(path)
+    with open(path, "ab") as fh:
+        fh.write(b"\n" * 10_000 + b"\xff\n")
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert not isinstance(info.value, UnicodeDecodeError)
+    assert str(info.value).startswith(f"{path}: byte 0xff is not ")
 
 
 class TestOutOfRangeIntegersInCli:
