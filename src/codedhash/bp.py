@@ -79,16 +79,24 @@ class TannerGraph:
         self.dc_max = int(check_deg.max())
         # rank of each edge among its check's edges, ascending
         by_check = np.argsort(cs, kind="stable")
+        check_start = np.cumsum(check_deg) - check_deg
         rank = np.empty(self.num_edges, dtype=np.int64)
-        rank[by_check] = np.arange(self.num_edges) - np.repeat(
-            np.cumsum(check_deg) - check_deg, check_deg)
+        rank[by_check] = np.arange(self.num_edges) - np.repeat(check_start, check_deg)
         self.check_slot = rank * self.n_check + cs
         self.check_pad_slot = np.flatnonzero(
             np.arange(self.dc_max)[:, None] >= check_deg)
+        # the edges' variables in check order, and where each check's run
+        # starts: every check has an edge, so no run is empty
+        self._check_vars = vs[by_check]
+        self._check_start = check_start
 
     def syndrome_ok(self, hard_bits) -> np.ndarray:
-        """True per column of an (n_var, batch) bit array iff all checks pass."""
-        return ~((self.h.astype(np.int64) @ hard_bits) % 2).any(axis=0)
+        """True per column of an (n_var, batch) array of integer or bool
+        bits iff all checks pass: each check's parity is the XOR of its
+        variables' bits."""
+        parity = np.bitwise_xor.reduceat(np.asarray(hard_bits)[self._check_vars],
+                                         self._check_start, axis=0)
+        return ~parity.any(axis=0)
 
 
 def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -213,9 +221,11 @@ def check_messages(m_vc: np.ndarray, graph: TannerGraph,
 
 
 def validate_llr_batch(llrs, n_var):
-    """`llrs` as a float64 (batch, n_var) array; ValueError for another
-    shape or a non-finite entry."""
-    a = np.asarray(llrs, dtype=np.float64)
+    """`llrs` as a (batch, n_var) array of its compute dtype: float32
+    stays float32 and any other dtype becomes float64.  ValueError for
+    another shape or a non-finite entry."""
+    a = np.asarray(llrs)
+    a = a.astype(np.float32 if a.dtype == np.float32 else np.float64, copy=False)
     if a.ndim != 2 or a.shape[1] != n_var:
         raise ValueError(f"expected shape (batch, {n_var}), got {a.shape}")
     if not all_finite(a):
@@ -230,11 +240,12 @@ def bp_decode_batch(llrs, graph: TannerGraph, iterations: int,
     Returns (hard_bits (batch, n) uint8, posteriors (batch, n), converged
     (batch,) bool).  With early_stop, a frame freezes at the first iteration
     whose hard decision satisfies every check, so a converged frame always
-    carries a codeword.
+    carries a codeword.  Computes in float64 whatever the LLRs' dtype: in
+    float32 the default clamp would round to 1, where atanh is infinite.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    llrs = validate_llr_batch(llrs, graph.n_var)
+    llrs = validate_llr_batch(llrs, graph.n_var).astype(np.float64, copy=False)
     batch = llrs.shape[0]
     out_hard = np.zeros((graph.n_var, batch), dtype=np.uint8)
     out_soft = np.zeros((graph.n_var, batch))

@@ -37,7 +37,7 @@ import struct
 
 import numpy as np
 
-from ._checks import all_either, row_blocks
+from ._checks import all_either, all_finite, row_blocks
 
 PROB_CLAMP = 1e-12
 HAMMING_MARGIN_SCALE = 4.0
@@ -392,6 +392,8 @@ def load_encoders(path) -> Encoders:
             flat = np.empty(count, dtype=_WEIGHT)
             if fh.readinto(flat) != flat.nbytes:
                 raise ValueError(f"{path}: truncated while reading")
+            if not all_finite(flat):
+                raise ValueError(f"{path}: encoder weights must be finite")
             weights, biases = [], []
             start = 0
             for a, b in zip(dims, dims[1:]):

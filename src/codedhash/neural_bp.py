@@ -27,6 +27,15 @@ intermediates into workspace tables, and rebuilds each layer's clip mask
 from the clipped product (a value is unclipped exactly when its magnitude
 is below 1 - atanh_clamp).
 
+Precision: forward and loss_and_grads compute in the dtype of the LLR
+batch they are given, float32 for a float32 batch and float64 for any
+other.  The weights are float64 master copies; each call casts them once
+into its own locals of the compute dtype, and loss_and_grads returns
+float64 gradients for the float64 optimizer.  train_decoder and stage 2
+of the pipeline pass float32 LLRs; error-rate evaluation and the CLI pass
+float64.  In float32 the atanh clamp 1 - 1e-7 rounds to 1 - 2^-23, so a
+clipped message is 2 atanh(1 - 2^-23), about 16.6.
+
 Weights, in the order of parameters(), weight_vector() and the serialized
 format (decoder.bin version 2): w_chan layer-major in edge order; w_in in
 (layer, variable, slot, sibling slot) order; w_out_chan per variable; then
@@ -42,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import all_either
+from ._checks import all_either, all_finite
 from .bp import (TannerGraph, Workspace, check_products_except_self,
                  check_products_except_self_backward, segment_sum,
                  validate_llr_batch)
@@ -150,38 +159,46 @@ class NeuralBpDecoder:
             p[...] = vec[start:start + p.size].reshape(p.shape)
             start += p.size
 
-    def _sib_blocks(self) -> np.ndarray:
-        """w_in scattered into zeroed (L-1, n_sib, dv_max, dv_max) blocks."""
-        blocks = np.zeros((len(self.w_in),) + self._sib_mask.shape)
+    def _call_weights(self, dtype):
+        """One call's weights in its compute dtype: (w_chan, sibling blocks,
+        w_out_chan, w_out_edge), the sibling blocks being w_in scattered
+        into zeroed (L-1, n_sib, dv_max, dv_max) blocks.  A float32 call
+        gets its own copies; the float64 master arrays are never cast or
+        replaced, so calls of either dtype may run at once."""
+        blocks = np.zeros((len(self.w_in),) + self._sib_mask.shape, dtype)
         blocks[:, self._sib_mask] = self.w_in
-        return blocks
+        return (self.w_chan.astype(dtype, copy=False), blocks,
+                self.w_out_chan.astype(dtype, copy=False),
+                self.w_out_edge.astype(dtype, copy=False))
 
     # -- forward ------------------------------------------------------------
 
-    def _var_table(self, ws: Workspace, name: str, batch: int):
+    def _var_table(self, ws: Workspace, name: str, batch: int, dtype):
         """A zeroed sibling table: its (n_sib, dv_max, batch) blocks and
         their flat (n_sib * dv_max + 1, batch) view, indexed by _var_slot.
         The extra last row takes the scatter of degree-1 edges and stays
         zero in a matmul's output, so their gather reads 0."""
         n_sib, n_slots = self._sib_mask.shape[:2]
-        flat = ws.table(name, (n_sib * n_slots + 1, batch))
+        flat = ws.table(name, (n_sib * n_slots + 1, batch), dtype)
         flat[...] = 0
         return flat[:-1].reshape(n_sib, n_slots, batch), flat
 
-    def _forward_t(self, llr_t, w_blocks, keep_cache: bool, ws: Workspace):
-        """Core forward pass on an (n_var, batch) LLR array, with the
-        calling pass's sibling blocks `w_blocks` and workspace `ws`."""
+    def _forward_t(self, llr_t, weights, keep_cache: bool, ws: Workspace):
+        """Core forward pass on an (n_var, batch) LLR array, in its dtype,
+        with the calling pass's _call_weights `weights` and workspace
+        `ws`."""
         g = self.graph
+        w_chan, w_blocks, w_out_chan, w_out_edge = weights
         batch = llr_t.shape[1]
-        lo = 1.0 - self.atanh_clamp
+        lo = llr_t.dtype.type(1.0 - self.atanh_clamp)
         l_edge = llr_t[g.edge_var]
         x = None
-        x_pad, x_flat = self._var_table(ws, "x_pad", batch)
-        sib, sib_flat = self._var_table(ws, "sib", batch)
+        x_pad, x_flat = self._var_table(ws, "x_pad", batch, llr_t.dtype)
+        sib, sib_flat = self._var_table(ws, "sib", batch, llr_t.dtype)
         layers = []
         for j in range(self.iterations):
             x_prev = x
-            pre = self.w_chan[j][:, None] * l_edge
+            pre = w_chan[j][:, None] * l_edge
             if j > 0:
                 x_flat[self._var_slot] = x_prev
                 np.matmul(w_blocks[j - 1], x_pad, out=sib)
@@ -194,20 +211,23 @@ class NeuralBpDecoder:
             x *= 2.0
             if keep_cache:
                 layers.append((x_prev, x_odd, p_clip))
-        s = self.w_out_chan[:, None] * llr_t + \
-            segment_sum(self.w_out_edge[:, None] * x, g.var_offsets)
+        s = w_out_chan[:, None] * llr_t + \
+            segment_sum(w_out_edge[:, None] * x, g.var_offsets)
         z = np.clip(-s, -_PRESIGMOID_LIMIT, _PRESIGMOID_LIMIT)
         z_mask = np.abs(s) < _PRESIGMOID_LIMIT
         o = _sigmoid(z)
-        cache = (llr_t, l_edge, w_blocks, layers, x, z, z_mask) if keep_cache else None
+        cache = (llr_t, l_edge, layers, x, z, z_mask) if keep_cache else None
         return o, cache
 
     def forward(self, llr):
         """Soft outputs (bit-1 probabilities) and hard bits of a (batch, n)
         LLR array, as two (batch, n) arrays; any other shape is rejected
         by validate_llr_batch.  Hard decision: output > 0.5 is bit 1, ties
-        resolve to bit 0.  Stage 2 of the pipeline feeds it kappa *
-        float64(a) for a batch of encoder activations a.
+        resolve to bit 0.  Computes in the LLRs' dtype as validate_llr_batch
+        returns it (float32 stays float32, any other dtype becomes
+        float64), and the soft outputs have that dtype.  Stage 2 of the
+        pipeline feeds it the float32 product kappa * a for a batch of
+        encoder activations a.
 
         A batch of more than _DECODE_BLOCK frames runs as consecutive blocks
         of _DECODE_BLOCK frames, the last one taking the remainder, through
@@ -216,15 +236,15 @@ class NeuralBpDecoder:
         """
         a = validate_llr_batch(llr, self.graph.n_var)
         n = a.shape[0]
-        outputs = np.empty((n, self.graph.n_var))
+        outputs = np.empty((n, self.graph.n_var), a.dtype)
         hard = np.empty((n, self.graph.n_var), dtype=np.uint8)
         ws = Workspace()
-        w_blocks = self._sib_blocks()
+        weights = self._call_weights(a.dtype)
         blocks = max(1, n // _DECODE_BLOCK)
         for i in range(blocks):
             start = i * _DECODE_BLOCK
             stop = n if i == blocks - 1 else start + _DECODE_BLOCK
-            o, _ = self._forward_t(a[start:stop].T.copy(), w_blocks, keep_cache=False,
+            o, _ = self._forward_t(a[start:stop].T.copy(), weights, keep_cache=False,
                                    ws=ws)
             outputs[start:stop] = o.T
             np.greater(o.T, 0.5, out=hard[start:stop])
@@ -240,10 +260,13 @@ class NeuralBpDecoder:
         gradients for every weight.
 
         llrs is (batch, n) with batch >= 1; targets is (batch, n) bits.
-        Returns (loss, [grad arrays matching parameters()]).
+        Computes in the LLRs' dtype, as forward does.  Returns (loss,
+        [grad arrays matching parameters()]); the gradients are float64,
+        as the weights are.
         """
         g = self.graph
         llrs = validate_llr_batch(llrs, g.n_var)
+        dtype = llrs.dtype
         y = np.asarray(targets, dtype=np.float64)
         if llrs.shape != y.shape:
             raise ValueError("llrs and targets must share a (batch, n) shape")
@@ -252,9 +275,11 @@ class NeuralBpDecoder:
         if not all_either(y, 0, 1):
             raise ValueError("targets must be bits (0 or 1)")
         ws = Workspace()
-        o, (llr_t, l_edge, w_blocks, layers, x_final, z, z_mask) = self._forward_t(
-            llrs.T.copy(), self._sib_blocks(), keep_cache=True, ws=ws)
-        y_t = y.T
+        weights = self._call_weights(dtype)
+        _, w_blocks, _, w_out_edge = weights
+        o, (llr_t, l_edge, layers, x_final, z, z_mask) = self._forward_t(
+            llrs.T.copy(), weights, keep_cache=True, ws=ws)
+        y_t = y.T.astype(dtype, copy=False)
         count = y_t.size
         loss = float(np.mean(np.logaddexp(0.0, z) - y_t * z))
 
@@ -262,21 +287,22 @@ class NeuralBpDecoder:
         ds = -dz * z_mask
         d_out_chan = (ds * llr_t).sum(axis=1)
         shape = x_final.shape
-        tmp = ws.table("tmp_edge", shape)
+        tmp = ws.table("tmp_edge", shape, dtype)
         clip_mask = ws.table("clip_mask", shape, bool)
         # dx = w_out_edge * ds_edge, formed in place after d_out_edge
-        dx = np.take(ds, g.edge_var, axis=0, out=ws.table("dx", shape), mode="clip")
+        dx = np.take(ds, g.edge_var, axis=0, out=ws.table("dx", shape, dtype),
+                     mode="clip")
         d_out_edge = np.multiply(dx, x_final, out=tmp).sum(axis=1)
         del x_final
-        dx *= self.w_out_edge[:, None]
+        dx *= w_out_edge[:, None]
 
-        d_chan = np.zeros_like(self.w_chan)
-        d_in = np.zeros_like(self.w_in)
-        lo = 1.0 - self.atanh_clamp
-        x_pad, x_flat = self._var_table(ws, "x_pad", shape[1])
-        dpre_pad, dpre_flat = self._var_table(ws, "dpre_pad", shape[1])
-        sib, sib_flat = self._var_table(ws, "sib", shape[1])
-        d_block = ws.table("d_block", self._sib_mask.shape)
+        d_chan = np.zeros(self.w_chan.shape, dtype)
+        d_in = np.zeros(self.w_in.shape, dtype)
+        lo = dtype.type(1.0 - self.atanh_clamp)
+        x_pad, x_flat = self._var_table(ws, "x_pad", shape[1], dtype)
+        dpre_pad, dpre_flat = self._var_table(ws, "dpre_pad", shape[1], dtype)
+        sib, sib_flat = self._var_table(ws, "sib", shape[1], dtype)
+        d_block = ws.table("d_block", self._sib_mask.shape, dtype)
         # each layer's cache is dropped once its step is done
         for j in reversed(range(self.iterations)):
             x_prev, x_odd, p_clip = layers.pop()
@@ -304,7 +330,8 @@ class NeuralBpDecoder:
                 np.matmul(w_blocks[j - 1].transpose(0, 2, 1), dpre_pad, out=sib)
                 # mode="clip" keeps take from buffering `out`; every slot is valid
                 np.take(sib_flat, self._var_slot, axis=0, out=dx, mode="clip")
-        return loss, [d_chan, d_in, d_out_chan, d_out_edge]
+        return loss, [grad.astype(np.float64, copy=False)
+                      for grad in (d_chan, d_in, d_out_chan, d_out_edge)]
 
 
 @dataclass
@@ -335,8 +362,11 @@ def train_decoder(net: NeuralBpDecoder, code: LinearCode,
 
     Each epoch draws fresh AWGN at SNRs sampled from config.snr_db_list
     (rate-adjusted), computes the bitwise cross-entropy toward the all-zero
-    target, and takes one Adam step.  The graph topology and weight count
-    never change; with epochs = 0 the weights stay at initialization.
+    target, and takes one Adam step.  The noise and LLRs are drawn in
+    float64 and the LLRs cast to float32, so the forward and backward
+    passes run in float32; the weights and Adam stay float64.  The graph
+    topology and weight count never change; with epochs = 0 the weights
+    stay at initialization.
     """
     if code.n != net.graph.n_var:
         raise ValueError(f"code length {code.n} does not match graph "
@@ -350,7 +380,7 @@ def train_decoder(net: NeuralBpDecoder, code: LinearCode,
         pick = rng.integers(0, len(sigmas), size=config.frames_per_epoch)
         sig = sigmas[pick][:, None]
         received = symbols + sig * rng.standard_normal(targets.shape)
-        llrs = llr_from_channel(received, sig)
+        llrs = llr_from_channel(received, sig).astype(np.float32)
         loss, grads = net.loss_and_grads(llrs, targets)
         if not np.isfinite(loss):
             raise TrainingFailureError(
@@ -429,10 +459,13 @@ def evaluate_error_rates(decoder, code: LinearCode, snr_db: float, frames: int,
 
 def save_decoder(net: NeuralBpDecoder, code: LinearCode, path) -> None:
     """Binary format: magic, version, (n, k, t, L), the weight count, then
-    weight_vector() as little-endian float64."""
+    weight_vector() as little-endian float64.  Non-finite weights are
+    refused before the file is opened."""
     if code.n != net.graph.n_var:
         raise ValueError("code length does not match decoder graph")
     vec = net.weight_vector()
+    if not all_finite(vec):
+        raise ValueError("decoder weights must be finite")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack(_HEADER, _VERSION, code.n, code.k, code.t,
@@ -463,6 +496,9 @@ def load_decoder(path, code: LinearCode) -> NeuralBpDecoder:
     if iterations < 1 or count != _weight_count(graph, iterations):
         raise ValueError(f"{path}: {count} weights do not fit an L={iterations} "
                          f"decoder of this code")
+    weights = np.frombuffer(data, dtype="<f8", offset=body)
+    if not all_finite(weights):
+        raise ValueError(f"{path}: decoder weights must be finite")
     net = NeuralBpDecoder(graph, iterations)
-    net.set_weight_vector(np.frombuffer(data, dtype="<f8", offset=body))
+    net.set_weight_vector(weights)
     return net

@@ -281,13 +281,12 @@ def stage2_refine(encoders: Encoders, decoder: NeuralBpDecoder,
                   dataset: Dataset, config: TrainConfig):
     """One refinement pass pulling activations toward the decoder's output.
 
-    For each mini-batch and each modality: decode the LLRs
-    kappa * float64(a) of the current activations a into the decoder's
+    For each mini-batch and each modality: decode the float32 LLRs
+    kappa * a of the current float32 activations a into the decoder's
     hard-decision bits (usually not a codeword), then update that
     modality's encoder on the cross-entropy between its activations and
-    the frozen targets.  The product is taken in float64, as a float32
-    one rounds differently.  The decoder is never modified.
-    Returns the mean per-sample loss for each modality.
+    the frozen targets.  The decoder computes in the LLRs' float32 and is
+    never modified.  Returns the mean per-sample loss for each modality.
     """
     if encoders.code_length != decoder.graph.n_var:
         raise ValueError("encoder code length does not match the decoder")
@@ -298,7 +297,7 @@ def stage2_refine(encoders: Encoders, decoder: NeuralBpDecoder,
         for modality, net, x, opt in branches:
             acts, cache = net.forward_cache(x[batch])
             targets = decoder.decode_batch(
-                np.multiply(acts, config.kappa, dtype=np.float64))
+                np.multiply(acts, config.kappa, dtype=np.float32))
             loss, da = _code_loss_and_grad(acts, targets, config.gamma)
             if not np.isfinite(loss):
                 raise TrainingFailureError(
@@ -309,10 +308,14 @@ def stage2_refine(encoders: Encoders, decoder: NeuralBpDecoder,
     return totals["image"] / n, totals["attribute"] / n
 
 
-def training_map(encoders: Encoders, dataset: Dataset) -> float:
-    """Arity-1 MAP of attribute queries against the image-code gallery."""
-    index = build_index(encoders.encode_images(dataset.features),
-                        dataset.subject_ids, dataset.attributes)
+def training_map(encoders: Encoders, dataset: Dataset, *,
+                 image_acts=None) -> float:
+    """Arity-1 MAP of attribute queries against the image-code gallery.
+    `image_acts`, when given, are the encoders' activations of
+    dataset.features, which are then not encoded again."""
+    if image_acts is None:
+        image_acts = encoders.encode_images(dataset.features)
+    index = build_index(image_acts, dataset.subject_ids, dataset.attributes)
     masks = enumerate_query_masks(dataset.d_attr, arity=1)
     result = evaluate_queries(encoders.encode_attributes, index, masks)
     return result.mean_average_precision
@@ -346,14 +349,15 @@ class TrainResult:
 def _round_record(outer, encoders, dataset, config,
                   lc_image=float("nan"), lc_attr=float("nan")) -> RoundRecord:
     """A round's report line: the encoders' objective and training MAP, and
-    the round's stage-2 losses (NaN for round 0)."""
+    the round's stage-2 losses (NaN for round 0).  The training images
+    are encoded once, for both."""
+    image_acts = encoders.encode_images(dataset.features)
     j, (dll, quant, balance) = objective(
-        encoders.encode_images(dataset.features),
-        encoders.encode_attributes(dataset.attributes),
+        image_acts, encoders.encode_attributes(dataset.attributes),
         similarity_matrix(dataset.attributes), config.distance_margin,
         config.theta, config.lam)
     return RoundRecord(outer, j, dll, quant, balance, lc_image, lc_attr,
-                       training_map(encoders, dataset))
+                       training_map(encoders, dataset, image_acts=image_acts))
 
 
 def train_pipeline(dataset: Dataset, config: TrainConfig,

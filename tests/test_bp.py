@@ -286,6 +286,27 @@ class TestCheckKernelOracle:
             empty.shape
 
 
+class TestSyndrome:
+    @PIPELINE_GRAPHS
+    def test_equals_parity_check_product(self, code):
+        """The XOR over check-ordered edges gives the booleans of the h
+        product, for random bits (uint8 and bool), codewords, and
+        codewords with one flipped bit."""
+        graph = TannerGraph(code.parity_check)
+        rng = np.random.default_rng(code.n)
+        msgs = rng.integers(0, 2, size=(64, code.k))
+        words = (msgs @ code.generator % 2).astype(np.uint8)
+        flipped = words.copy()
+        flipped[np.arange(64), rng.integers(0, code.n, size=64)] ^= 1
+        noise = rng.integers(0, 2, size=(256, code.n)).astype(np.uint8)
+        h = code.parity_check.astype(np.int64)
+        for bits in (noise.T, noise.T.astype(bool), words.T, flipped.T):
+            want = ~((h @ bits) % 2).any(axis=0)
+            assert np.array_equal(graph.syndrome_ok(bits), want)
+        assert graph.syndrome_ok(words.T).all()
+        assert not graph.syndrome_ok(flipped.T).any()
+
+
 class TestKernelMemory:
     """Peak traced allocations on BCH(63,30) at batch 512."""
 
@@ -382,6 +403,20 @@ class TestBpDecode:
         np.testing.assert_allclose(post, want, rtol=0, atol=1e-9)
         np.testing.assert_allclose(1.0 / (1.0 + np.exp(post)),
                                    1.0 / (1.0 + np.exp(want)), rtol=0, atol=1e-9)
+
+    def test_float32_llrs_decode_in_float64(self):
+        """In float32 the 1e-12 clamp rounds to 1 and atanh(1) is inf, so
+        float32 LLRs are decoded as their float64 values.  One frame in
+        two at 8x the scale drives check products to the clamp."""
+        graph = TannerGraph(pipeline_code().parity_check)
+        rng = np.random.default_rng(7)
+        llrs = (rng.normal(0.0, 2.5, size=(200, graph.n_var))
+                * rng.choice([1.0, 8.0], size=(200, 1))).astype(np.float32)
+        got = bp_decode_batch(llrs, graph, iterations=20)
+        want = bp_decode_batch(llrs.astype(np.float64), graph, iterations=20)
+        assert got[1].dtype == np.float64
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_bad_inputs_rejected(self):
         graph = TannerGraph(H_REPETITION)

@@ -589,6 +589,24 @@ class TestSerialization:
                 f"{path}: unsupported version 1, expected 2")):
             load_encoders(path)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("branch", ["image", "attribute"])
+    def test_non_finite_weight_rejected(self, tmp_path, branch, value):
+        """A weight that is not finite, in either branch's array, is
+        refused with the file's name when the file is read, not later in
+        sign_hash."""
+        path = tmp_path / "enc.bin"
+        save_encoders(Encoders.build(5, 4, 8, hidden=(6,), seed=1), path)
+        raw = bytearray(path.read_bytes())
+        # after the 27-byte header: the image branch's first weight, or the
+        # attribute branch's last bias
+        at = 27 if branch == "image" else len(raw) - 4
+        raw[at:at + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: encoder weights must be finite")):
+            load_encoders(path)
+
     @pytest.mark.parametrize("branch", ["image", "attribute"])
     def test_save_refuses_float64_weights(self, tmp_path, branch):
         enc = Encoders.build(5, 4, 8, hidden=(6,), seed=1)

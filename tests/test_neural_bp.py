@@ -5,6 +5,8 @@ gradients, training behavior, and the weight-file round trip."""
 import hashlib
 import re
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -144,6 +146,25 @@ def padded_all_variable_pass(net, llrs, targets):
     return o.T, [d_chan, d_in, d_out_chan, d_out_edge]
 
 
+def inline_training(code, iterations, cfg, llr_dtype):
+    """Reference for train_decoder: a fresh decoder trained by a loop that
+    writes its draws and AWGN math out, with each epoch's LLRs cast to
+    `llr_dtype`."""
+    net = NeuralBpDecoder(TannerGraph(code.parity_check), iterations)
+    adam = Adam(net.parameters(), lr=cfg.learning_rate)
+    rng = np.random.default_rng(cfg.seed)
+    sigmas = np.array([channel.noise_sigma(s, code.rate) for s in cfg.snr_db_list])
+    targets = np.zeros((cfg.frames_per_epoch, code.n))
+    for _ in range(cfg.epochs):
+        pick = rng.integers(0, len(sigmas), size=cfg.frames_per_epoch)
+        sig = sigmas[pick][:, None]
+        received = 1.0 + sig * rng.standard_normal(targets.shape)
+        llrs = (2.0 * received / (sig * sig)).astype(llr_dtype)
+        _, grads = net.loss_and_grads(llrs, targets)
+        adam.step(net.parameters(), grads)
+    return net
+
+
 # the codes whose graphs the decoder oracles run on: BCH(15,7), the
 # pipeline's BCH(63,30), and length 127
 PIPELINE_CODES = {"bch15_7": lambda: gf2.build_bch(4, 2),
@@ -206,7 +227,7 @@ class TestStructure:
         deg = np.diff(graph.var_offsets)
         assert np.count_nonzero(deg >= 2) == n_sib
         assert net._sib_mask.shape == (n_sib, dv_max, dv_max)
-        assert net._sib_blocks().shape == (4, n_sib, dv_max, dv_max)
+        assert net._call_weights(np.float64)[1].shape == (4, n_sib, dv_max, dv_max)
         # edges of variables of degree 1 share the extra last row
         rows = net._var_slot
         assert rows.shape == (graph.num_edges,)
@@ -301,7 +322,7 @@ class TestBlockedForward:
     def test_bits_equal_one_unblocked_pass(self, nets, code, n):
         net = nets[code]
         llrs = np.random.default_rng(n).normal(0.0, 2.5, size=(n, net.graph.n_var))
-        want = net._forward_t(llrs.T.copy(), net._sib_blocks(),
+        want = net._forward_t(llrs.T.copy(), net._call_weights(np.float64),
                               keep_cache=False, ws=Workspace())[0].T
         outputs, hard = net.forward(llrs)
         assert outputs.shape == hard.shape == (n, net.graph.n_var)
@@ -319,16 +340,16 @@ class TestBlockedForward:
         llrs = np.random.default_rng(n).normal(0.0, 2.5, size=(n, net.graph.n_var))
         seen, scattered = [], []
 
-        def spy(llr_t, w_blocks, keep_cache, ws):
+        def spy(llr_t, weights, keep_cache, ws):
             seen.append(llr_t)
-            scattered.append(w_blocks)
-            return NeuralBpDecoder._forward_t(net, llr_t, w_blocks, keep_cache, ws)
+            scattered.append(weights)
+            return NeuralBpDecoder._forward_t(net, llr_t, weights, keep_cache, ws)
 
         monkeypatch.setattr(net, "_forward_t", spy)
         net.forward(llrs)
         assert [t.shape[1] for t in seen] == sizes
         assert np.array_equal(np.concatenate(seen, axis=1), llrs.T)
-        # the sibling weights are scattered once per call, not once per block
+        # the weights are cast and scattered once per call, not once per block
         assert all(w is scattered[0] for w in scattered)
 
 
@@ -436,6 +457,114 @@ class TestGradients:
         assert loss1 < loss0
 
 
+class TestComputeDtype:
+    """forward and loss_and_grads compute in the LLRs' dtype: float32 stays
+    float32 and every other dtype takes the float64 path.  The weights stay
+    float64 master copies and the gradients are float64."""
+
+    @pytest.fixture(scope="class")
+    def nets(self):
+        nets = {}
+        for name in ("bch15_7", "bch63_30"):
+            net = NeuralBpDecoder(TannerGraph(PIPELINE_CODES[name]().parity_check), 5)
+            net.set_weight_vector(np.random.default_rng(60).normal(
+                1.0, 0.2, size=net.num_weights))
+            nets[name] = net
+        return nets
+
+    @staticmethod
+    def batch(net, seed=61):
+        """LLRs at scale 1, where no check product nears the atanh clip:
+        near it float32 keeps few digits of 1 - p, and the gradient's
+        factor 2 / (1 - p^2) magnifies their error."""
+        rng = np.random.default_rng(seed)
+        llrs = rng.normal(0.0, 1.0, size=(96, net.graph.n_var))
+        return llrs, rng.integers(0, 2, size=llrs.shape)
+
+    @pytest.mark.parametrize("code", ["bch15_7", "bch63_30"])
+    def test_float32_agrees_with_float64(self, nets, code):
+        """Tolerances of about 100 float32 epsilons: soft outputs to 1e-6,
+        the loss to 1e-6 relative, each gradient array to 1e-5 of its
+        largest entry."""
+        net = nets[code]
+        llrs, targets = self.batch(net)
+        narrow = llrs.astype(np.float32)
+        out64, hard64 = net.forward(llrs)
+        out32, hard32 = net.forward(narrow)
+        assert out32.dtype == np.float32 and out64.dtype == np.float64
+        np.testing.assert_allclose(out32, out64, rtol=0, atol=1e-6)
+        assert np.mean(hard32 == hard64) > 0.999
+        loss64, grads64 = net.loss_and_grads(llrs, targets)
+        loss32, grads32 = net.loss_and_grads(narrow, targets)
+        assert abs(loss32 - loss64) <= 1e-6 * abs(loss64)
+        for got, want in zip(grads32, grads64, strict=True):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-5 * np.abs(want).max())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.int8, np.float16])
+    def test_other_dtypes_take_the_float64_path(self, nets, dtype):
+        net = nets["bch15_7"]
+        llrs, targets = self.batch(net)
+        given = (4.0 * llrs).astype(dtype)
+        wide = given.astype(np.float64)
+        outputs, hard = net.forward(given)
+        want_outputs, want_hard = net.forward(wide)
+        assert outputs.dtype == np.float64
+        assert outputs.tobytes() == want_outputs.tobytes()
+        assert np.array_equal(hard, want_hard)
+        loss, grads = net.loss_and_grads(given, targets)
+        want_loss, want_grads = net.loss_and_grads(wide, targets)
+        assert loss == want_loss
+        for got, want in zip(grads, want_grads, strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_float32_call_leaves_the_weights(self, nets):
+        net = nets["bch63_30"]
+        params = net.parameters()
+        before = [p.copy() for p in params]
+        llrs, targets = self.batch(net)
+        net.forward(llrs.astype(np.float32))
+        net.loss_and_grads(llrs.astype(np.float32), targets)
+        for p, now, old in zip(params, net.parameters(), before, strict=True):
+            assert now is p and now.dtype == np.float64
+            assert now.tobytes() == old.tobytes()
+
+    def test_concurrent_float32_and_float64_calls_match_serial(self, nets):
+        """evaluate_error_rates decodes from worker threads: two threads
+        decoding one decoder at once, one in each dtype, get the serial
+        results on every round."""
+        net = nets["bch63_30"]
+        llrs, _ = self.batch(net)
+        inputs = {"f32": llrs.astype(np.float32), "f64": llrs}
+        want = {key: net.forward(x) for key, x in inputs.items()}
+        rounds = 20
+        got = {key: [] for key in inputs}
+        start = threading.Barrier(len(inputs))
+
+        def worker(key):
+            for _ in range(rounds):
+                start.wait(timeout=60)
+                got[key].append(net.forward(inputs[key]))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(key,)) for key in inputs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        for key in inputs:
+            assert len(got[key]) == rounds
+            for outputs, hard in got[key]:
+                assert outputs.tobytes() == want[key][0].tobytes()
+                assert np.array_equal(hard, want[key][1])
+
+
 class TestInputChecks:
     """forward and loss_and_grads reject the same malformed LLR batches;
     loss_and_grads also needs frames and bit targets."""
@@ -525,25 +654,14 @@ class TestTraining:
         np.testing.assert_array_equal(a.weight_vector(), b.weight_vector())
 
     def test_matches_inline_channel_reference_loop(self):
-        """Same draws, frames and LLRs as a loop writing the AWGN math out."""
+        """Same draws, frames and float32 LLRs as a loop writing the AWGN
+        math out."""
         code = gf2.build_bch(4, 2)
         cfg = DecoderTrainConfig(snr_db_list=(1.0, 3.0, 5.0),
                                  frames_per_epoch=32, epochs=4, seed=11)
         net = train_decoder(
             NeuralBpDecoder(TannerGraph(code.parity_check), 2), code, cfg)
-
-        ref = NeuralBpDecoder(TannerGraph(code.parity_check), 2)
-        adam = Adam(ref.parameters(), lr=cfg.learning_rate)
-        rng = np.random.default_rng(cfg.seed)
-        sigmas = np.array([channel.noise_sigma(s, code.rate)
-                           for s in cfg.snr_db_list])
-        targets = np.zeros((cfg.frames_per_epoch, code.n))
-        for _ in range(cfg.epochs):
-            pick = rng.integers(0, len(sigmas), size=cfg.frames_per_epoch)
-            sig = sigmas[pick][:, None]
-            received = 1.0 + sig * rng.standard_normal(targets.shape)
-            _, grads = ref.loss_and_grads(2.0 * received / (sig * sig), targets)
-            adam.step(ref.parameters(), grads)
+        ref = inline_training(code, 2, cfg, np.float32)
         np.testing.assert_array_equal(net.weight_vector(), ref.weight_vector())
 
     def test_every_weight_group_trains(self):
@@ -563,17 +681,35 @@ class TestTraining:
     def test_trained_weights_bit_identical_to_v1_decoder(self):
         """Dropping the first-iteration sibling weights changes no other
         weight's training.  The hash was made with the v1 decoder, whose
-        w_in was (L, n_var, dv_max, dv_max): after this same seeded
-        train_decoder call, sha256 of the little-endian float64 bytes of
-        w_chan.ravel(), w_in[1:][:, _sib_mask].ravel(), w_out_chan and
-        w_out_edge, concatenated in that (v2) order."""
+        w_in was (L, n_var, dv_max, dv_max), trained in float64: after a
+        seeded train_decoder call with these settings, sha256 of the
+        little-endian float64 bytes of w_chan.ravel(),
+        w_in[1:][:, _sib_mask].ravel(), w_out_chan and w_out_edge,
+        concatenated in that (v2) order.  train_decoder now trains in
+        float32, so the same draws go through the float64 inline loop."""
         code = pipeline_code()
-        net = NeuralBpDecoder(TannerGraph(code.parity_check), 5)
-        train_decoder(net, code, DecoderTrainConfig(frames_per_epoch=64,
-                                                    epochs=3, seed=5))
+        cfg = DecoderTrainConfig(frames_per_epoch=64, epochs=3, seed=5)
+        net = inline_training(code, 5, cfg, np.float64)
         digest = hashlib.sha256(net.weight_vector().astype("<f8").tobytes())
         assert digest.hexdigest() == \
             "d36db10f53844dafbb603044d7c91a6a5dd159df63ca0da4cb683075044e72ee"
+
+    def test_float32_training_is_deterministic_on_pipeline_code(self):
+        """train_decoder on BCH(63,30) gives the same float64 weights on
+        every run, and the weights stay near those of float64 training on
+        the same draws."""
+        code = pipeline_code()
+        cfg = DecoderTrainConfig(frames_per_epoch=64, epochs=3, seed=5)
+        a, b = (train_decoder(NeuralBpDecoder(TannerGraph(code.parity_check), 5),
+                              code, cfg) for _ in range(2))
+        assert all(p.dtype == np.float64 for p in a.parameters())
+        assert a.weight_vector().tobytes() == b.weight_vector().tobytes()
+        wide = inline_training(code, 5, cfg, np.float64)
+        # Adam steps a weight by about lr whatever its gradient's size, so
+        # a weight whose gradient is near zero may step apart in float32;
+        # all but 1% stay within a tenth of one step of float64 training
+        gap = np.abs(a.weight_vector() - wide.weight_vector())
+        assert np.mean(gap <= 0.1 * cfg.learning_rate) >= 0.99
 
     def test_mismatched_code_rejected(self):
         code = gf2.build_bch(3, 1)
@@ -687,6 +823,31 @@ class TestSerialization:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_decoder(path, code)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, value):
+        """A NaN weight would make every soft output NaN, which the hard
+        decision reads as bit 0; the loader refuses it with the file's
+        name."""
+        code = gf2.build_bch(4, 2)
+        path = tmp_path / "decoder.bin"
+        save_decoder(NeuralBpDecoder(TannerGraph(code.parity_check), 2), code, path)
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = struct.pack("<d", value)  # the last w_out_edge weight
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: decoder weights must be finite")):
+            load_decoder(path, code)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_save_refuses_non_finite_weights(self, tmp_path, value):
+        code = gf2.build_bch(4, 2)
+        net = NeuralBpDecoder(TannerGraph(code.parity_check), 2)
+        net.w_in[0, 3] = value
+        path = tmp_path / "decoder.bin"
+        with pytest.raises(ValueError, match="decoder weights must be finite"):
+            save_decoder(net, code, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("cut", [-8, 8])
     def test_weight_bytes_must_match_header(self, tmp_path, cut):

@@ -497,9 +497,10 @@ class TestStage2:
         stage2_refine(enc, dec, ds, cfg)
         assert agreement() >= before
 
-    def test_decoder_input_is_kappa_times_float64_activations(self, monkeypatch):
-        """Stage 2 decodes kappa * float64(a) for float32 activations a;
-        at kappa = 3 the float32 product rounds differently."""
+    def test_decoder_input_is_float32_kappa_times_activations(self, monkeypatch):
+        """Stage 2 decodes the float32 product kappa * a of its float32
+        activations a, byte for byte, at a kappa (3) that is not a power
+        of two."""
         ds, _, enc, dec = self._setup()
         cfg = small_config(kappa=3.0)
         llrs, acts = [], []
@@ -518,11 +519,8 @@ class TestStage2:
         stage2_refine(enc, dec, ds, cfg)
         assert len(llrs) == len(acts) == 2 * -(-len(ds) // cfg.batch_size)
         for x, a in zip(llrs, acts):
-            assert a.dtype == np.float32 and x.dtype == np.float64
-            assert x.tobytes() == (3.0 * a.astype(np.float64)).tobytes()
-        # without the cast the inputs would differ
-        assert any(x.tobytes() != (3.0 * a).astype(np.float64).tobytes()
-                   for x, a in zip(llrs, acts))
+            assert a.dtype == x.dtype == np.float32
+            assert x.tobytes() == np.multiply(a, np.float32(3.0)).tobytes()
 
     def test_non_finite_loss_raises(self, monkeypatch):
         ds, cfg, enc, dec = self._setup(train_epochs=0)
@@ -572,6 +570,25 @@ class TestTrainPipeline:
         best = result.rounds[result.best_round]
         assert training_map(result.encoders, ds) == best.train_map
         assert best.train_map == max(r.train_map for r in result.rounds)
+
+    def test_round_record_encodes_the_training_images_once(self, monkeypatch):
+        """A round's objective and training MAP share one encoding of the
+        training images, and the MAP is training_map's."""
+        ds = small_dataset(seed=2)
+        cfg = small_config()
+        encoders = pipeline.initial_encoders(ds, cfg)
+        calls = []
+        encode = Encoders.encode_images
+
+        def spy(self, x):
+            calls.append(x)
+            return encode(self, x)
+
+        monkeypatch.setattr(Encoders, "encode_images", spy)
+        record = pipeline._round_record(0, encoders, ds, cfg)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert record.train_map == training_map(encoders, ds)
 
     def test_deterministic_runs(self):
         (a, _), (b, _) = self._run(), self._run()
