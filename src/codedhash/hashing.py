@@ -16,9 +16,14 @@ training objective sums the resulting cross-entropy over all image/attribute
 pairs of a batch, rewards activations of large norm (pushing them toward
 +-1), and penalizes bitwise imbalance across the batch:
 
-    J = sum_ij loss(r(D_ij), S_ij)
-        - (theta / c) * (sum_i |P_i|^2 + sum_j |Q_j|^2)
-        + lambda * sum_b [(sum_i P_ib)^2 + (sum_j Q_jb)^2]
+    J = sum_ij w_j loss(r(D_ij), S_ij)
+        - (theta / c) * (sum_i |P_i|^2 + sum_j w_j |Q_j|^2)
+        + lambda * sum_b [(sum_i P_ib)^2 + (sum_j w_j Q_jb)^2]
+
+where w_j, the count of attribute row j, is the number of identical rows
+that Q_j stands for (1 when no counts are given).  So J and dJ/dP equal
+those of the batch with every Q_j repeated w_j times, and dJ/dQ_j is the
+sum of its copies' gradients.
 
 Since squared Euclidean distance between +-1 codes is 4x their Hamming
 distance, a margin expressed in Hamming units must be scaled by
@@ -246,7 +251,7 @@ def _pair_distances(p, q):
     return np.maximum(d, 0.0), d > 0.0
 
 
-def _check_batch(p, q, s):
+def _check_batch(p, q, s, counts):
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
@@ -257,56 +262,73 @@ def _check_batch(p, q, s):
                          f"got {s.shape}")
     if not all_either(s, 0, 1):
         raise ValueError("similarity entries must be 0 or 1")
-    return p, q, s
+    if counts is None:
+        return p, q, s, np.ones(q.shape[0])
+    w = np.asarray(counts)
+    if w.shape != (q.shape[0],) or w.dtype.kind not in "iu" or (w < 1).any():
+        raise ValueError(f"counts must be a 1-D array of {q.shape[0]} "
+                         f"positive integers, one per row of q")
+    return p, q, s, w.astype(np.float64)
 
 
-def _evaluate(p, q, s, margin, theta, lam):
-    """Checked inputs, distance mask, match probabilities and the value of
-    J with its parts, shared by the objective and its gradient."""
-    p, q, s = _check_batch(p, q, s)
+def _evaluate(p, q, s, margin, theta, lam, counts):
+    """Checked inputs with the float64 counts, distance mask, match
+    probabilities and the value of J with its parts, shared by the
+    objective and its gradient.  Each count multiplies its row's terms
+    ahead of the reductions, so counts of ones give the bits of none."""
+    p, q, s, w = _check_batch(p, q, s, counts)
     c = p.shape[1]
     d, d_mask = _pair_distances(p, q)
     r = match_probability(d, margin)
-    dll = float(np.sum(dll_loss(r, s)))
-    quant = -(theta / c) * float(np.sum(p * p) + np.sum(q * q))
-    balance = lam * float(np.sum(p.sum(axis=0) ** 2) + np.sum(q.sum(axis=0) ** 2))
-    return p, q, s, d_mask, r, dll + quant + balance, (dll, quant, balance)
+    dll = float(np.sum(dll_loss(r, s) * w))
+    quant = -(theta / c) * float(np.sum(p * p) + np.sum(q * q * w[:, None]))
+    balance = lam * float(np.sum(p.sum(axis=0) ** 2)
+                          + np.sum((q * w[:, None]).sum(axis=0) ** 2))
+    return p, q, s, w, d_mask, r, dll + quant + balance, (dll, quant, balance)
 
 
-def objective(p, q, s, margin: float, theta: float, lam: float):
+def objective(p, q, s, margin: float, theta: float, lam: float, *,
+              counts=None):
     """Value of J and its three parts (pair loss, norm reward, balance).
 
-    The norm-reward part carries its negative sign, so the parts always sum
-    to J.
+    `counts`, when given, holds for each row of q the number of identical
+    rows it stands for; the value is that of the expanded q.  The
+    norm-reward part carries its negative sign, so the parts always sum to
+    J.
     """
-    return _evaluate(p, q, s, margin, theta, lam)[-2:]
+    return _evaluate(p, q, s, margin, theta, lam, counts)[-2:]
 
 
-def objective_grads(p, q, s, margin: float, theta: float, lam: float):
+def objective_grads(p, q, s, margin: float, theta: float, lam: float, *,
+                    counts=None):
     """Exact gradients of J with respect to both activation matrices.
 
-    Returns (dP, dQ, J, parts).  The pair-loss term is differentiated
-    through the same clamps the value uses, so clamped pairs contribute
-    zero gradient.
+    Returns (dP, dQ, J, parts).  With `counts` (see objective), dP and J
+    are those of the expanded q, and dQ[j] is the sum of the gradients of
+    row j's copies.  The pair-loss term is differentiated through the same
+    clamps the value uses, so clamped pairs contribute zero gradient.
     """
-    p, q, s, d_mask, r, j, parts = _evaluate(p, q, s, margin, theta, lam)
+    p, q, s, w, d_mask, r, j, parts = _evaluate(p, q, s, margin, theta, lam,
+                                                counts)
     c = p.shape[1]
     a_const = 1.0 + np.exp(-margin)
 
     interior = (r > PROB_CLAMP) & (r < 1.0 - PROB_CLAMP)
     ratio = r / np.maximum(1.0 - r, PROB_CLAMP)
     g = (1.0 - r / a_const) * (s - (1.0 - s) * ratio)
-    g = g * interior * d_mask
-    # g is d loss / dD; dD_ij/dP_i = 2 (P_i - Q_j)
+    g = g * interior * d_mask * w
+    # g is d loss / dD, column j summed over its copies; dD_ij/dP_i =
+    # 2 (P_i - Q_j)
     row = g.sum(axis=1)
     col = g.sum(axis=0)
     dp = 2.0 * (row[:, None] * p - g @ q)
     dq = 2.0 * (col[:, None] * q - g.T @ p)
 
+    wq = w[:, None]
     dp += -(theta / c) * 2.0 * p
-    dq += -(theta / c) * 2.0 * q
+    dq += -(theta / c) * 2.0 * q * wq
     dp += lam * 2.0 * p.sum(axis=0)[None, :]
-    dq += lam * 2.0 * q.sum(axis=0)[None, :]
+    dq += lam * 2.0 * (q * wq).sum(axis=0)[None, :] * wq
     return dp, dq, j, parts
 
 
@@ -333,14 +355,17 @@ def gradients(encoders: Encoders, x, y, s, margin: float, theta: float,
 def save_encoders(encoders: Encoders, path) -> None:
     """Versioned binary: dims and hidden sizes, then row-major float32
     weight matrices and bias vectors in layer order, image branch first.
-    Weights of another dtype are refused, not narrowed, before the file
-    is opened."""
+    Weights of another dtype are refused, not narrowed, and non-finite
+    weights are refused, both before the file is opened."""
     img, attr = encoders.image, encoders.attribute
     for modality, net in (("image", img), ("attribute", attr)):
         dtypes = {p.dtype.name for p in net.parameters()} - {"float32"}
         if dtypes:
             raise ValueError(f"encoder files store float32 weights; the "
                              f"{modality} branch has {', '.join(sorted(dtypes))}")
+        if not all(all_finite(p) for p in net.parameters()):
+            raise ValueError(f"encoder weights must be finite; the "
+                             f"{modality} branch has a non-finite weight")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<BIII", _VERSION, img.d_in, attr.d_in,

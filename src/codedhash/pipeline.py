@@ -185,6 +185,20 @@ def _batch_slices(n_items: int, batch_size: int, order):
         yield order[start:start + batch_size]
 
 
+def _attribute_groups(attributes) -> np.ndarray:
+    """Each row's group id; rows with equal attribute vectors share one."""
+    return np.unique(attributes, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _distinct(groups):
+    """(position of each group's first row, the group's row count) over an
+    array of group ids, with groups in order of first occurrence; ids that
+    are all distinct give (0, 1, ..., n - 1) and counts of one."""
+    _, first, counts = np.unique(groups, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order]
+
+
 def _branches(encoders: Encoders, dataset: Dataset, lr: float):
     """(modality, network, its inputs, fresh Adam) per branch, image first:
     the order of objective_grads' (dP, dQ).  Each branch's whole input is
@@ -208,21 +222,36 @@ def stage1a(encoders: Encoders, dataset: Dataset, config: TrainConfig,
     shuffled mini-batches and their similarity matrices.  A pass
     backpropagates only the branch it updates; the frozen branch is run
     forward without a cache.  Encoders are updated in place.
+
+    The attribute side of a batch is its distinct attribute vectors, in
+    order of first occurrence: the attribute branch runs on those rows
+    only, and the objective sees their columns of the batch similarity
+    with their counts, which gives the gradients of the full batch.  A
+    batch with no repeated vector trains as it would on every row.
     """
     rng = np.random.default_rng(seed)
     branches = _branches(encoders, dataset, config.lr)
     args = (config.distance_margin, config.theta, config.lam)
+    groups = _attribute_groups(dataset.attributes)
     for _ in range(config.epochs_stage1a):
         order = rng.permutation(len(dataset))
-        batches = [(batch, similarity_matrix(dataset.attributes[batch]))
-                   for batch in _batch_slices(len(dataset), config.batch_size, order)]
+        batches = []
+        for batch in _batch_slices(len(dataset), config.batch_size, order):
+            first, counts = _distinct(groups[batch])
+            # (image rows, attribute rows), S's columns of the attribute
+            # rows.  take keeps S in C order, where S[:, first] would be an
+            # F-ordered copy whose loss matrix sums in another order
+            batches.append(((batch, batch[first]),
+                            similarity_matrix(dataset.attributes[batch]).take(
+                                first, axis=1),
+                            counts))
         for which, (modality, net, x, opt) in enumerate(branches):
             _, frozen, x_frozen, _ = branches[1 - which]
-            for batch, s in batches:
-                acts, cache = net.forward_cache(x[batch])
-                held = frozen.forward(x_frozen[batch])
+            for rows, s, counts in batches:
+                acts, cache = net.forward_cache(x[rows[which]])
+                held = frozen.forward(x_frozen[rows[1 - which]])
                 p, q = (acts, held) if which == 0 else (held, acts)
-                *douts, j, _ = objective_grads(p, q, s, *args)
+                *douts, j, _ = objective_grads(p, q, s, *args, counts=counts)
                 if not np.isfinite(j):
                     raise TrainingFailureError(
                         f"non-finite objective in stage 1a ({modality} pass)")
@@ -261,19 +290,23 @@ def stage1b(config: TrainConfig, decoder_epochs: int):
     return code, net
 
 
-def _code_loss_and_grad(activations, target_bits, gamma):
+def _code_loss_and_grad(activations, target_bits, gamma, counts=None):
     """gamma-scaled bitwise cross-entropy pulling activations toward the
-    sign pattern of target bits, with its float64 gradient in the
-    activations, which are cast to float64 first."""
+    sign pattern of target bits, as a mean per sample, with its float64
+    gradient in the activations, which are cast to float64 first.  With
+    `counts`, row i stands for counts[i] identical samples: the loss is
+    their mean and row i's gradient the sum of theirs."""
     a = np.asarray(activations, dtype=np.float64)
-    n = a.shape[0]
+    w = (np.ones(a.shape[0]) if counts is None
+         else np.asarray(counts, dtype=np.float64))[:, None]
+    n = float(w.sum())
     p_one = (1.0 - a) / 2.0
     clamped = np.clip(p_one, PROB_CLAMP, 1.0 - PROB_CLAMP)
     interior = (p_one > PROB_CLAMP) & (p_one < 1.0 - PROB_CLAMP)
     b = target_bits.astype(np.float64)
-    loss = gamma * float(dll_loss(p_one, b).sum()) / n
+    loss = gamma * float((dll_loss(p_one, b) * w).sum()) / n
     dp = (-(b / clamped) + (1.0 - b) / (1.0 - clamped)) * interior
-    da = gamma * dp * (-0.5) / n
+    da = gamma * dp * (-0.5) * w / n
     return loss, da
 
 
@@ -286,19 +319,27 @@ def stage2_refine(encoders: Encoders, decoder: NeuralBpDecoder,
     hard-decision bits (usually not a codeword), then update that
     modality's encoder on the cross-entropy between its activations and
     the frozen targets.  The decoder computes in the LLRs' float32 and is
-    never modified.  Returns the mean per-sample loss for each modality.
+    never modified.  The attribute branch decodes and backpropagates each
+    distinct attribute vector of a batch once, with its loss and gradient
+    weighted by the vector's count, so every copy of a vector has the
+    same target.  Returns the mean per-sample loss for each modality.
     """
     if encoders.code_length != decoder.graph.n_var:
         raise ValueError("encoder code length does not match the decoder")
     branches = _branches(encoders, dataset, config.lr)
+    groups = _attribute_groups(dataset.attributes)
     totals = {"image": 0.0, "attribute": 0.0}
     order = np.arange(len(dataset))
     for batch in _batch_slices(len(dataset), config.batch_size, order):
-        for modality, net, x, opt in branches:
-            acts, cache = net.forward_cache(x[batch])
+        first, counts = _distinct(groups[batch])
+        # the image branch takes every row, the attribute branch each
+        # distinct vector once, with its count
+        for (modality, net, x, opt), rows, weights in zip(
+                branches, (batch, batch[first]), ((), (counts,))):
+            acts, cache = net.forward_cache(x[rows])
             targets = decoder.decode_batch(
                 np.multiply(acts, config.kappa, dtype=np.float32))
-            loss, da = _code_loss_and_grad(acts, targets, config.gamma)
+            loss, da = _code_loss_and_grad(acts, targets, config.gamma, *weights)
             if not np.isfinite(loss):
                 raise TrainingFailureError(
                     f"non-finite refinement loss in stage 2 ({modality} branch)")
@@ -350,12 +391,14 @@ def _round_record(outer, encoders, dataset, config,
                   lc_image=float("nan"), lc_attr=float("nan")) -> RoundRecord:
     """A round's report line: the encoders' objective and training MAP, and
     the round's stage-2 losses (NaN for round 0).  The training images
-    are encoded once, for both."""
+    are encoded once, for both; the objective scores them against the
+    distinct attribute vectors, with their counts."""
     image_acts = encoders.encode_images(dataset.features)
+    first, counts = _distinct(_attribute_groups(dataset.attributes))
     j, (dll, quant, balance) = objective(
-        image_acts, encoders.encode_attributes(dataset.attributes),
-        similarity_matrix(dataset.attributes), config.distance_margin,
-        config.theta, config.lam)
+        image_acts, encoders.encode_attributes(dataset.attributes[first]),
+        similarity_matrix(dataset.attributes).take(first, axis=1),
+        config.distance_margin, config.theta, config.lam, counts=counts)
     return RoundRecord(outer, j, dll, quant, balance, lc_image, lc_attr,
                        training_map(encoders, dataset, image_acts=image_acts))
 

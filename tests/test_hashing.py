@@ -268,6 +268,75 @@ class TestObjectiveGrads:
         assert np.allclose(dq, 0.0)
 
 
+def expanded(q, s, counts, order):
+    """q and the columns of s with row j repeated counts[j] times, the
+    copies placed in `order`, and each expanded row's source row."""
+    source = np.repeat(np.arange(len(counts)), counts)[order]
+    return q[source], s[:, source], source
+
+
+class TestObjectiveCounts:
+    """counts=w stands row j of q for w[j] identical rows."""
+
+    def _batch(self, seed, n_p=9, counts=(1, 3, 2, 1, 4), c=12):
+        rng = np.random.default_rng(seed)
+        # tanh-range activations keep most pairs off the probability clamps
+        p = np.tanh(rng.normal(size=(n_p, c)))
+        q = np.tanh(rng.normal(size=(len(counts), c)))
+        s = rng.integers(0, 2, size=(n_p, len(counts)))
+        return p, q, s, np.array(counts)
+
+    def test_counts_of_ones_are_bit_identical_to_none(self):
+        p, q, s, _ = self._batch(31, counts=(1,) * 6)
+        args = (4.0, 0.7, 0.3)
+        ones = np.ones(len(q), dtype=np.int64)
+        assert repr(objective(p, q, s, *args, counts=ones)) == repr(
+            objective(p, q, s, *args))
+        got = objective_grads(p, q, s, *args, counts=ones)
+        want = objective_grads(p, q, s, *args)
+        for x, y in zip(got[:2], want[:2]):
+            assert x.tobytes() == y.tobytes()
+        assert repr(got[2:]) == repr(want[2:])
+
+    @pytest.mark.parametrize("seed", [32, 33, 34])
+    def test_repeats_match_the_expanded_call(self, seed):
+        """J, its parts and dP equal those of the expanded q within 1e-12
+        relative, and dQ[j] the sum of its copies' rows of the expanded
+        dQ, with the copies scattered through the expanded batch."""
+        p, q, s, counts = self._batch(seed)
+        args = (4.0, 0.7, 0.3)
+        order = np.random.default_rng(seed).permutation(counts.sum())
+        q_full, s_full, source = expanded(q, s, counts, order)
+        dp, dq, j, parts = objective_grads(p, q, s, *args, counts=counts)
+        dp_full, dq_full, j_full, parts_full = objective_grads(
+            p, q_full, s_full, *args)
+        assert j == pytest.approx(j_full, rel=1e-12)
+        assert parts == pytest.approx(parts_full, rel=1e-12)
+        assert objective(p, q, s, *args, counts=counts) == (j, parts)
+        assert relative_error(dp, dp_full) < 1e-12
+        group_sum = np.zeros_like(dq)
+        np.add.at(group_sum, source, dq_full)
+        assert relative_error(dq, group_sum) < 1e-12
+
+    @pytest.mark.parametrize("counts", [
+        np.ones((5, 1), dtype=np.int64),    # not 1-D
+        np.ones(4, dtype=np.int64),         # one short
+        np.ones(6, dtype=np.int64),         # one over
+        np.array([1, 2, 0, 1, 1]),          # zero
+        np.array([1, 2, -1, 1, 1]),         # negative
+        np.ones(5),                         # float
+        np.ones(5, dtype=bool),             # bool
+        np.int64(1),                        # 0-d
+    ], ids=["2d", "short", "long", "zero", "negative", "float", "bool",
+            "scalar"])
+    def test_bad_counts_rejected(self, counts):
+        p, q, s, _ = self._batch(35)
+        for fun in (objective, objective_grads):
+            with pytest.raises(ValueError, match="counts must be a 1-D array "
+                                                 "of 5 positive integers"):
+                fun(p, q, s, 4.0, 0.7, 0.3, counts=counts)
+
+
 class TestFullChainGradients:
     def _setup(self, seed=5):
         """float64 networks of Encoders.build's draws: a central difference
@@ -606,6 +675,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: encoder weights must be finite")):
             load_encoders(path)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("branch", ["image", "attribute"])
+    def test_save_refuses_non_finite_weights(self, tmp_path, branch, value):
+        """A non-finite weight, which load_encoders would refuse, is
+        refused before the file is opened."""
+        enc = Encoders.build(5, 4, 8, hidden=(6,), seed=1)
+        getattr(enc, branch).weights[-1][0, 0] = value
+        path = tmp_path / "enc.bin"
+        with pytest.raises(ValueError, match=f"encoder weights must be "
+                                             f"finite; the {branch} branch"):
+            save_encoders(enc, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("branch", ["image", "attribute"])
     def test_save_refuses_float64_weights(self, tmp_path, branch):

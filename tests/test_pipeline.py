@@ -1,3 +1,4 @@
+import copy
 from dataclasses import astuple
 
 import numpy as np
@@ -7,7 +8,8 @@ from codedhash import pipeline
 from codedhash.bp import TannerGraph
 from codedhash.data import SyntheticSpec, generate_synthetic, similarity_matrix
 from codedhash.gf2 import build_bch
-from codedhash.hashing import PROB_CLAMP, Encoders, gradients, match_probability
+from codedhash.hashing import (PROB_CLAMP, Encoders, gradients,
+                               match_probability, objective)
 from codedhash.neural_bp import NeuralBpDecoder, TrainingFailureError
 from codedhash.optim import Adam
 from codedhash.pipeline import (
@@ -310,7 +312,7 @@ class TestStage1a:
 
     def test_non_finite_objective_raises(self, monkeypatch):
         monkeypatch.setattr(pipeline, "objective_grads",
-                            lambda *args: (None, None, float("nan"), None))
+                            lambda *args, counts: (None, None, float("nan"), None))
         ds = small_dataset()
         enc = Encoders.build(ds.d_img, ds.d_attr, 31, hidden=(16,), seed=0)
         with pytest.raises(TrainingFailureError,
@@ -366,8 +368,12 @@ class TestStage1a:
     def test_matches_two_pass_reference_loop(self):
         """Bit-identical to a plain loop: per epoch, one image pass and one
         attribute pass over the same shuffled batches, each recomputing
-        the batch similarity and using the two-branch gradients."""
-        ds = small_dataset(seed=2)
+        the batch similarity and using the two-branch gradients.  No
+        attribute row repeats, so every batch runs on all its rows
+        (TestDistinctAttributeRows covers repeats)."""
+        ds = generate_synthetic(SyntheticSpec(
+            n_subjects=36, images_per_subject=1, d_attr=16, d_img=16, seed=2))
+        assert len(np.unique(ds.attributes, axis=0)) == len(ds)
         cfg = small_config(epochs_stage1a=2)
         enc = Encoders.build(ds.d_img, ds.d_attr, 31, hidden=(16,),
                              init_std=0.3, seed=8)
@@ -398,11 +404,14 @@ class TestStage1a:
 
     def test_matches_two_branch_loop_at_pipeline_sizes(self):
         """The criterion-7 shapes, with a short last batch: bit-identical to
-        two-branch gradients stepped by a one-line Adam update."""
+        two-branch gradients stepped by a one-line Adam update.  The 400
+        rows are 400 subjects of one image each, so no attribute row
+        repeats (TestDistinctAttributeRows covers repeats)."""
         ds = generate_synthetic(SyntheticSpec(
-            n_subjects=50, images_per_subject=8, d_attr=40, d_img=128, seed=3))
+            n_subjects=400, images_per_subject=1, d_attr=40, d_img=128, seed=3))
         cfg = TrainConfig(c=63, epochs_stage1a=1, batch_size=128)
         assert len(ds) % cfg.batch_size == 16
+        assert len(np.unique(ds.attributes, axis=0)) == len(ds)
         enc = Encoders.build(ds.d_img, ds.d_attr, 63, hidden=(512, 512),
                              init_std=0.1, seed=11)
         ref = Encoders.build(ds.d_img, ds.d_attr, 63, hidden=(512, 512),
@@ -500,7 +509,8 @@ class TestStage2:
     def test_decoder_input_is_float32_kappa_times_activations(self, monkeypatch):
         """Stage 2 decodes the float32 product kappa * a of its float32
         activations a, byte for byte, at a kappa (3) that is not a power
-        of two."""
+        of two: every row of the image batch, and each distinct attribute
+        vector of the batch once."""
         ds, _, enc, dec = self._setup()
         cfg = small_config(kappa=3.0)
         llrs, acts = [], []
@@ -510,14 +520,19 @@ class TestStage2:
             llrs.append(np.array(x, copy=True))
             return decode(x)
 
-        def record_acts(a, targets, gamma):
+        def record_acts(a, targets, gamma, *counts):
             acts.append(np.array(a, copy=True))
-            return code_loss(a, targets, gamma)
+            return code_loss(a, targets, gamma, *counts)
 
         monkeypatch.setattr(dec, "decode_batch", record_llrs)
         monkeypatch.setattr(pipeline, "_code_loss_and_grad", record_acts)
         stage2_refine(enc, dec, ds, cfg)
-        assert len(llrs) == len(acts) == 2 * -(-len(ds) // cfg.batch_size)
+        batches = [ds.attributes[start:start + cfg.batch_size]
+                   for start in range(0, len(ds), cfg.batch_size)]
+        assert len(llrs) == len(acts) == 2 * len(batches)
+        rows = [n for b in batches for n in (len(b), len(np.unique(b, axis=0)))]
+        assert [len(a) for a in acts] == rows
+        assert sum(rows[1::2]) < len(ds)  # the data repeats attribute rows
         for x, a in zip(llrs, acts):
             assert a.dtype == x.dtype == np.float32
             assert x.tobytes() == np.multiply(a, np.float32(3.0)).tobytes()
@@ -542,6 +557,156 @@ class TestStage2:
             TannerGraph(code.parity_check), iterations=2)
         with pytest.raises(ValueError):
             stage2_refine(enc, wrong, ds, cfg)
+
+
+def pipeline_sized():
+    """Criterion 7's training set: 50 subjects x 8 images, whose 400 rows
+    hold 50 distinct attribute vectors, with its encoders' 512-512 hidden
+    layers at the run's 0.1 init scale and 63-bit codes."""
+    ds = generate_synthetic(SyntheticSpec(
+        n_subjects=50, images_per_subject=8, d_attr=40, d_img=128, seed=3))
+    enc = Encoders.build(ds.d_img, ds.d_attr, 63, hidden=(512, 512),
+                         init_std=0.1, seed=11)
+    return ds, enc
+
+
+def copies(attributes):
+    """For each row of a batch's attributes, the index of its vector among
+    the batch's distinct vectors in order of first occurrence."""
+    _, first, inverse = np.unique(attributes, axis=0, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.reshape(-1)]
+
+
+class TestDistinctAttributeRows:
+    """Stages 1a and 2 run the attribute branch on each distinct attribute
+    vector of a batch once, with its count; at the pipeline's shapes that
+    agrees with running every row."""
+
+    # float32 networks on different row counts round differently; set
+    # from float32's epsilon, relative to each array's largest entry
+    TOL = 256 * np.finfo(np.float32).eps
+
+    def test_distinct_keeps_first_occurrence_order(self):
+        first, counts = pipeline._distinct(np.array([5, 2, 5, 7, 2, 5]))
+        assert first.tolist() == [0, 1, 3]
+        assert counts.tolist() == [3, 2, 1]
+        first, counts = pipeline._distinct(np.array([4, 0, 3]))
+        assert first.tolist() == [0, 1, 2] and counts.tolist() == [1, 1, 1]
+
+    def test_stage1a_runs_the_attribute_branch_on_distinct_rows(
+            self, monkeypatch):
+        """Both passes run the attribute branch (forward_cache, which the
+        frozen forward calls too) once per batch on its distinct vectors,
+        and the image branch on every row."""
+        ds = small_dataset(seed=2)
+        cfg = small_config(epochs_stage1a=2)
+        enc = Encoders.build(ds.d_img, ds.d_attr, 31, hidden=(16,), seed=8)
+        seen = {"image": [], "attribute": []}
+        layouts = []
+        objective_grads = pipeline.objective_grads
+
+        def spy_objective(p, q, s, *args, **kwargs):
+            layouts.append(s.flags.c_contiguous)
+            return objective_grads(p, q, s, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "objective_grads", spy_objective)
+        for name in seen:
+            net = getattr(enc, name)
+
+            def spy(x, forward=net.forward_cache, rows=seen[name]):
+                rows.append(np.array(x, copy=True))
+                return forward(x)
+
+            monkeypatch.setattr(net, "forward_cache", spy)
+        stage1a(enc, ds, cfg, seed=4)
+        n_batches = -(-len(ds) // cfg.batch_size)
+        calls = 2 * cfg.epochs_stage1a * n_batches
+        assert len(seen["image"]) == len(seen["attribute"]) == calls
+        assert [len(x) for x in seen["image"]].count(cfg.batch_size) == (
+            calls - 2 * cfg.epochs_stage1a)
+        for x in seen["attribute"]:
+            assert len(np.unique(x, axis=0)) == len(x)
+        # S's distinct columns stay in C order, as the batch S is
+        assert layouts == [True] * calls
+        assert sum(map(len, seen["attribute"])) < sum(map(len, seen["image"]))
+
+    def test_stage1a_steps_match_full_row_gradients(self, monkeypatch):
+        """The first step of each pass, taken on the batch's distinct
+        attribute rows, equals hashing.gradients on all 128 rows at the
+        encoders the step saw: the attribute branch's backward of the
+        count-summed dQ is the sum over every copy's."""
+        ds, enc = pipeline_sized()
+        cfg = TrainConfig(c=63, epochs_stage1a=1, batch_size=128)
+        firsts = []  # (encoders before the step, its gradients) per pass
+        step = Adam.step
+
+        def spy(self, params, grads):
+            if self.t == 0:
+                firsts.append((copy.deepcopy(enc), [g.copy() for g in grads]))
+            step(self, params, grads)
+
+        monkeypatch.setattr(Adam, "step", spy)
+        stage1a(enc, ds, cfg, seed=4)
+        batch = np.random.default_rng(4).permutation(len(ds))[:cfg.batch_size]
+        assert len(np.unique(ds.attributes[batch], axis=0)) < 60
+        s = similarity_matrix(ds.attributes[batch])
+        args = (cfg.distance_margin, cfg.theta, cfg.lam)
+        assert len(firsts) == 2
+        for which, (state, got) in enumerate(firsts):
+            want = gradients(state, ds.features[batch],
+                             ds.attributes[batch].astype(np.float64), s,
+                             *args)[which]
+            assert len(got) == len(want) == 6
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.float32
+                scale = float(np.abs(w).max())
+                assert scale > 0
+                assert np.abs(g - w).max() <= self.TOL * scale
+
+    def test_stage2_copies_share_one_target_and_the_expanded_loss(
+            self, monkeypatch):
+        """Each attribute batch is decoded once per distinct vector, so
+        every copy of a vector gets that vector's target; the weighted
+        loss equals the loss over every row within 1e-12, its gradient the
+        sum of the copies' gradients, and the returned mean is per
+        sample."""
+        ds, enc = pipeline_sized()
+        cfg = TrainConfig(c=63, batch_size=128)
+        _, dec = stage1b(cfg, decoder_epochs=0)
+        calls = []
+        code_loss = pipeline._code_loss_and_grad
+
+        def record(a, targets, gamma, *counts):
+            loss, da = code_loss(a, targets, gamma, *counts)
+            if counts:
+                calls.append((np.array(a, copy=True), targets.copy(),
+                              counts[0].copy(), loss, da))
+            return loss, da
+
+        monkeypatch.setattr(pipeline, "_code_loss_and_grad", record)
+        _, lc_attr = stage2_refine(enc, dec, ds, cfg)
+        starts = range(0, len(ds), cfg.batch_size)
+        assert len(calls) == len(starts)
+        total = 0.0
+        for start, (a, targets, counts, loss, da) in zip(starts, calls):
+            attrs = ds.attributes[start:start + cfg.batch_size]
+            copy_of = copies(attrs)
+            assert counts.tolist() == np.bincount(copy_of).tolist()
+            assert len(a) == len(counts) < len(attrs)
+            # a copy decoded on its own gets its vector's target
+            full_targets = dec.decode_batch(
+                np.multiply(a[copy_of], cfg.kappa, dtype=np.float32))
+            assert np.array_equal(full_targets, targets[copy_of])
+            want, want_da = code_loss(a[copy_of], full_targets, cfg.gamma)
+            assert loss == pytest.approx(want, rel=1e-12)
+            group_sum = np.zeros_like(da)
+            np.add.at(group_sum, copy_of, want_da)
+            assert np.abs(da - group_sum).max() <= 1e-12 * np.abs(da).max()
+            total += want * len(attrs)
+        assert lc_attr == pytest.approx(total / len(ds), rel=1e-12)
 
 
 class TestTrainPipeline:
@@ -589,6 +754,53 @@ class TestTrainPipeline:
         assert len(calls) == 1
         monkeypatch.undo()
         assert record.train_map == training_map(encoders, ds)
+
+    def test_round_record_scores_the_expanded_objective(self):
+        """A round's objective, taken on the distinct attribute vectors
+        with their counts, is that of every training row's vector within
+        1e-12."""
+        ds = small_dataset(seed=2)
+        cfg = small_config()
+        encoders = pipeline.initial_encoders(ds, cfg)
+        record = pipeline._round_record(0, encoders, ds, cfg)
+        copy_of = copies(ds.attributes)
+        assert copy_of.max() + 1 < len(ds)  # the data repeats attribute rows
+        _, first = np.unique(copy_of, return_index=True)
+        q = encoders.encode_attributes(ds.attributes[first])
+        j, parts = objective(encoders.encode_images(ds.features), q[copy_of],
+                             similarity_matrix(ds.attributes),
+                             cfg.distance_margin, cfg.theta, cfg.lam)
+        assert record.j == pytest.approx(j, rel=1e-12)
+        got = (record.dll, record.quant, record.balance)
+        assert got == pytest.approx(parts, rel=1e-12)
+
+    def test_round_record_without_repeats_is_the_plain_objective(
+            self, monkeypatch):
+        """With no repeated attribute row, a round's objective is the
+        plain call on every row, bit for bit, with S in C order as
+        similarity_matrix gives it (an F-ordered S sums its loss matrix in
+        another order)."""
+        ds = generate_synthetic(SyntheticSpec(
+            n_subjects=400, images_per_subject=1, d_attr=40, d_img=16, seed=3))
+        assert len(np.unique(ds.attributes, axis=0)) == len(ds)
+        cfg = small_config()
+        encoders = Encoders.build(ds.d_img, ds.d_attr, 31, hidden=(16,),
+                                  init_std=0.3, seed=5)
+        layouts = []
+
+        def spy(p, q, s, *args, **kwargs):
+            layouts.append(s.flags.c_contiguous)
+            return objective(p, q, s, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "objective", spy)
+        record = pipeline._round_record(0, encoders, ds, cfg)
+        assert layouts == [True]
+        want = objective(encoders.encode_images(ds.features),
+                         encoders.encode_attributes(ds.attributes),
+                         similarity_matrix(ds.attributes),
+                         cfg.distance_margin, cfg.theta, cfg.lam)
+        got = (record.j, (record.dll, record.quant, record.balance))
+        assert repr(got) == repr(want)
 
     def test_deterministic_runs(self):
         (a, _), (b, _) = self._run(), self._run()
