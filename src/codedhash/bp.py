@@ -46,7 +46,6 @@ class TannerGraph:
     """Bipartite factor graph of a parity-check matrix.
 
     Attributes:
-        h: the (n_check, n_var) parity-check matrix.
         n_var, n_check, num_edges: sizes.
         edge_var: each edge's variable.
         var_offsets: v owns edges var_offsets[v] to var_offsets[v + 1] - 1.
@@ -64,7 +63,6 @@ class TannerGraph:
             raise ValueError("degenerate graph: all-zero parity-check row")
         if (h.sum(axis=0) == 0).any():
             raise ValueError("degenerate graph: all-zero parity-check column")
-        self.h = h
         self.n_check, self.n_var = h.shape
 
         vs, cs = np.nonzero(h.T)  # (v, c) lexicographic order

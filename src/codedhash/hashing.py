@@ -252,9 +252,11 @@ def _pair_distances(p, q):
 
 
 def _check_batch(p, q, s, counts):
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
+    # C order fixes the order in which the reductions add, so the value
+    # does not depend on the inputs' memory layout
+    p = np.asarray(p, dtype=np.float64, order="C")
+    q = np.asarray(q, dtype=np.float64, order="C")
+    s = np.asarray(s, dtype=np.float64, order="C")
     if p.ndim != 2 or q.ndim != 2 or p.shape[1] != q.shape[1]:
         raise ValueError("activation matrices must be (n, c) with equal c")
     if s.shape != (p.shape[0], q.shape[0]):

@@ -10,10 +10,6 @@ BETA1 = 0.9     # first-moment decay
 BETA2 = 0.999   # second-moment decay
 EPS = 1e-8      # stability constant
 
-# entries per scratch vector: a step updates each parameter in consecutive
-# views of at most this many entries, the pieces of the shared walker
-_BLOCK = PIECE
-
 
 class Adam:
     """Adam with bias correction; parameters are updated in place.
@@ -36,7 +32,7 @@ class Adam:
         if len(dtypes) > 1:
             raise ValueError(f"parameters must share one dtype, got "
                              f"{', '.join(dtypes)}")
-        size = min(_BLOCK, max((m.size for m in self.m), default=0))
+        size = min(PIECE, max((m.size for m in self.m), default=0))
         dtype = self.m[0].dtype if self.m else None  # no parameters: any
         self._a, self._b = np.empty(size, dtype), np.empty(size, dtype)
 
@@ -46,10 +42,11 @@ class Adam:
         Evaluates ``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)`` one
         operation at a time in that order, so the result is bit-identical
         to the one-line form.  Each parameter is updated in consecutive
-        views of at most _BLOCK entries through the optimizer's two scratch
-        vectors, so a step allocates no array.  A parameter or gradient
-        whose dtype is not the moments' is rejected, as numpy would cast it
-        through hidden buffers.
+        views of at most _checks.PIECE entries, the pieces of the shared
+        walker, through the optimizer's two scratch vectors, so a step
+        allocates no array.  A parameter or gradient whose dtype is not
+        the moments' is rejected, as numpy would cast it through hidden
+        buffers.
         """
         if len(params) != len(self.m) or len(grads) != len(self.m):
             raise ValueError(f"expected {len(self.m)} parameters and "
@@ -68,7 +65,7 @@ class Adam:
         b1c = 1.0 - BETA1 ** self.t
         b2c = 1.0 - BETA2 ** self.t
         for p_all, g_all, m_all, v_all in zip(params, grads, self.m, self.v):
-            for idx in row_blocks(m_all.shape, _BLOCK):
+            for idx in row_blocks(m_all.shape, PIECE):
                 p, g, m, v = p_all[idx], g_all[idx], m_all[idx], v_all[idx]
                 a = self._a[:m.size].reshape(m.shape)
                 b = self._b[:m.size].reshape(m.shape)

@@ -180,23 +180,32 @@ def _run_seeds(config: TrainConfig):
     return seeds[0], seeds[1], seeds[2:]
 
 
-def _batch_slices(n_items: int, batch_size: int, order):
-    for start in range(0, n_items, batch_size):
-        yield order[start:start + batch_size]
+def _batch_source(attributes):
+    """A function of (order, batch_size) yielding, per mini-batch of
+    `order`, its (image rows, attribute rows, S, counts).
 
+    The attribute rows are the batch's distinct attribute vectors, each
+    by its first row in the batch and in order of first occurrence, and
+    counts[k] is the number of the batch's rows with vector k; a batch
+    with no repeated vector gives its own rows and counts of one.  S is
+    the batch similarity's columns of the attribute rows, gathered from
+    one similarity table of the data's distinct vectors built here, so a
+    stage groups its rows and computes similarities once per call."""
+    vectors, groups = np.unique(attributes, axis=0, return_inverse=True)
+    groups = groups.reshape(-1)
+    table = similarity_matrix(vectors)
 
-def _attribute_groups(attributes) -> np.ndarray:
-    """Each row's group id; rows with equal attribute vectors share one."""
-    return np.unique(attributes, axis=0, return_inverse=True)[1].reshape(-1)
-
-
-def _distinct(groups):
-    """(position of each group's first row, the group's row count) over an
-    array of group ids, with groups in order of first occurrence; ids that
-    are all distinct give (0, 1, ..., n - 1) and counts of one."""
-    _, first, counts = np.unique(groups, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return first[order], counts[order]
+    def batches(order, batch_size):
+        for start in range(0, len(order), batch_size):
+            rows = order[start:start + batch_size]
+            _, first, counts = np.unique(groups[rows], return_index=True,
+                                         return_counts=True)
+            by_first = np.argsort(first)
+            attribute_rows = rows[first[by_first]]
+            yield (rows, attribute_rows,
+                   table[np.ix_(groups[rows], groups[attribute_rows])],
+                   counts[by_first])
+    return batches
 
 
 def _branches(encoders: Encoders, dataset: Dataset, lr: float):
@@ -223,31 +232,21 @@ def stage1a(encoders: Encoders, dataset: Dataset, config: TrainConfig,
     backpropagates only the branch it updates; the frozen branch is run
     forward without a cache.  Encoders are updated in place.
 
-    The attribute side of a batch is its distinct attribute vectors, in
-    order of first occurrence: the attribute branch runs on those rows
-    only, and the objective sees their columns of the batch similarity
-    with their counts, which gives the gradients of the full batch.  A
-    batch with no repeated vector trains as it would on every row.
+    The attribute side of a batch is its distinct attribute vectors (see
+    _batch_source): the attribute branch runs on those rows only, and the
+    objective sees their columns of the batch similarity with their
+    counts, which gives the gradients of the full batch.  A batch with no
+    repeated vector trains as it would on every row.
     """
     rng = np.random.default_rng(seed)
     branches = _branches(encoders, dataset, config.lr)
     args = (config.distance_margin, config.theta, config.lam)
-    groups = _attribute_groups(dataset.attributes)
+    batches = _batch_source(dataset.attributes)
     for _ in range(config.epochs_stage1a):
-        order = rng.permutation(len(dataset))
-        batches = []
-        for batch in _batch_slices(len(dataset), config.batch_size, order):
-            first, counts = _distinct(groups[batch])
-            # (image rows, attribute rows), S's columns of the attribute
-            # rows.  take keeps S in C order, where S[:, first] would be an
-            # F-ordered copy whose loss matrix sums in another order
-            batches.append(((batch, batch[first]),
-                            similarity_matrix(dataset.attributes[batch]).take(
-                                first, axis=1),
-                            counts))
+        epoch = list(batches(rng.permutation(len(dataset)), config.batch_size))
         for which, (modality, net, x, opt) in enumerate(branches):
             _, frozen, x_frozen, _ = branches[1 - which]
-            for rows, s, counts in batches:
+            for *rows, s, counts in epoch:
                 acts, cache = net.forward_cache(x[rows[which]])
                 held = frozen.forward(x_frozen[rows[1 - which]])
                 p, q = (acts, held) if which == 0 else (held, acts)
@@ -290,15 +289,14 @@ def stage1b(config: TrainConfig, decoder_epochs: int):
     return code, net
 
 
-def _code_loss_and_grad(activations, target_bits, gamma, counts=None):
+def _code_loss_and_grad(activations, target_bits, gamma, counts):
     """gamma-scaled bitwise cross-entropy pulling activations toward the
-    sign pattern of target bits, as a mean per sample, with its float64
-    gradient in the activations, which are cast to float64 first.  With
-    `counts`, row i stands for counts[i] identical samples: the loss is
-    their mean and row i's gradient the sum of theirs."""
+    sign pattern of target bits, with its float64 gradient in the
+    activations, which are cast to float64 first.  Row i stands for
+    counts[i] identical samples: the loss is the mean over all of them
+    and row i's gradient the sum of its samples'."""
     a = np.asarray(activations, dtype=np.float64)
-    w = (np.ones(a.shape[0]) if counts is None
-         else np.asarray(counts, dtype=np.float64))[:, None]
+    w = np.asarray(counts, dtype=np.float64)[:, None]
     n = float(w.sum())
     p_one = (1.0 - a) / 2.0
     clamped = np.clip(p_one, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -319,31 +317,30 @@ def stage2_refine(encoders: Encoders, decoder: NeuralBpDecoder,
     hard-decision bits (usually not a codeword), then update that
     modality's encoder on the cross-entropy between its activations and
     the frozen targets.  The decoder computes in the LLRs' float32 and is
-    never modified.  The attribute branch decodes and backpropagates each
-    distinct attribute vector of a batch once, with its loss and gradient
-    weighted by the vector's count, so every copy of a vector has the
-    same target.  Returns the mean per-sample loss for each modality.
+    never modified.  The image branch takes every row of a batch with a
+    count of one; the attribute branch decodes and backpropagates each
+    distinct attribute vector of the batch once (see _batch_source), with
+    its loss and gradient weighted by the vector's count, so every copy of
+    a vector has the same target.  Returns the mean per-sample loss for
+    each modality.
     """
     if encoders.code_length != decoder.graph.n_var:
         raise ValueError("encoder code length does not match the decoder")
     branches = _branches(encoders, dataset, config.lr)
-    groups = _attribute_groups(dataset.attributes)
     totals = {"image": 0.0, "attribute": 0.0}
-    order = np.arange(len(dataset))
-    for batch in _batch_slices(len(dataset), config.batch_size, order):
-        first, counts = _distinct(groups[batch])
-        # the image branch takes every row, the attribute branch each
-        # distinct vector once, with its count
-        for (modality, net, x, opt), rows, weights in zip(
-                branches, (batch, batch[first]), ((), (counts,))):
-            acts, cache = net.forward_cache(x[rows])
+    batches = _batch_source(dataset.attributes)
+    for rows, attribute_rows, _, counts in batches(np.arange(len(dataset)),
+                                                   config.batch_size):
+        for (modality, net, x, opt), taken, weights in zip(
+                branches, (rows, attribute_rows), (np.ones_like(rows), counts)):
+            acts, cache = net.forward_cache(x[taken])
             targets = decoder.decode_batch(
                 np.multiply(acts, config.kappa, dtype=np.float32))
-            loss, da = _code_loss_and_grad(acts, targets, config.gamma, *weights)
+            loss, da = _code_loss_and_grad(acts, targets, config.gamma, weights)
             if not np.isfinite(loss):
                 raise TrainingFailureError(
                     f"non-finite refinement loss in stage 2 ({modality} branch)")
-            totals[modality] += loss * len(batch)
+            totals[modality] += loss * len(rows)
             opt.step(net.parameters(), net.backward(cache, da))
     n = len(dataset)
     return totals["image"] / n, totals["attribute"] / n
@@ -392,13 +389,15 @@ def _round_record(outer, encoders, dataset, config,
     """A round's report line: the encoders' objective and training MAP, and
     the round's stage-2 losses (NaN for round 0).  The training images
     are encoded once, for both; the objective scores them against the
-    distinct attribute vectors, with their counts."""
+    distinct attribute vectors of one batch of every row, with their
+    counts (see _batch_source)."""
     image_acts = encoders.encode_images(dataset.features)
-    first, counts = _distinct(_attribute_groups(dataset.attributes))
+    _, attribute_rows, s, counts = next(_batch_source(dataset.attributes)(
+        np.arange(len(dataset)), len(dataset)))
+    q = encoders.encode_attributes(dataset.attributes[attribute_rows])
     j, (dll, quant, balance) = objective(
-        image_acts, encoders.encode_attributes(dataset.attributes[first]),
-        similarity_matrix(dataset.attributes).take(first, axis=1),
-        config.distance_margin, config.theta, config.lam, counts=counts)
+        image_acts, q, s, config.distance_margin, config.theta, config.lam,
+        counts=counts)
     return RoundRecord(outer, j, dll, quant, balance, lc_image, lc_attr,
                        training_map(encoders, dataset, image_acts=image_acts))
 

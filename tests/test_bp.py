@@ -82,10 +82,10 @@ def pipeline_code(c=None):
     return pipeline.select_code(config.margin, config.c if c is None else c)
 
 
-def edge_checks(graph):
-    """Each edge's check, rebuilt from h: edges are in (variable, check)
-    lexicographic order."""
-    return np.nonzero(graph.h.T)[1]
+def edge_checks(h):
+    """Each edge's check in the graph built from parity-check matrix h:
+    edges are in (variable, check) lexicographic order."""
+    return np.nonzero(h.T)[1]
 
 
 def check_rows(graph):
@@ -109,11 +109,11 @@ class TestTannerGraph:
 
     def test_adjacency_sorted_and_consistent(self):
         graph = TannerGraph(H_APPENDIX)
-        checks = edge_checks(graph)
+        checks = edge_checks(H_APPENDIX)
         for v in range(graph.n_var):
             row = np.arange(graph.var_offsets[v], graph.var_offsets[v + 1])
             np.testing.assert_array_equal(graph.edge_var[row], v)
-            np.testing.assert_array_equal(checks[row], np.nonzero(graph.h[:, v])[0])
+            np.testing.assert_array_equal(checks[row], np.nonzero(H_APPENDIX[:, v])[0])
             # left-aligned: the edges fill mask slots 0 .. degree - 1
             np.testing.assert_array_equal(np.flatnonzero(graph.var_pad_mask[v]),
                                           np.arange(len(row)))
@@ -124,12 +124,12 @@ class TestTannerGraph:
             assert (np.diff(row) > 0).all()
             np.testing.assert_array_equal(checks[row], c)
             np.testing.assert_array_equal(graph.edge_var[row],
-                                          np.nonzero(graph.h[c])[0])
+                                          np.nonzero(H_APPENDIX[c])[0])
 
     def test_edge_index_is_a_bijection(self):
         graph = TannerGraph(H_APPENDIX)
         # (variable, check) lexicographic order, derived from h alone
-        edges = sorted(zip(*np.nonzero(graph.h.T)))
+        edges = sorted(zip(*np.nonzero(H_APPENDIX.T)))
         assert graph.num_edges == len(edges)
         for e, (v, c) in enumerate(edges):
             assert (graph.edge_var[e], graph.check_slot[e] % graph.n_check) == (v, c)
@@ -170,7 +170,7 @@ class TestKernels:
         rng = np.random.default_rng(42)
         values = rng.uniform(-0.9, 0.9, size=(graph.num_edges, 3))
         got = check_products_except_self(values, graph)
-        checks = edge_checks(graph)
+        checks = edge_checks(H_APPENDIX)
         for e in range(graph.num_edges):
             sibs = [f for f in range(graph.num_edges)
                     if checks[f] == checks[e] and f != e]
@@ -178,11 +178,11 @@ class TestKernels:
             np.testing.assert_allclose(got[e], expected, rtol=1e-12)
 
 
-def reference_check_table(graph):
+def reference_check_table(h):
     """(edge ids, mask), both (n_check, dc_max), rebuilt from h: row c
     lists the edges of check c ascending and left-aligned."""
-    checks = edge_checks(graph)
-    deg = np.bincount(checks, minlength=graph.n_check)
+    checks = edge_checks(h)
+    deg = np.bincount(checks, minlength=len(h))
     mask = np.arange(deg.max()) < deg[:, None]
     edge = np.zeros(mask.shape, dtype=np.int64)
     edge[mask] = np.argsort(checks, kind="stable")
@@ -199,18 +199,18 @@ def reference_prefix_suffix(values, edge, mask):
     return pad, pre, suf
 
 
-def reference_products(values, graph):
+def reference_products(values, h):
     """Oracle: the check-major cumprod kernel with boolean-mask gathers."""
-    edge, mask = reference_check_table(graph)
+    edge, mask = reference_check_table(h)
     _, pre, suf = reference_prefix_suffix(values, edge, mask)
     out = np.empty_like(values)
     out[edge[mask]] = (pre * suf)[mask]
     return out
 
 
-def reference_backward(values, grads, graph):
+def reference_backward(values, grads, h):
     """Oracle: the matching reverse-mode step, in the same operation order."""
-    edge, mask = reference_check_table(graph)
+    edge, mask = reference_check_table(h)
     a, pre, suf = reference_prefix_suffix(values, edge, mask)
     gathered = edge[mask]
     gpad = np.zeros_like(a)
@@ -251,10 +251,10 @@ class TestCheckKernelOracle:
         graph = TannerGraph(code.parity_check)
         values, grads = kernel_inputs(graph, batch, np.random.default_rng(batch))
         assert np.array_equal(check_products_except_self(values, graph),
-                              reference_products(values, graph))
+                              reference_products(values, code.parity_check))
         assert np.array_equal(
             check_products_except_self_backward(values, grads, graph),
-            reference_backward(values, grads, graph))
+            reference_backward(values, grads, code.parity_check))
 
     @PIPELINE_GRAPHS
     def test_shared_workspace_across_shrinking_batches(self, code):
@@ -269,8 +269,8 @@ class TestCheckKernelOracle:
             fwd = check_products_except_self(values, graph, _workspace=ws)
             bwd = check_products_except_self_backward(values, grads, graph,
                                                       _workspace=ws)
-            want_fwd = reference_products(values, graph)
-            want_bwd = reference_backward(values, grads, graph)
+            want_fwd = reference_products(values, code.parity_check)
+            want_bwd = reference_backward(values, grads, code.parity_check)
             assert np.array_equal(fwd, want_fwd)
             assert np.array_equal(bwd, want_bwd)
             kept.append((fwd, bwd, want_fwd, want_bwd))

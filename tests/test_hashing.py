@@ -267,6 +267,27 @@ class TestObjectiveGrads:
         assert np.allclose(dp, 0.0)
         assert np.allclose(dq, 0.0)
 
+    @pytest.mark.parametrize("which", ["p", "q", "s"])
+    def test_memory_layout_does_not_change_the_bits(self, which):
+        """An F-ordered copy of one input gives the bits of the C-ordered
+        call, in J, its parts and both gradients, at the shapes of a round
+        record on 400 distinct attribute vectors."""
+        rng = np.random.default_rng(2)
+        batch = {"p": np.tanh(rng.normal(size=(400, 63))),
+                 "q": np.tanh(rng.normal(size=(400, 63))),
+                 "s": rng.integers(0, 2, size=(400, 400)).astype(np.uint8)}
+        counts = rng.integers(1, 12, size=400)
+        args = (24.0, 1.0, 1.0)
+        want = objective_grads(*batch.values(), *args, counts=counts)
+        batch[which] = np.asfortranarray(batch[which])
+        assert not batch[which].flags.c_contiguous
+        got = objective_grads(*batch.values(), *args, counts=counts)
+        for x, y in zip(got[:2], want[:2]):
+            assert x.tobytes() == y.tobytes()
+        assert repr(got[2:]) == repr(want[2:])
+        assert repr(objective(*batch.values(), *args, counts=counts)) == repr(
+            want[2:])
+
 
 def expanded(q, s, counts, order):
     """q and the columns of s with row j repeated counts[j] times, the

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from codedhash import optim
+from codedhash._checks import PIECE
 from codedhash.hashing import Encoders
 from codedhash.optim import Adam
 
@@ -102,7 +102,7 @@ class TestOracle:
         """Parameters of several blocks: runs of rows, rows longer than a
         block, and a 1-D parameter, each updated in place."""
         rng = np.random.default_rng(4)
-        block = optim._BLOCK
+        block = PIECE
         shapes = [(3 * block // 100 + 7, 100), (3, 2 * block + 5),
                   (2 * block + 9,)]
         if layout == "contiguous":

@@ -254,11 +254,16 @@ class TestDecodeTargets:
         assert np.array_equal(both[:5], both[5:])
 
 
+def code_loss(acts, bits, gamma):
+    """The refinement loss with every row standing for one sample."""
+    return _code_loss_and_grad(acts, bits, gamma, np.ones(len(acts), int))
+
+
 class TestCodeLoss:
     def test_exact_codeword_pattern_floor(self):
         bits = np.array([[0, 1, 1, 0]])
         acts = 1.0 - 2.0 * bits.astype(np.float64)
-        loss, grad = _code_loss_and_grad(acts, bits, gamma=1.0)
+        loss, grad = code_loss(acts, bits, gamma=1.0)
         assert loss < 1e-10
         assert np.array_equal(grad, np.zeros_like(grad))
 
@@ -269,12 +274,12 @@ class TestCodeLoss:
         bits = rng.integers(0, 2, size=acts.shape)
         p = np.clip((1.0 - acts) / 2.0, PROB_CLAMP, 1.0 - PROB_CLAMP)
         ce = -(bits * np.log(p) + (1.0 - bits) * np.log(1.0 - p))
-        loss, _ = _code_loss_and_grad(acts, bits, gamma=1.7)
+        loss, _ = code_loss(acts, bits, gamma=1.7)
         assert loss == 1.7 * float(ce.sum()) / 400
 
     def test_gamma_zero(self):
         acts = np.array([[0.3, -0.4]])
-        loss, grad = _code_loss_and_grad(acts, np.array([[1, 0]]), gamma=0.0)
+        loss, grad = code_loss(acts, np.array([[1, 0]]), gamma=0.0)
         assert loss == 0.0
         assert not grad.any()
 
@@ -282,22 +287,21 @@ class TestCodeLoss:
         rng = np.random.default_rng(3)
         acts = rng.uniform(-0.9, 0.9, size=(4, 6))
         bits = rng.integers(0, 2, size=(4, 6))
-        _, grad = _code_loss_and_grad(acts, bits, gamma=1.3)
+        _, grad = code_loss(acts, bits, gamma=1.3)
         h = 1e-6
         fd = np.zeros_like(acts)
         for idx in np.ndindex(acts.shape):
             a = acts.copy()
             a[idx] += h
-            hi, _ = _code_loss_and_grad(a, bits, 1.3)
+            hi, _ = code_loss(a, bits, 1.3)
             a[idx] -= 2 * h
-            lo, _ = _code_loss_and_grad(a, bits, 1.3)
+            lo, _ = code_loss(a, bits, 1.3)
             fd[idx] = (hi - lo) / (2 * h)
         assert np.abs(grad - fd).max() < 1e-6
 
     def test_gradient_direction(self):
         # target bit 1 wants the activation pushed toward -1
-        loss, grad = _code_loss_and_grad(np.array([[0.5]]), np.array([[1]]),
-                                         gamma=1.0)
+        loss, grad = code_loss(np.array([[0.5]]), np.array([[1]]), gamma=1.0)
         assert loss > 0
         assert grad[0, 0] > 0
 
@@ -514,15 +518,15 @@ class TestStage2:
         ds, _, enc, dec = self._setup()
         cfg = small_config(kappa=3.0)
         llrs, acts = [], []
-        decode, code_loss = dec.decode_batch, pipeline._code_loss_and_grad
+        decode, weighted_loss = dec.decode_batch, pipeline._code_loss_and_grad
 
         def record_llrs(x):
             llrs.append(np.array(x, copy=True))
             return decode(x)
 
-        def record_acts(a, targets, gamma, *counts):
+        def record_acts(a, targets, gamma, counts):
             acts.append(np.array(a, copy=True))
-            return code_loss(a, targets, gamma, *counts)
+            return weighted_loss(a, targets, gamma, counts)
 
         monkeypatch.setattr(dec, "decode_batch", record_llrs)
         monkeypatch.setattr(pipeline, "_code_loss_and_grad", record_acts)
@@ -540,7 +544,8 @@ class TestStage2:
     def test_non_finite_loss_raises(self, monkeypatch):
         ds, cfg, enc, dec = self._setup(train_epochs=0)
         monkeypatch.setattr(pipeline, "_code_loss_and_grad",
-                            lambda acts, targets, gamma: (float("nan"), None))
+                            lambda acts, targets, gamma, counts: (
+                                float("nan"), None))
         with pytest.raises(TrainingFailureError,
                            match=r"loss in stage 2 \(image branch\)"):
             stage2_refine(enc, dec, ds, cfg)
@@ -589,12 +594,63 @@ class TestDistinctAttributeRows:
     # from float32's epsilon, relative to each array's largest entry
     TOL = 256 * np.finfo(np.float32).eps
 
-    def test_distinct_keeps_first_occurrence_order(self):
-        first, counts = pipeline._distinct(np.array([5, 2, 5, 7, 2, 5]))
-        assert first.tolist() == [0, 1, 3]
-        assert counts.tolist() == [3, 2, 1]
-        first, counts = pipeline._distinct(np.array([4, 0, 3]))
-        assert first.tolist() == [0, 1, 2] and counts.tolist() == [1, 1, 1]
+    def test_batch_source_keeps_first_occurrence_order(self):
+        """Rows 0, 2 and 5 share vector A and rows 1 and 4 vector B.  A
+        batch's attribute rows are each vector's first row in it, in order
+        of first occurrence (not np.unique's sorted order, which puts D,
+        B, A, C), with the vector's count, and S is the batch similarity's
+        columns of those rows, in C order."""
+        attributes = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1], [1, 1, 1],
+                               [0, 1, 0], [1, 0, 1], [0, 0, 1]], np.uint8)
+        batches = pipeline._batch_source(attributes)
+        order = np.array([2, 4, 0, 6, 1, 5, 3])  # A B A D B A C
+        want = {7: [([2, 4, 6, 3], [3, 2, 1, 1])],
+                4: [([2, 4, 6], [2, 1, 1]), ([1, 5, 3], [1, 1, 1])]}
+        for batch_size, expected in want.items():
+            got = list(batches(order, batch_size))
+            assert len(got) == len(expected)
+            starts = range(0, len(order), batch_size)
+            for start, (rows, attribute_rows, s, counts), (first_rows, n) in (
+                    zip(starts, got, expected)):
+                assert rows.tolist() == order[start:start + batch_size].tolist()
+                assert attribute_rows.tolist() == first_rows
+                assert counts.tolist() == n
+                first = [rows.tolist().index(r) for r in first_rows]
+                assert np.array_equal(
+                    s, similarity_matrix(attributes[rows])[:, first])
+                assert s.flags.c_contiguous
+
+    def test_batch_source_without_repeats_takes_every_row(self):
+        """With no repeated attribute vector, every batch's attribute rows
+        are its rows, each with a count of one, and S is the batch
+        similarity itself."""
+        ds = generate_synthetic(SyntheticSpec(
+            n_subjects=36, images_per_subject=1, d_attr=16, d_img=16, seed=2))
+        assert len(np.unique(ds.attributes, axis=0)) == len(ds)
+        order = np.random.default_rng(1).permutation(len(ds))
+        got = list(pipeline._batch_source(ds.attributes)(order, 16))
+        assert len(got) == 3
+        for rows, attribute_rows, s, counts in got:
+            assert np.array_equal(attribute_rows, rows)
+            assert (counts == 1).all()
+            assert s.tobytes() == similarity_matrix(ds.attributes[rows]).tobytes()
+
+    def test_stage1a_computes_similarities_once_per_call(self, monkeypatch):
+        """Stage 1a builds one similarity table per call, whatever its
+        epochs and batches, and gathers each batch's S from it."""
+        ds = small_dataset(seed=2)
+        cfg = small_config(epochs_stage1a=3)
+        assert len(ds) > 2 * cfg.batch_size
+        enc = Encoders.build(ds.d_img, ds.d_attr, 31, hidden=(16,), seed=8)
+        calls = []
+
+        def spy(attributes):
+            calls.append(len(attributes))
+            return similarity_matrix(attributes)
+
+        monkeypatch.setattr(pipeline, "similarity_matrix", spy)
+        stage1a(enc, ds, cfg, seed=4)
+        assert calls == [len(np.unique(ds.attributes, axis=0))]
 
     def test_stage1a_runs_the_attribute_branch_on_distinct_rows(
             self, monkeypatch):
@@ -677,19 +733,21 @@ class TestDistinctAttributeRows:
         cfg = TrainConfig(c=63, batch_size=128)
         _, dec = stage1b(cfg, decoder_epochs=0)
         calls = []
-        code_loss = pipeline._code_loss_and_grad
+        weighted_loss = pipeline._code_loss_and_grad
 
-        def record(a, targets, gamma, *counts):
-            loss, da = code_loss(a, targets, gamma, *counts)
-            if counts:
-                calls.append((np.array(a, copy=True), targets.copy(),
-                              counts[0].copy(), loss, da))
+        def record(a, targets, gamma, counts):
+            loss, da = weighted_loss(a, targets, gamma, counts)
+            calls.append((np.array(a, copy=True), targets.copy(),
+                          counts.copy(), loss, da))
             return loss, da
 
         monkeypatch.setattr(pipeline, "_code_loss_and_grad", record)
         _, lc_attr = stage2_refine(enc, dec, ds, cfg)
         starts = range(0, len(ds), cfg.batch_size)
-        assert len(calls) == len(starts)
+        assert len(calls) == 2 * len(starts)
+        # each batch's image call takes its rows with counts of one
+        assert all((counts == 1).all() for _, _, counts, _, _ in calls[::2])
+        calls = calls[1::2]
         total = 0.0
         for start, (a, targets, counts, loss, da) in zip(starts, calls):
             attrs = ds.attributes[start:start + cfg.batch_size]
