@@ -5,6 +5,10 @@ and one image feature vector.  Synthetic data draws per-subject attributes
 from a Bernoulli(ATTRIBUTE_DENSITY) distribution, embeds them through one
 fixed random linear map into feature space, and perturbs each image around
 that subject prototype with Gaussian noise of std FEATURE_NOISE_STD.
+Features are float32 everywhere in this module, generated, read or
+built, as the encoders compute in float32; a generated feature is the
+float32 rounding of its float64 prototype-plus-noise sum, and the text
+format holds each float32 value's exact `repr`.
 
 An image is similar to an attribute vector when the image's subject
 possesses every attribute the vector sets, so the similarity matrix is
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import all_either, all_finite
+from ._checks import all_either, all_finite, row_blocks
 from .textio import open_text, parse_bits, parse_rows, parse_run, read_chunks
 
 
@@ -51,9 +55,15 @@ class SyntheticSpec:
 class Dataset:
     subject_ids: np.ndarray  # (n,)
     attributes: np.ndarray   # (n, d_attr) entries in {0, 1}
-    features: np.ndarray     # (n, d_img) float64
+    features: np.ndarray     # (n, d_img) float32: any other dtype is cast
+                             # once, float32 kept without a copy
 
     def __post_init__(self):
+        # a value beyond float32's range casts to inf, which the finiteness
+        # check below rejects, so numpy's overflow warning is not raised
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "features",
+                               np.asarray(self.features, dtype=np.float32))
         for name, ndim in (("subject_ids", 1), ("attributes", 2),
                            ("features", 2)):
             shape = np.shape(getattr(self, name))
@@ -99,13 +109,19 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     subject_ids = np.repeat(np.arange(spec.n_subjects, dtype=np.int64),
                             spec.images_per_subject)
     attributes = np.repeat(subject_attrs, spec.images_per_subject, axis=0)
-    # in place, with no full-size temporary: std * noise + prototype is
-    # the same IEEE sum as prototype + std * noise
-    features = rng.standard_normal((n, spec.d_img))
-    features *= FEATURE_NOISE_STD
+    # one float64 piece of noise at a time, drawn in C order as one draw of
+    # every row would be, scaled and added to its prototypes in float64
+    # (std * noise + prototype is the same IEEE sum as prototype + std *
+    # noise), then rounded into the float32 output
+    features = np.empty((n, spec.d_img), dtype=np.float32)
     per_subject = features.reshape(spec.n_subjects, spec.images_per_subject,
                                    spec.d_img)
-    per_subject += prototypes[:, None, :]
+    per_image = np.broadcast_to(prototypes[:, None, :], per_subject.shape)
+    for idx in row_blocks(per_subject.shape):
+        piece = rng.standard_normal(per_subject[idx].shape)
+        piece *= FEATURE_NOISE_STD
+        piece += per_image[idx]
+        per_subject[idx] = piece
     return Dataset(subject_ids, attributes, features)
 
 
@@ -125,7 +141,8 @@ def similarity_matrix(attributes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Lines of `subject_id | 0/1 attributes | full-precision features`."""
+    """Lines of `subject_id | 0/1 attributes | features`, each feature the
+    exact `repr` of its float32 value."""
     with open(path, "w") as fh:
         for sid, attrs, feats in zip(dataset.subject_ids.tolist(),
                                      dataset.attributes, dataset.features):
@@ -134,12 +151,13 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def read_records(path, *, with_features: bool = True):
-    """Yield (subject ids, attributes, features) for each run of CHUNK_ROWS
-    lines of a save_dataset file; blank lines are skipped.
+    """Yield (subject ids, attributes, float32 features) for each run of
+    CHUNK_ROWS lines of a save_dataset file; blank lines are skipped.
 
     One rule checks a run (three `|` fields, attribute tokens that are
-    literally 0 or 1, one width per field across the file) as numpy parses
-    its subject ids and features in one call each; a rejected run meets it
+    literally 0 or 1, one width per field across the file, features finite
+    in float32) as numpy parses its subject ids and features in one call
+    each, the features in float64 and then cast; a rejected run meets it
     again line by line to name its first bad line as `path:lineno`, when
     the runs before it have been yielded.
 
@@ -193,11 +211,14 @@ def _parse_records(lines, state):
     attrs = parse_bits("".join(bit_fields))
     if attrs is None or attrs.size != len(bit_fields):
         raise DatasetFormatError("attribute values must be 0 or 1")
-    feats = np.zeros((len(lines), 0))
+    feats = np.zeros((len(lines), 0), dtype=np.float32)
     if with_features and (widths[1] or "".join(feature_fields).strip()):
-        feats = parse_rows(feature_fields, np.float64)
-        if feats is None:
+        parsed = parse_rows(feature_fields, np.float64)
+        if parsed is None:
             raise DatasetFormatError("unparseable feature value")
+        # a value beyond float32's range casts to inf, rejected below
+        with np.errstate(over="ignore"):
+            feats = parsed.astype(np.float32)
     if feats.shape[1] != widths[1]:
         raise DatasetFormatError("inconsistent field widths")
     if not all_finite(feats):

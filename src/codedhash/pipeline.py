@@ -188,22 +188,27 @@ def _batch_source(attributes):
     by its first row in the batch and in order of first occurrence, and
     counts[k] is the number of the batch's rows with vector k; a batch
     with no repeated vector gives its own rows and counts of one.  S is
-    the batch similarity's columns of the attribute rows, gathered from
-    one similarity table of the data's distinct vectors built here, so a
-    stage groups its rows and computes similarities once per call."""
-    vectors, groups = np.unique(attributes, axis=0, return_inverse=True)
+    the batch similarity's columns of the attribute rows, C-ordered: the
+    similarity of the batch's u distinct vectors, one row per batch row,
+    so a batch holds u² + batch_size · u entries and none grows with the
+    data's distinct vectors.  The rows are grouped by vector once per
+    call."""
+    _, groups = np.unique(attributes, axis=0, return_inverse=True)
     groups = groups.reshape(-1)
-    table = similarity_matrix(vectors)
 
     def batches(order, batch_size):
         for start in range(0, len(order), batch_size):
             rows = order[start:start + batch_size]
-            _, first, counts = np.unique(groups[rows], return_index=True,
-                                         return_counts=True)
+            _, first, inverse, counts = np.unique(
+                groups[rows], return_index=True, return_inverse=True,
+                return_counts=True)
             by_first = np.argsort(first)
+            # each row's vector by its rank in order of first occurrence
+            rank = np.empty_like(by_first)
+            rank[by_first] = np.arange(len(by_first))
             attribute_rows = rows[first[by_first]]
-            yield (rows, attribute_rows,
-                   table[np.ix_(groups[rows], groups[attribute_rows])],
+            table = similarity_matrix(attributes[attribute_rows])
+            yield (rows, attribute_rows, table[rank[inverse]],
                    counts[by_first])
     return batches
 
@@ -211,8 +216,10 @@ def _batch_source(attributes):
 def _branches(encoders: Encoders, dataset: Dataset, lr: float):
     """(modality, network, its inputs, fresh Adam) per branch, image first:
     the order of objective_grads' (dP, dQ).  Each branch's whole input is
-    cast once to the network's dtype, so a batch is one gather of it.  An
-    empty dataset is rejected here, for both stages that train on data."""
+    cast once to the network's dtype, so a batch is one gather of it; the
+    dataset's float32 features are the float32 image branch's input as
+    they are, with no copy.  An empty dataset is rejected here, for both
+    stages that train on data."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     return [(modality, net, x.astype(net.dtype, copy=False),

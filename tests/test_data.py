@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from codedhash._checks import PIECE
 from codedhash.data import (
     ATTRIBUTE_DENSITY,
     FEATURE_NOISE_STD,
@@ -12,6 +13,7 @@ from codedhash.data import (
     save_dataset,
     similarity_matrix,
 )
+from codedhash.hashing import Encoders
 
 
 def containment_oracle(attrs):
@@ -22,6 +24,21 @@ def containment_oracle(attrs):
             s[i, j] = all(attrs[i, b] >= attrs[j, b]
                           for b in range(attrs.shape[1]))
     return s
+
+
+def repeat_formula(spec):
+    """(float64 features, per-subject attributes) of `spec` by the
+    whole-array formula: every noise row drawn at once, added to the
+    repeated prototypes."""
+    rng = np.random.default_rng(spec.seed)
+    embed = rng.normal(size=(spec.d_attr, spec.d_img)) / np.sqrt(spec.d_attr)
+    subject_attrs = (rng.random((spec.n_subjects, spec.d_attr))
+                     < ATTRIBUTE_DENSITY).astype(np.uint8)
+    prototypes = subject_attrs.astype(np.float64) @ embed
+    n = spec.n_subjects * spec.images_per_subject
+    noise = rng.normal(0.0, 1.0, size=(n, spec.d_img))
+    return (np.repeat(prototypes, spec.images_per_subject, axis=0)
+            + FEATURE_NOISE_STD * noise), subject_attrs
 
 
 class TestSyntheticSpec:
@@ -81,26 +98,34 @@ class TestGenerateSynthetic:
         dict(n_subjects=6, images_per_subject=5),
         dict(n_subjects=9, images_per_subject=1, seed=3),
         dict(n_subjects=1, images_per_subject=1, d_attr=1, d_img=1),
+        # the cases above hold 2-32 subjects in a piece of PIECE entries;
+        # these split one subject's images, and one image's features
+        dict(n_subjects=3, images_per_subject=300, seed=4),
+        dict(n_subjects=2, images_per_subject=3, d_attr=3, d_img=PIECE + 5,
+             seed=5),
     ])
     def test_features_match_repeat_formula(self, kwargs):
-        """In-place generation gives the bits of `repeat(prototypes) +
-        std * noise`, the formula it replaced."""
+        """Generation in pieces gives the float32 rounding of
+        `repeat(prototypes) + std * noise`, the float64 formula it
+        replaced: the pieces draw the one noise stream in C order."""
         spec = SyntheticSpec(**kwargs)
-        rng = np.random.default_rng(spec.seed)
-        embed = rng.normal(size=(spec.d_attr, spec.d_img)) / np.sqrt(spec.d_attr)
-        subject_attrs = (rng.random((spec.n_subjects, spec.d_attr))
-                         < ATTRIBUTE_DENSITY).astype(np.uint8)
-        prototypes = subject_attrs.astype(np.float64) @ embed
-        n = spec.n_subjects * spec.images_per_subject
-        noise = rng.normal(0.0, 1.0, size=(n, spec.d_img))
-        want = (np.repeat(prototypes, spec.images_per_subject, axis=0)
-                + FEATURE_NOISE_STD * noise)
+        want, subject_attrs = repeat_formula(spec)
         ds = generate_synthetic(spec)
-        assert ds.features.dtype == np.float64
-        assert ds.features.tobytes() == want.tobytes()
+        assert ds.features.dtype == np.float32
+        assert ds.features.tobytes() == want.astype(np.float32).tobytes()
         assert np.array_equal(
             ds.attributes,
             np.repeat(subject_attrs, spec.images_per_subject, axis=0))
+
+    def test_encoder_activations_match_the_float64_formula(self):
+        """float32 features give the activations of the float64 formula's
+        features bit for bit, as the encoders cast their input to float32."""
+        spec = SyntheticSpec(n_subjects=40, images_per_subject=8, seed=6)
+        want, _ = repeat_formula(spec)
+        ds = generate_synthetic(spec)
+        enc = Encoders.build(spec.d_img, spec.d_attr, 63, seed=2)
+        assert (enc.encode_images(ds.features).tobytes()
+                == enc.encode_images(want).tobytes())
 
     def test_subset(self):
         ds = generate_synthetic(SyntheticSpec(n_subjects=3,
@@ -160,7 +185,16 @@ class TestDatasetFiles:
         back = load_dataset(path)
         assert np.array_equal(back.subject_ids, ds.subject_ids)
         assert np.array_equal(back.attributes, ds.attributes)
-        assert np.array_equal(back.features, ds.features)
+        assert back.features.dtype == np.float32
+        assert back.features.tobytes() == ds.features.tobytes()
+
+    def test_feature_beyond_float32_range_names_line(self, tmp_path):
+        """1e39 is finite in float64 but not in float32: the reader names
+        its line, with no overflow warning from the cast."""
+        path = tmp_path / "big.txt"
+        path.write_text("0 | 1 0 | 0.5 0.5\n1 | 0 1 | 1e39 0.5\n")
+        with pytest.raises(DatasetFormatError, match=r"big\.txt:2: non-finite"):
+            load_dataset(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -217,3 +251,22 @@ class TestDatasetFiles:
             Dataset(np.zeros(1, dtype=np.int64),
                     np.zeros((1, 2), dtype=np.uint8),
                     np.array([[np.inf, 0.0]]))
+
+    def test_dataset_rejects_features_beyond_float32_range(self):
+        """A float64 feature finite in float64 but not in float32 is
+        rejected after the cast, with no overflow warning."""
+        with pytest.raises(ValueError, match="feature entries must be finite"):
+            Dataset(np.zeros(1, dtype=np.int64),
+                    np.zeros((1, 2), dtype=np.uint8),
+                    np.array([[1e39, 0.0]]))
+
+    def test_dataset_holds_float32_features(self):
+        """Float64 features are held as their float32 cast; float32
+        features are held as they are, not copied."""
+        ids, attrs = np.arange(3), np.zeros((3, 2), dtype=np.uint8)
+        feats = np.random.default_rng(7).normal(size=(3, 4))
+        ds = Dataset(ids, attrs, feats)
+        assert ds.features.dtype == np.float32
+        assert ds.features.tobytes() == feats.astype(np.float32).tobytes()
+        feats32 = feats.astype(np.float32)
+        assert Dataset(ids, attrs, feats32).features is feats32

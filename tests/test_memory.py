@@ -17,11 +17,13 @@ import pytest
 from codedhash import cli, pipeline
 from codedhash._checks import PIECE
 from codedhash.bp import TannerGraph
-from codedhash.data import Dataset, SyntheticSpec, generate_synthetic, save_dataset
+from codedhash.data import (Dataset, SyntheticSpec, generate_synthetic,
+                            load_dataset, save_dataset)
 from codedhash.hashing import (FORWARD_ROWS, Encoders, load_encoders, save_encoders,
                               sign_hash)
 from codedhash.neural_bp import NeuralBpDecoder
 from codedhash.retrieval import build_index
+from codedhash.textio import CHUNK_ROWS
 
 MiB = 2 ** 20
 PIECE_BYTES = PIECE * 8  # one piece of float64 entries
@@ -74,6 +76,45 @@ def test_generate_synthetic_within_its_outputs():
     # allocations, and Dataset's checks hold one piece, where a finiteness
     # mask of the features would add 12.2 MiB
     assert peak <= kept + prototypes + 2 * MiB
+
+
+def test_load_dataset_holds_float32_runs(tmp_path):
+    spec = SyntheticSpec(n_subjects=1000, images_per_subject=10, seed=2)
+    path = tmp_path / "gallery.txt"
+    save_dataset(generate_synthetic(spec), path)
+    peak, ds = traced_peak(load_dataset, path)
+    rows = spec.n_subjects * spec.images_per_subject
+    # the float32 output, int64 ids and uint8 attributes (5.3 MiB): once
+    # as the runs read_records yields and once as their concatenation,
+    # plus one run's float64 feature parse (1.0 MiB) and its text; float64
+    # runs and output would add 9.8 MiB
+    output = rows * (spec.d_img * 4 + spec.d_attr + 8)
+    run_parse = CHUNK_ROWS * spec.d_img * 8
+    assert peak <= 2 * output + run_parse + MiB
+    assert len(ds) == rows and ds.features.dtype == np.float32
+
+
+def test_stage1a_memory_grows_linearly_with_distinct_vectors():
+    """One stage-1a epoch at 1000 and 4000 rows, every attribute vector
+    distinct: each batch's S covers the batch's own distinct vectors, so
+    the peak grows by per-row arrays only."""
+    config = pipeline.TrainConfig(epochs_stage1a=1)
+    peaks = {}
+    for rows in (1000, 4000):
+        ds = generate_synthetic(SyntheticSpec(n_subjects=rows,
+                                              images_per_subject=1, seed=5))
+        assert len(np.unique(ds.attributes, axis=0)) == rows
+        enc = Encoders.build(ds.d_img, ds.d_attr, 63, init_std=0.1, seed=0)
+        peaks[rows], _ = traced_peak(pipeline.stage1a, enc, ds, config, 1)
+        params = sum(p.nbytes for p in enc.image.parameters()
+                     + enc.attribute.parameters())
+        # Adam's two moments and a step's gradients of the float32
+        # weights (2.6 MiB), and at most 1 KiB a row: the attribute input
+        # in float32, the grouping, the epoch's batches with their S rows
+        assert peaks[rows] <= 3 * params + rows * 1024 + 2 * MiB
+    # a table of all 4000 distinct vectors would add 15.3 MiB in uint8 and
+    # 122 MiB for its float64 product
+    assert peaks[4000] - peaks[1000] <= 3000 * 1024 + MiB
 
 
 def test_dataset_validation_at_1e5_items(gallery):

@@ -635,9 +635,10 @@ class TestDistinctAttributeRows:
             assert (counts == 1).all()
             assert s.tobytes() == similarity_matrix(ds.attributes[rows]).tobytes()
 
-    def test_stage1a_computes_similarities_once_per_call(self, monkeypatch):
-        """Stage 1a builds one similarity table per call, whatever its
-        epochs and batches, and gathers each batch's S from it."""
+    def test_stage1a_computes_similarities_per_batch(self, monkeypatch):
+        """Stage 1a builds each batch's similarities from that batch's
+        distinct vectors, once per batch and epoch for both passes, so no
+        table grows with the data's distinct vectors."""
         ds = small_dataset(seed=2)
         cfg = small_config(epochs_stage1a=3)
         assert len(ds) > 2 * cfg.batch_size
@@ -645,12 +646,22 @@ class TestDistinctAttributeRows:
         calls = []
 
         def spy(attributes):
-            calls.append(len(attributes))
+            calls.append(np.array(attributes, copy=True))
             return similarity_matrix(attributes)
 
         monkeypatch.setattr(pipeline, "similarity_matrix", spy)
         stage1a(enc, ds, cfg, seed=4)
-        assert calls == [len(np.unique(ds.attributes, axis=0))]
+        rng = np.random.default_rng(4)  # stage 1a's epoch orders
+        want = []
+        for _ in range(cfg.epochs_stage1a):
+            order = rng.permutation(len(ds))
+            want += [len(np.unique(ds.attributes[order[i:i + cfg.batch_size]],
+                                   axis=0))
+                     for i in range(0, len(ds), cfg.batch_size)]
+        assert [len(x) for x in calls] == want
+        assert max(want) < len(np.unique(ds.attributes, axis=0))
+        for x in calls:
+            assert len(np.unique(x, axis=0)) == len(x)
 
     def test_stage1a_runs_the_attribute_branch_on_distinct_rows(
             self, monkeypatch):

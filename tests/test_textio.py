@@ -209,15 +209,17 @@ class TestByteIdentity:
     @pytest.mark.parametrize("dataset", [
         Dataset(np.array([0, 7, -3], dtype=np.int64),
                 np.array([[1, 0], [0, 0], [1, 1]], dtype=np.uint8),
-                np.array([[-0.0, 5e-324, 1e308, 0.1, 1e16],
-                          [0.0, -5e-324, -1e308, -0.1, -1e16],
-                          [1e16 + 2.0, 0.1 + 0.2, 1e-310, 1.0, 123456789.0]])),
+                np.array([[-0.0, 1e-45, 3.4028235e38, 0.1, 1e16],
+                          [0.0, -1e-45, -3.4028235e38, -0.1, -1e16],
+                          [1e16 + 2.0**34, 0.1 + 0.2, 1e-40, 1.0, 123456789.0]],
+                         dtype=np.float32)),
         generate_synthetic(SyntheticSpec(n_subjects=40, images_per_subject=3,
                                          d_attr=7, d_img=5, seed=4)),
     ], ids=["edge_floats", "synthetic"])
     def test_save_dataset(self, tmp_path, dataset):
-        """Every feature keeps its own repr's shortest round-trip digits:
-        signed zero, subnormals, 1e308 and 1e16 (printed as 1e+16)."""
+        """Every float32 feature keeps the shortest round-trip digits of
+        its exact float64 value: signed zero, subnormals, float32's largest
+        value and 1e16 (printed as 1.0000000272564224e+16)."""
         save_dataset(dataset, tmp_path / "new.txt")
         reference_save_dataset(tmp_path / "old.txt", dataset)
         assert ((tmp_path / "new.txt").read_bytes()
@@ -280,6 +282,9 @@ FEATURE_FAULTS = [
     (GOOD_RECORD + "1 | 0 1 | 0.5 0.5 # c\n", 2),
     (GOOD_RECORD + "1 | 0 1 | nan 0.5\n", 2),
     (GOOD_RECORD + "1 | 0 1 | 0.5 1e999\n", 2),
+    # finite in float64, beyond float32's range
+    (GOOD_RECORD + "1 | 0 1 | 0.5 1e39\n", 2),
+    (GOOD_RECORD + "1 | 0 1 | -3.5e38 0.5\n", 2),
     (GOOD_RECORD + "1 | 0 1 | 0.5\n", 2),
     (GOOD_RECORD + "1 | 0 1 |\n", 2),
     ("0 | 0 1 |\n1 | 0 1 | 0.5\n", 2),
