@@ -146,13 +146,12 @@ def _check_pad_prefix(values: np.ndarray, graph: TannerGraph, ws: Workspace):
     return pad, pre, flat
 
 
-def check_products_except_self(values: np.ndarray, graph: TannerGraph, *,
-                               _workspace: Workspace | None = None) -> np.ndarray:
+def check_products_except_self(values: np.ndarray, graph: TannerGraph,
+                               ws: Workspace) -> np.ndarray:
     """For each edge, the product of same-check values excluding that edge.
 
     `values` is (num_edges, batch) in edge order; so is the result.
     """
-    ws = Workspace() if _workspace is None else _workspace
     pad, pre, flat = _check_pad_prefix(values, graph, ws)
     # pre[i] *= the product of pad[i + 1:], kept as one running slab
     suf = ws.table("suf", pad.shape[1:], values.dtype)
@@ -165,15 +164,13 @@ def check_products_except_self(values: np.ndarray, graph: TannerGraph, *,
 
 
 def check_products_except_self_backward(values: np.ndarray, grads: np.ndarray,
-                                        graph: TannerGraph, *,
-                                        _workspace: Workspace | None = None
-                                        ) -> np.ndarray:
+                                        graph: TannerGraph,
+                                        ws: Workspace) -> np.ndarray:
     """Reverse-mode step for check_products_except_self.
 
     Given d(loss)/d(output) per edge, returns d(loss)/d(values) per edge
     without dividing by any factor (stable at zeros).
     """
-    ws = Workspace() if _workspace is None else _workspace
     a, pre, flat = _check_pad_prefix(values, graph, ws)
     gpad = ws.table("gpad", a.shape, values.dtype)
     g_flat = gpad.reshape(flat)
@@ -205,13 +202,12 @@ def check_products_except_self_backward(values: np.ndarray, grads: np.ndarray,
     return np.take(acc.reshape(flat), graph.check_slot, axis=0)
 
 
-def check_messages(m_vc: np.ndarray, graph: TannerGraph,
-                   clamp: float = DEFAULT_CLAMP, *,
-                   _workspace: Workspace | None = None) -> np.ndarray:
+def check_messages(m_vc: np.ndarray, graph: TannerGraph, clamp: float,
+                   ws: Workspace) -> np.ndarray:
     """Check-to-variable messages from variable-to-check messages (LLR domain)."""
     t = 0.5 * m_vc
     np.tanh(t, out=t)
-    prod = check_products_except_self(t, graph, _workspace=_workspace)
+    prod = check_products_except_self(t, graph, ws)
     np.clip(prod, -1.0 + clamp, 1.0 - clamp, out=prod)
     np.arctanh(prod, out=prod)
     prod *= 2.0
@@ -248,26 +244,18 @@ def bp_decode_batch(llrs, graph: TannerGraph, iterations: int,
     out_hard = np.zeros((graph.n_var, batch), dtype=np.uint8)
     out_soft = np.zeros((graph.n_var, batch))
     out_conv = np.zeros(batch, dtype=bool)
-    if batch == 0:
-        return out_hard.T, out_soft.T, out_conv
-
     llr_t = llrs.T.copy()
     m_vc = llr_t[graph.edge_var]
     cols = np.arange(batch)
     ws = Workspace()
 
     for it in range(iterations):
-        m_cv = check_messages(m_vc, graph, clamp, _workspace=ws)
+        m_cv = check_messages(m_vc, graph, clamp, ws)
         post = llr_t + segment_sum(m_cv, graph.var_offsets)
         hard = (post < 0).astype(np.uint8)
         ok = graph.syndrome_ok(hard)
         last = it == iterations - 1
-        if last:
-            freeze = np.ones_like(ok)
-        elif early_stop:
-            freeze = ok
-        else:
-            freeze = np.zeros_like(ok)
+        freeze = (ok if early_stop else np.zeros_like(ok)) | last
         if freeze.any():
             sel = cols[freeze]
             out_hard[:, sel] = hard[:, freeze]

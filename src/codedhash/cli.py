@@ -133,28 +133,22 @@ def _cmd_train(args) -> int:
 
 
 def _row_pieces(runs):
-    """Regroup runs of at most CHUNK_ROWS rows into consecutive pieces of
-    at least FORWARD_ROWS / 2 rows.  A piece is passed on only once the
-    runs after it hold that many rows too, so rows left over at the end
-    join the last piece, which Mlp.forward splits if it has more than
-    FORWARD_ROWS rows.  Every piece encoded then has FORWARD_ROWS / 2 to
-    FORWARD_ROWS rows, the range of Mlp.forward's own pieces, unless all
-    the rows fit in one; with FORWARD_ROWS equal to CHUNK_ROWS, each full
-    run is one piece."""
-    ready, pending, held = None, [], 0
+    """The runs of read_records as pieces to encode, a last run of fewer
+    than FORWARD_ROWS / 2 rows joined to the run before it.  Every run but
+    the last holds CHUNK_ROWS = FORWARD_ROWS rows, so unless all the rows
+    fit in one piece, every piece encoded has FORWARD_ROWS / 2 to
+    FORWARD_ROWS rows, the range of Mlp.forward's own pieces, once
+    Mlp.forward splits a joined last piece in two."""
+    held = None
     for run in runs:
-        pending.append(run)
-        held += len(run)
-        if held >= FORWARD_ROWS // 2:
-            if ready is not None:
-                yield ready
-            ready, pending, held = np.concatenate(pending), [], 0
-    if ready is not None:
-        pending.insert(0, ready)
-    if pending:
-        # the parts are dropped before the joined piece is encoded
-        last, ready, pending = np.concatenate(pending), None, None
-        yield last
+        if held is not None:
+            if len(run) < FORWARD_ROWS // 2:
+                run = np.concatenate([held, run])
+            else:
+                yield held
+        held = run
+    if held is not None:
+        yield held
 
 
 def _cmd_encode(args) -> int:

@@ -93,9 +93,8 @@ class Dataset:
         idx = np.asarray(indices)
         if idx.dtype != bool:
             idx = idx.astype(np.int64, copy=False)
-        return Dataset(self.subject_ids[idx].copy(),
-                       self.attributes[idx].copy(),
-                       self.features[idx].copy())
+        return Dataset(self.subject_ids[idx], self.attributes[idx],
+                       self.features[idx])
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -152,7 +151,8 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def read_records(path, *, with_features: bool = True):
     """Yield (subject ids, attributes, float32 features) for each run of
-    CHUNK_ROWS lines of a save_dataset file; blank lines are skipped.
+    CHUNK_ROWS records of a save_dataset file, the last run taking the
+    rest; blank lines are skipped.
 
     One rule checks a run (three `|` fields, attribute tokens that are
     literally 0 or 1, one width per field across the file, features finite

@@ -56,7 +56,7 @@ _WEIGHT = np.dtype("<f4")  # the weight dtype on disk
 # the unblocked product's bits on the 2-core OpenBLAS 0.3.31 host it was
 # measured on, in float64 and in float32, at 1 to 10^5 rows on both
 # branches (128 or 256 float64 rows did not).  It equals textio.CHUNK_ROWS,
-# so each run of lines `codedhash encode` reads is encoded as one piece.
+# so each full run of records `codedhash encode` reads is encoded as one piece.
 FORWARD_ROWS = 1024
 
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import os
 import struct
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,7 +204,7 @@ class NeuralBpDecoder:
                 pre += np.take(sib_flat, self._var_slot, axis=0)
             pre *= 0.5
             x_odd = np.tanh(pre, out=pre)
-            prod = check_products_except_self(x_odd, g, _workspace=ws)
+            prod = check_products_except_self(x_odd, g, ws)
             p_clip = np.clip(prod, -lo, lo, out=prod)
             x = np.arctanh(p_clip)
             x *= 2.0
@@ -314,7 +313,7 @@ class NeuralBpDecoder:
             # unclipped exactly where |p_clip| < lo; p_clip is not read again
             np.less(np.abs(p_clip, out=p_clip), lo, out=clip_mask)
             dp *= clip_mask
-            dpre = check_products_except_self_backward(x_odd, dp, g, _workspace=ws)
+            dpre = check_products_except_self_backward(x_odd, dp, g, ws)
             # dpre = dx_odd * 0.5 * (1 - x_odd^2)
             dpre *= 0.5
             np.multiply(x_odd, x_odd, out=tmp)
@@ -403,15 +402,6 @@ def _piece_count(workers: int, frames: int) -> int:
     return max(1, min(workers, frames // _MIN_PIECE_FRAMES))
 
 
-def _decode_split(decoder, llrs, pool, pieces: int) -> np.ndarray:
-    """Hard decisions for a batch decoded as `pieces` frame-order slices:
-    the calling thread decodes the first, `pool` the rest."""
-    parts = np.array_split(llrs, pieces)
-    futures = [pool.submit(decoder.decode_batch, part) for part in parts[1:]]
-    first = decoder.decode_batch(parts[0])
-    return np.concatenate([first] + [f.result() for f in futures])
-
-
 def evaluate_error_rates(decoder, code: LinearCode, snr_db: float, frames: int,
                          seed):
     """Monte-Carlo bit and frame error rates over an AWGN channel.
@@ -422,11 +412,12 @@ def evaluate_error_rates(decoder, code: LinearCode, snr_db: float, frames: int,
 
     Each batch is split in frame order across the cores the process may
     run on, in pieces of at least 64 frames, and the pieces are decoded at
-    the same time: one on the calling thread, the rest on a thread pool
-    that lives for this call.  All random draws stay on the calling thread
-    and every frame is decoded on its own, so the rates do not depend on
-    the core count; `decoder` must be safe to call from several threads at
-    once.
+    the same time: the calling thread takes the first, a thread pool made
+    for this call the rest.  The pool starts a thread only when a piece is
+    submitted, so a batch of one piece runs on the calling thread alone.
+    All random draws stay on the calling thread and every frame is decoded
+    on its own, so the rates do not depend on the core count; `decoder`
+    must be safe to call from several threads at once.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
@@ -436,18 +427,20 @@ def evaluate_error_rates(decoder, code: LinearCode, snr_db: float, frames: int,
     done = 0
     gen = code.generator.astype(np.int64)
     workers = _piece_count(_worker_count(), min(_RATE_BATCH, frames))
-    if workers > 1:
-        # imported on first use: it imports logging, about 9 ms that every
-        # import of the package would pay otherwise
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+    # imported on first use: it imports logging, about 9 ms that every
+    # import of the package would pay otherwise
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
         while done < frames:
             b = min(_RATE_BATCH, frames - done)
             msgs = rng.integers(0, 2, size=(b, code.k))
             words = (msgs @ gen % 2).astype(np.uint8)
             received, sigma = awgn(bpsk_modulate(words), snr_db, rng, rate=code.rate)
             llrs = llr_from_channel(received, sigma)
-            hard = _decode_split(decoder, llrs, pool, _piece_count(workers, b))
+            parts = np.array_split(llrs, _piece_count(workers, b))
+            futures = [pool.submit(decoder.decode_batch, part) for part in parts[1:]]
+            first = decoder.decode_batch(parts[0])
+            hard = np.concatenate([first] + [f.result() for f in futures])
             errs = hard != words
             bit_errors += int(errs.sum())
             frame_errors += int(errs.any(axis=1).sum())

@@ -1,11 +1,13 @@
 """Bulk parsing and formatting of the line-based text tables behind the
 dataset, code and rankings files.
 
-Readers take a file CHUNK_ROWS lines at a time (`read_chunks`) and run
-each format's one rule, a `parse(lines, state)` that raises its reason, on
-a whole run (`parse_run`); numeric fields go to numpy's C tokenizer in one
-call (`parse_rows`) and 0/1 strings to `parse_bits`.  Only a rejected run
-meets the same rule again, one line at a time, to name its bad line.
+Readers take a file in runs of CHUNK_ROWS lines, counted after blank and
+comment lines are left out, so every run but the last is full
+(`read_chunks`).  They run each format's one rule, a `parse(lines,
+state)` that raises its reason, on a whole run (`parse_run`); numeric
+fields go to numpy's C tokenizer in one call (`parse_rows`) and 0/1
+strings to `parse_bits`.  Only a rejected run meets the same rule again,
+one line at a time, to name its bad line.
 Numeric tokens follow numpy's parser: ASCII digits with an optional sign,
 and for floats Python's float syntax without underscores; integers must
 fit their dtype.  Writers format CHUNK_ROWS rows of an integer table with
@@ -38,17 +40,16 @@ def open_text(path, encoding=None):
 
 
 def read_chunks(fh, comment: str | None = None):
-    """Yield (line numbers, lines) for each run of CHUNK_ROWS lines of an
-    open text file, leaving out blank lines and, when `comment` is given,
-    lines whose first non-blank text starts with it."""
-    numbered = enumerate(fh, start=1)
-    while raw := list(itertools.islice(numbered, CHUNK_ROWS)):
-        kept = [(lineno, line) for lineno, line in raw
-                if not line.isspace()
-                and not (comment and line.lstrip().startswith(comment))]
-        if kept:
-            linenos, lines = zip(*kept)
-            yield linenos, lines
+    """Yield (line numbers, lines) for each run of CHUNK_ROWS kept lines of
+    an open text file, the last run taking the rest.  Blank lines are left
+    out and, when `comment` is given, lines whose first non-blank text
+    starts with it."""
+    kept = ((lineno, line) for lineno, line in enumerate(fh, start=1)
+            if not line.isspace()
+            and not (comment and line.lstrip().startswith(comment)))
+    while run := list(itertools.islice(kept, CHUNK_ROWS)):
+        linenos, lines = zip(*run)
+        yield linenos, lines
 
 
 def parse_rows(lines, dtype, delimiter=None):

@@ -169,7 +169,7 @@ class TestKernels:
         graph = TannerGraph(H_APPENDIX)
         rng = np.random.default_rng(42)
         values = rng.uniform(-0.9, 0.9, size=(graph.num_edges, 3))
-        got = check_products_except_self(values, graph)
+        got = check_products_except_self(values, graph, Workspace())
         checks = edge_checks(H_APPENDIX)
         for e in range(graph.num_edges):
             sibs = [f for f in range(graph.num_edges)
@@ -250,10 +250,10 @@ class TestCheckKernelOracle:
     def test_fresh_workspace_is_bit_exact(self, code, batch):
         graph = TannerGraph(code.parity_check)
         values, grads = kernel_inputs(graph, batch, np.random.default_rng(batch))
-        assert np.array_equal(check_products_except_self(values, graph),
+        assert np.array_equal(check_products_except_self(values, graph, Workspace()),
                               reference_products(values, code.parity_check))
         assert np.array_equal(
-            check_products_except_self_backward(values, grads, graph),
+            check_products_except_self_backward(values, grads, graph, Workspace()),
             reference_backward(values, grads, code.parity_check))
 
     @PIPELINE_GRAPHS
@@ -266,9 +266,8 @@ class TestCheckKernelOracle:
         kept = []
         for batch in (512, 128, 500):
             values, grads = kernel_inputs(graph, batch, rng)
-            fwd = check_products_except_self(values, graph, _workspace=ws)
-            bwd = check_products_except_self_backward(values, grads, graph,
-                                                      _workspace=ws)
+            fwd = check_products_except_self(values, graph, ws)
+            bwd = check_products_except_self_backward(values, grads, graph, ws)
             want_fwd = reference_products(values, code.parity_check)
             want_bwd = reference_backward(values, grads, code.parity_check)
             assert np.array_equal(fwd, want_fwd)
@@ -281,9 +280,10 @@ class TestCheckKernelOracle:
     def test_empty_batch(self):
         graph = TannerGraph(pipeline_code().parity_check)
         empty = np.zeros((graph.num_edges, 0))
-        assert check_products_except_self(empty, graph).shape == empty.shape
-        assert check_products_except_self_backward(empty, empty, graph).shape == \
-            empty.shape
+        assert check_products_except_self(empty, graph,
+                                          Workspace()).shape == empty.shape
+        assert check_products_except_self_backward(empty, empty, graph,
+                                                   Workspace()).shape == empty.shape
 
 
 class TestSyndrome:
@@ -314,11 +314,11 @@ class TestKernelMemory:
         graph = TannerGraph(pipeline_code().parity_check)
         values, _ = kernel_inputs(graph, 512, np.random.default_rng(8))
         ws = Workspace()
-        check_products_except_self(values, graph, _workspace=ws)
+        check_products_except_self(values, graph, ws)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = check_products_except_self(values, graph, _workspace=ws)
+            out = check_products_except_self(values, graph, ws)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -417,6 +417,16 @@ class TestBpDecode:
         assert got[1].dtype == np.float64
         for a, b in zip(got, want, strict=True):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("early_stop", [True, False])
+    def test_empty_batch(self, early_stop):
+        graph = TannerGraph(pipeline_code().parity_check)
+        hard, soft, conv = bp_decode_batch(np.zeros((0, graph.n_var)), graph,
+                                           iterations=5, early_stop=early_stop)
+        assert (hard.shape, hard.dtype) == ((0, graph.n_var), np.uint8)
+        assert (soft.shape, soft.dtype) == ((0, graph.n_var), np.float64)
+        assert (conv.shape, conv.dtype) == ((0,), np.bool_)
 
     def test_bad_inputs_rejected(self):
         graph = TannerGraph(H_REPETITION)

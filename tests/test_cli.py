@@ -495,13 +495,17 @@ class TestStreamingEncode:
         assert ((tmp_path / "codes.txt").read_bytes()
                 == (tmp_path / "want.txt").read_bytes())
 
+    # runs as the reader yields them: full runs, then a shorter last run
     @pytest.mark.parametrize("sizes", [[1], [1023], [1024] * 2, [1024] * 3,
-                                       [1000, 1024, 1024, 3], [1024] * 10 + [17],
-                                       [5] * 700])
+                                       [1024, 1], [1024] * 2 + [511],
+                                       [1024] * 10 + [512], [1024] * 3 + [1023]])
     def test_row_pieces(self, sizes):
         rows = np.arange(sum(sizes))
-        pieces = list(cli._row_pieces(np.split(rows, np.cumsum(sizes)[:-1])))
+        runs = np.split(rows, np.cumsum(sizes)[:-1])
+        pieces = list(cli._row_pieces(runs))
         assert np.array_equal(np.concatenate(pieces), rows)
+        # no run but the last is joined to another
+        assert all(p is run for p, run in zip(pieces[:-1], runs))
         assert all(FORWARD_ROWS // 2 <= len(p) <= FORWARD_ROWS for p in pieces[:-1])
         # Mlp.forward splits a last piece of more than FORWARD_ROWS rows
         # into two of at least FORWARD_ROWS / 2

@@ -133,6 +133,10 @@ class TestGenerateSynthetic:
         sub = ds.subset([0, 3, 5])
         assert len(sub) == 3
         assert np.array_equal(sub.features[1], ds.features[3])
+        for picked in (sub, ds.subset(np.arange(6) < 4)):
+            for name in ("subject_ids", "attributes", "features"):
+                assert not np.shares_memory(getattr(picked, name),
+                                            getattr(ds, name)), name
 
 
 class TestSimilarityMatrix:

@@ -148,6 +148,19 @@ def test_worker_exception_is_reraised_and_threads_end(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("workers, frames", [(1, 4096), (2, 127)])
+def test_one_piece_batches_stay_on_the_calling_thread(workers, frames,
+                                                       monkeypatch):
+    """One worker, or a batch too small to split, decodes every frame on
+    the calling thread: the pool starts no thread of its own."""
+    code = CODES["bch63"]
+    decoder = FailsOffCallingThread(make_decoder("classic", code),
+                                    threading.current_thread())
+    monkeypatch.setattr(neural_bp, "_worker_count", lambda: workers)
+    want = serial_error_rates(decoder.inner, code, 2.0, frames, seed=4)
+    assert evaluate_error_rates(decoder, code, 2.0, frames, seed=4) == want
+
+
 def test_no_thread_outlives_a_call(monkeypatch):
     code = CODES["bch63"]
     decoder = make_decoder("neural", code)

@@ -94,6 +94,19 @@ def test_load_dataset_holds_float32_runs(tmp_path):
     assert len(ds) == rows and ds.features.dtype == np.float32
 
 
+def test_subset_builds_only_its_output():
+    ds = generate_synthetic(SyntheticSpec(n_subjects=2000,
+                                          images_per_subject=10, seed=3))
+    idx = np.arange(0, len(ds), 2)
+    peak, sub = traced_peak(ds.subset, idx)
+    # the three indexed fields (5.3 MiB for 10^4 rows) and Dataset's
+    # checks, which hold one piece; a copy of each field would double it
+    output = (sub.subject_ids.nbytes + sub.attributes.nbytes
+              + sub.features.nbytes)
+    assert len(sub) == 10_000
+    assert peak <= output + MiB
+
+
 def test_stage1a_memory_grows_linearly_with_distinct_vectors():
     """One stage-1a epoch at 1000 and 4000 rows, every attribute vector
     distinct: each batch's S covers the batch's own distinct vectors, so

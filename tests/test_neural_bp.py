@@ -116,7 +116,7 @@ def padded_all_variable_pass(net, llrs, targets):
         if j > 0:
             pre += gather(np.matmul(blocks[j - 1], scatter(x)))
         x_odd = np.tanh(pre * 0.5)
-        prod = check_products_except_self(x_odd, g)
+        prod = check_products_except_self(x_odd, g, Workspace())
         p_clip = np.clip(prod, -lo, lo)
         layers.append((x, x_odd, p_clip, np.abs(prod) < lo))
         x = np.arctanh(p_clip) * 2.0
@@ -136,7 +136,7 @@ def padded_all_variable_pass(net, llrs, targets):
     for j in reversed(range(net.iterations)):
         x_prev, x_odd, p_clip, clip_mask = layers[j]
         dp = dx * (2.0 / (1.0 - p_clip * p_clip)) * clip_mask
-        dx_odd = check_products_except_self_backward(x_odd, dp, g)
+        dx_odd = check_products_except_self_backward(x_odd, dp, g, Workspace())
         dpre = dx_odd * 0.5 * (1.0 - x_odd * x_odd)
         d_chan[j] = (dpre * l_edge).sum(axis=1)
         if j > 0:

@@ -89,6 +89,18 @@ class TestHelpers:
                                        if i % 7 and i % 11]
         assert all(line == f"{n}\n" for n, line in got)
 
+    def test_read_chunks_fills_every_run_but_the_last(self, tmp_path):
+        """Blank and comment lines do not count toward a run."""
+        path = tmp_path / "t.txt"
+        path.write_text("".join("\n" if i % 5 == 0 else "# note\n" if i % 9 == 0
+                                else " \t\n" if i % 13 == 0 else f"{i}\n"
+                                for i in range(1, 4 * CHUNK_ROWS)))
+        with open(path) as fh:
+            sizes = [len(lines) for _, lines in read_chunks(fh, comment="#")]
+        assert len(sizes) >= 3
+        assert sizes[:-1] == [CHUNK_ROWS] * (len(sizes) - 1)
+        assert 1 <= sizes[-1] <= CHUNK_ROWS
+
     def test_parse_rows(self):
         assert parse_rows(["1, 2\n", "3, -4"], np.int64, ",").tolist() == [
             [1, 2], [3, -4]]
